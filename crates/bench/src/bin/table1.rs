@@ -30,9 +30,9 @@
 //! visited configurations), timed on a selectable engine with configs/sec
 //! as the headline metric. Its companions:
 //!
-//! * `--engine seq|mpsc|steal|compare` — the sequential kernel, the
-//!   channel-migration baseline, the work-stealing engine (default), or all
-//!   three interleaved per run;
+//! * `--engine seq|steal|compare` — the sequential kernel, the
+//!   work-stealing engine (default), or both interleaved per run, every
+//!   steal row cross-checked against the sequential reference;
 //! * `--workers a,b` — worker counts for the parallel engines (default
 //!   `2,4`);
 //! * `--sweep-workers a,b,c` — the scaling-sweep spelling of `--workers`
@@ -40,13 +40,12 @@
 //!   `--sweep-workers 1,2,4,8` for the shard-scaling curve that
 //!   `BENCH_table1.json` and the CI scaling artifact record;
 //! * `--runs N` — measurement repetitions (default 1);
-//! * `--reduce off|por|sym|both` — state-space reduction for the `seq` and
-//!   `steal` engines (default `off`): ample-set partial-order reduction,
+//! * `--reduce off|por|sym|both` — state-space reduction for both engines
+//!   (default `off`): ample-set partial-order reduction,
 //!   process-id symmetry quotienting (cases with a symmetry spec, currently
 //!   Paxos), or both. Rows record pruned-successor and orbit-collapse
 //!   counters; cross-engine checks compare verdicts instead of exact
-//!   visited counts when reduction is on. The `mpsc` baseline always runs
-//!   unreduced.
+//!   visited counts when reduction is on.
 //!
 //! `--zoo` runs the same exploration tier over the scenario-zoo protocols
 //! (`inseq_protocols::zoo` — programs promoted from the coverage-guided
@@ -266,14 +265,9 @@ fn parse_engines(args: &[String]) -> Result<Vec<inseq_bench::LargeEngine>, Strin
     match parse_value_of(args, "--engine")?.as_deref() {
         None | Some("steal") => Ok(vec![LargeEngine::Steal]),
         Some("seq") => Ok(vec![LargeEngine::Seq]),
-        Some("mpsc") => Ok(vec![LargeEngine::Mpsc]),
-        Some("compare") => Ok(vec![
-            LargeEngine::Seq,
-            LargeEngine::Mpsc,
-            LargeEngine::Steal,
-        ]),
+        Some("compare") => Ok(vec![LargeEngine::Seq, LargeEngine::Steal]),
         Some(other) => Err(format!(
-            "invalid --engine value `{other}` (expected `seq`, `mpsc`, `steal`, or `compare`)"
+            "invalid --engine value `{other}` (expected `seq`, `steal`, or `compare`)"
         )),
     }
 }

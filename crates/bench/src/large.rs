@@ -5,18 +5,18 @@
 //! the large tier times exploration alone, on instances sized to visit
 //! 10^4–10^6+ configurations ([`inseq_protocols::large_exploration_cases`]).
 //! Each case runs on a selectable engine: the sequential kernel explorer
-//! (`seq`), the channel-migration baseline (`mpsc`), or the work-stealing
-//! engine (`steal`); `compare` interleaves all three per run so
-//! before/after rows come from adjacent measurements, not separate
-//! sessions.
+//! (`seq`) or the work-stealing engine (`steal`); `compare` interleaves
+//! both per run so the two rows come from adjacent measurements, not
+//! separate sessions.
 //!
-//! Every row cross-checks its visited/edge counts against the other engines
-//! of the same case and run — a configuration dropped or duplicated by a
-//! parallel engine fails the benchmark instead of silently skewing it.
+//! Every row cross-checks its visited/edge counts against the first engine
+//! of the same case and run — with `compare`, the sequential kernel — so a
+//! configuration dropped or duplicated by the parallel engine fails the
+//! benchmark instead of silently skewing it.
 
 use std::time::{Duration, Instant};
 
-use inseq_engine::{MpscExplorer, ParallelExplorer, Reducer};
+use inseq_engine::{ParallelExplorer, Reducer};
 use inseq_kernel::{Explorer, ReduceMode};
 use inseq_obs::EngineSnapshot;
 use inseq_protocols::common::{CaseError, ExplorationCase};
@@ -27,19 +27,16 @@ use inseq_protocols::large_exploration_cases;
 pub enum LargeEngine {
     /// The sequential kernel explorer (`inseq_kernel::Explorer`).
     Seq,
-    /// The channel-migration baseline (`inseq_engine::MpscExplorer`).
-    Mpsc,
     /// The work-stealing engine (`inseq_engine::ParallelExplorer`).
     Steal,
 }
 
 impl LargeEngine {
-    /// The CLI name of the engine (`--engine seq|mpsc|steal`).
+    /// The CLI name of the engine (`--engine seq|steal`).
     #[must_use]
     pub fn name(self) -> &'static str {
         match self {
             LargeEngine::Seq => "seq",
-            LargeEngine::Mpsc => "mpsc",
             LargeEngine::Steal => "steal",
         }
     }
@@ -56,8 +53,8 @@ pub struct LargeOptions {
     pub runs: usize,
     /// Case-name needles (`--only`), case-insensitive; `None` = all cases.
     pub only: Option<Vec<String>>,
-    /// State-space reduction (`--reduce off|por|sym|both`). `seq` and
-    /// `steal` honor it; the `mpsc` baseline always explores unreduced.
+    /// State-space reduction (`--reduce off|por|sym|both`), honored by
+    /// both engines.
     pub reduce: ReduceMode,
     /// Run over the scenario-zoo cases (`table1 --zoo`) — the protocols
     /// promoted from the coverage-guided fuzz campaign
@@ -94,7 +91,7 @@ pub struct LargeRow {
     pub workers: usize,
     /// Zero-based measurement repetition.
     pub run: usize,
-    /// Reduction the row ran under (`off` for the `mpsc` baseline).
+    /// Reduction the row ran under.
     pub reduce: ReduceMode,
     /// Exploration wall clock.
     pub time: Duration,
@@ -108,7 +105,7 @@ pub struct LargeRow {
     /// Whether any reachable configuration fails a gate (cross-checked
     /// across engines in every mode).
     pub failed: bool,
-    /// Engine shape: per-shard occupancy and steal/migration traffic
+    /// Engine shape: per-shard occupancy and steal traffic
     /// (default for `seq`).
     pub stats: EngineSnapshot,
 }
@@ -210,18 +207,6 @@ fn explore_once(
                 snapshot,
             )
         }
-        LargeEngine::Mpsc => {
-            let exp = MpscExplorer::new(&case.program)
-                .with_workers(workers)
-                .explore([case.init.clone()])
-                .map_err(|e| CaseError::new(&case.name, e))?;
-            (
-                exp.config_count(),
-                exp.edge_count(),
-                exp.has_failure(),
-                exp.stats().engine_snapshot(),
-            )
-        }
         LargeEngine::Steal => {
             let mut explorer = ParallelExplorer::new(&case.program).with_workers(workers);
             if reduce != ReduceMode::Off {
@@ -248,11 +233,7 @@ fn explore_once(
             workers
         },
         run,
-        reduce: if engine == LargeEngine::Mpsc {
-            ReduceMode::Off
-        } else {
-            reduce
-        },
+        reduce,
         time: start.elapsed(),
         visited,
         edges,
@@ -452,13 +433,13 @@ mod tests {
     #[test]
     fn zoo_rows_agree_across_engines_including_verdicts() {
         let rows = large_rows(&LargeOptions {
-            engines: vec![LargeEngine::Seq, LargeEngine::Mpsc, LargeEngine::Steal],
+            engines: vec![LargeEngine::Seq, LargeEngine::Steal],
             workers: vec![2],
             zoo: true,
             ..LargeOptions::default()
         })
         .expect("zoo tier must agree across engines");
-        assert_eq!(rows.len(), 9, "3 cases × 3 engines");
+        assert_eq!(rows.len(), 6, "3 cases × 2 engines");
         assert!(
             rows.iter().any(|r| r.name == "inc-double-race" && r.failed),
             "the race's failure verdict must survive every engine"

@@ -1,11 +1,9 @@
 //! Negative-path coverage for the `table1 --only` needle filter — on both
 //! the Table-1 rows and the `--large` tier: a misspelled or empty selection
 //! must error out instead of silently shrinking the benchmark to nothing.
-//! Also pins the `--large --json` row shape.
+//! Also pins the `--large --json` row shape and the `--engine` choices.
 
-use inseq_bench::{
-    large_rows, large_rows_as_json, table1_rows_only, LargeEngine, LargeOptions, LargeRow,
-};
+use inseq_bench::{large_rows, large_rows_as_json, table1_rows_only, LargeEngine, LargeOptions};
 
 #[test]
 fn empty_needle_list_is_rejected() {
@@ -105,36 +103,18 @@ fn large_selection_runs_only_the_matched_case_and_emits_json() {
 }
 
 #[test]
-fn large_json_rows_carry_worker_and_core_counts() {
-    // Shape pin on a fabricated row: no exploration, just the emitter.
-    let row = LargeRow {
-        name: "X".into(),
-        instance: "n = 1".into(),
-        engine: LargeEngine::Mpsc,
-        workers: 4,
-        run: 2,
-        reduce: inseq_kernel::ReduceMode::Off,
-        time: std::time::Duration::from_millis(500),
-        visited: 1000,
-        edges: 2000,
-        failed: false,
-        stats: inseq_obs::EngineSnapshot {
-            workers: 4,
-            expanded: vec![250, 250, 250, 250],
-            migrated: 900,
-            migration_dups: 300,
-            ..inseq_obs::EngineSnapshot::default()
-        },
-    };
-    let json = large_rows_as_json(&[row]);
-    assert!(json.contains("\"engine\": \"mpsc\""));
-    assert!(json.contains("\"workers\": 4"));
-    assert!(json.contains("\"run\": 2"));
-    assert!(json.contains("\"configs_per_sec\": 2000.0"));
-    assert!(json.contains("\"engine_migrated\": 900"));
-    assert!(json.contains("\"engine_migration_dups\": 300"));
-    assert!(json.contains(&format!(
-        "\"machine_cores\": {}",
-        inseq_bench::machine_cores()
-    )));
+fn removed_mpsc_engine_is_rejected_with_the_valid_choices() {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_table1"))
+        .args(["--large", "--engine", "mpsc"])
+        .output()
+        .expect("table1 binary runs");
+    assert_eq!(out.status.code(), Some(1), "`--engine mpsc` must exit 1");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    for choice in ["`seq`", "`steal`", "`compare`"] {
+        assert!(
+            stderr.contains(choice),
+            "error must list {choice}: {stderr}"
+        );
+    }
+    assert!(out.stdout.is_empty(), "no rows may run: {:?}", out.stdout);
 }

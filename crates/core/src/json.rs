@@ -76,7 +76,7 @@ pub fn exec_fields(e: &ExecStats) -> String {
 }
 
 /// Parallel-engine shape counters as flat fields: worker count, the
-/// per-shard occupancy profile, steal/migration traffic, and reduction
+/// per-shard occupancy profile, steal traffic, and reduction
 /// pruning.
 #[must_use]
 pub fn engine_fields(e: &EngineSnapshot) -> String {
@@ -85,8 +85,7 @@ pub fn engine_fields(e: &EngineSnapshot) -> String {
     let shard_inserts: Vec<String> = e.shard_inserts.iter().map(u64::to_string).collect();
     format!(
         "\"engine_workers\": {}, \"engine_expanded\": [{}], \"engine_steals\": {}, \
-         \"engine_stolen\": {}, \"engine_migrated\": {}, \"engine_migration_dups\": {}, \
-         \"engine_pruned\": {}, \"engine_orbit_collapses\": {}, \
+         \"engine_stolen\": {}, \"engine_pruned\": {}, \"engine_orbit_collapses\": {}, \
          \"engine_lock_waits\": {}, \"engine_lock_wait_nanos\": {}, \
          \"engine_intern_batches\": {}, \"engine_intern_batch_hist\": [{}], \
          \"engine_shard_inserts\": [{}]",
@@ -94,8 +93,6 @@ pub fn engine_fields(e: &EngineSnapshot) -> String {
         expanded.join(", "),
         e.steals,
         e.stolen,
-        e.migrated,
-        e.migration_dups,
         e.pruned,
         e.orbit_collapses,
         e.lock_waits,
@@ -169,7 +166,6 @@ mod tests {
             expanded: vec![4, 6],
             steals: 1,
             stolen: 2,
-            migrated: 2,
             lock_waits: 3,
             lock_wait_nanos: 1500,
             intern_batches: 5,
@@ -187,8 +183,7 @@ mod tests {
              \"eliminated_actions\": 1, \"universe_stores\": 12, \
              \"intern_hits\": 5, \"intern_misses\": 6, \
              \"engine_workers\": 2, \"engine_expanded\": [4, 6], \"engine_steals\": 1, \
-             \"engine_stolen\": 2, \"engine_migrated\": 2, \"engine_migration_dups\": 0, \
-             \"engine_pruned\": 0, \"engine_orbit_collapses\": 0, \
+             \"engine_stolen\": 2, \"engine_pruned\": 0, \"engine_orbit_collapses\": 0, \
              \"engine_lock_waits\": 3, \"engine_lock_wait_nanos\": 1500, \
              \"engine_intern_batches\": 5, \"engine_intern_batch_hist\": [1, 2, 2, 0, 0, 0, 0], \
              \"engine_shard_inserts\": [7, 3], \

@@ -1,5 +1,5 @@
-//! The shared footprint-keyed evaluation memo, used by both parallel
-//! engines ([`crate::ParallelExplorer`] and [`crate::MpscExplorer`]).
+//! The shared footprint-keyed evaluation memo of
+//! [`crate::ParallelExplorer`].
 //!
 //! All workers share one memo so no shard repeats another's interpreter
 //! work. Actions that expose a [`Footprint`] (every DSL action does) are
@@ -11,14 +11,13 @@
 //! the memo disables itself after a short probation.
 
 use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hash, Hasher};
+use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
-use crate::hash::FxHasher;
-
 use inseq_obs::HitMissSnapshot;
 
+use inseq_kernel::hash::{FxHashMap, FxHasher};
 use inseq_kernel::{
     ActionName, ActionOutcome, Footprint, GlobalStore, Multiset, PendingAsync, Program, Transition,
     Value,
@@ -222,7 +221,7 @@ impl SharedMemo {
 
 #[derive(Debug, Default)]
 struct EvalMemo {
-    map: HashMap<u64, Vec<MemoEntry>, BuildHasherDefault<FxHasher>>,
+    map: FxHashMap<u64, Vec<MemoEntry>>,
     lookups: usize,
     hits: usize,
 }

@@ -8,7 +8,7 @@
 //! * every visited configuration is expanded **exactly once**
 //!   (`Σ expanded = |visited|` — a dropped item would expand fewer, a
 //!   duplicated one more, and either would also skew edge counts),
-//! * steal accounting is conserved (`Σ stolen_in = Σ stolen_from`).
+//! * every steal moves at least one configuration (`Σ stolen_in ≥ Σ steals`).
 
 use std::collections::BTreeSet;
 
@@ -101,8 +101,7 @@ proptest! {
         prop_assert_eq!(stats.expanded() as usize, parallel.config_count());
         // Every distinct config is exactly one dedup miss somewhere.
         prop_assert_eq!(stats.intern().misses as usize, parallel.config_count());
-        // Steal conservation, and no id-translation dedup can exist.
-        prop_assert_eq!(stats.stolen(), stats.migrated());
-        prop_assert_eq!(stats.migration_dups(), 0);
+        // Every steal moved at least one configuration.
+        prop_assert!(stats.stolen() >= stats.steals());
     }
 }

@@ -36,7 +36,7 @@ use crate::coverage::{measure_battery, CoverageMap, MeasureOptions};
 use crate::gen::{generate, GenConfig};
 use crate::mutate::{mutate, MutateConfig};
 use crate::oracles::{Disagreement, Oracle};
-use crate::spec::ProgramSpec;
+use inseq_lang::spec::ProgramSpec;
 
 /// Mutation parents come from the last this-many corpus entries.
 const RECENCY_WINDOW: usize = 8;

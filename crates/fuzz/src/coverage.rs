@@ -37,7 +37,7 @@ use inseq_kernel::{Explorer, ReduceMode};
 use inseq_lang::coverage as vmcov;
 
 use crate::oracles::{run_oracle, Disagreement, Oracle, OracleOutcome};
-use crate::spec::ProgramSpec;
+use inseq_lang::spec::ProgramSpec;
 
 /// Number of `u64` words of auxiliary (non-VM) coverage.
 const AUX_WORDS: usize = 2;

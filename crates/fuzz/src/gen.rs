@@ -29,7 +29,7 @@ use inseq_lang::build as e;
 use inseq_lang::{Expr, Sort};
 use rand::{rngs::StdRng, seq::SliceRandom, Rng};
 
-use crate::spec::{ActionSpec, ProgramSpec, SpecStmt};
+use inseq_lang::spec::{ActionSpec, ProgramSpec, SpecStmt};
 
 /// Size bounds for generation.
 #[derive(Debug, Clone)]
@@ -600,11 +600,11 @@ mod tests {
         let config = GenConfig::default();
         let text_a = {
             let mut rng = StdRng::seed_from_u64(42);
-            crate::serial::write_spec(&generate(&mut rng, &config))
+            inseq_lang::serial::write_spec(&generate(&mut rng, &config))
         };
         let text_b = {
             let mut rng = StdRng::seed_from_u64(42);
-            crate::serial::write_spec(&generate(&mut rng, &config))
+            inseq_lang::serial::write_spec(&generate(&mut rng, &config))
         };
         assert_eq!(text_a, text_b);
     }
@@ -615,10 +615,14 @@ mod tests {
         for seed in 0..50 {
             let mut rng = StdRng::seed_from_u64(seed);
             let spec = generate(&mut rng, &config);
-            let text = crate::serial::write_spec(&spec);
-            let reparsed = crate::serial::parse_spec(&text)
+            let text = inseq_lang::serial::write_spec(&spec);
+            let reparsed = inseq_lang::serial::parse_spec(&text)
                 .unwrap_or_else(|e| panic!("seed {seed}: reparse failed: {e}"));
-            assert_eq!(text, crate::serial::write_spec(&reparsed), "seed {seed}");
+            assert_eq!(
+                text,
+                inseq_lang::serial::write_spec(&reparsed),
+                "seed {seed}"
+            );
             reparsed.build().expect("round-tripped spec builds");
         }
     }

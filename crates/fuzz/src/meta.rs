@@ -31,7 +31,7 @@ use std::time::Duration;
 use inseq_kernel::Explorer;
 
 use crate::coverage::{measure_battery, MeasureOptions};
-use crate::spec::ProgramSpec;
+use inseq_lang::spec::ProgramSpec;
 
 /// Parsed `;@` metadata of one corpus entry.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]

@@ -29,7 +29,7 @@ use inseq_kernel::{
 };
 use inseq_mover::MoverChecker;
 
-use crate::spec::{BuiltSpec, ProgramSpec};
+use inseq_lang::spec::{BuiltSpec, ProgramSpec};
 
 /// Default per-oracle exploration budget (distinct configurations).
 pub const DEFAULT_BUDGET: usize = 4_000;

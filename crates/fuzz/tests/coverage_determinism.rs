@@ -13,9 +13,9 @@
 
 use inseq_fuzz::corpus::zoo_specs;
 use inseq_fuzz::coverage::{measure_battery, MeasureOptions};
-use inseq_fuzz::spec::ProgramSpec;
 use inseq_fuzz::{generate, GenConfig};
 use inseq_kernel::ReduceMode;
+use inseq_lang::spec::ProgramSpec;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 

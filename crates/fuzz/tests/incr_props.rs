@@ -27,10 +27,10 @@ use proptest::prelude::*;
 use inseq_core::{mechanical_application, ArtifactKeys, ObligationCache};
 use inseq_engine::Engine;
 use inseq_fuzz::corpus::table1_specs;
-use inseq_fuzz::spec::{ActionSpec, ProgramSpec, SpecStmt};
 use inseq_kernel::{ActionName, Value};
 use inseq_lang::build::{add, eq, int, var};
 use inseq_lang::serial::{action_hash, canonical_hash};
+use inseq_lang::spec::{ActionSpec, ProgramSpec, SpecStmt};
 use inseq_lang::Sort;
 
 const BUDGET: usize = 4_000;

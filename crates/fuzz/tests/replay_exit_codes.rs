@@ -8,7 +8,7 @@ use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
 use inseq_fuzz::corpus::zoo_specs;
-use inseq_fuzz::write_spec;
+use inseq_lang::serial::write_spec;
 
 fn scratch(name: &str, contents: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("inseq-replay-exit-{}", std::process::id()));

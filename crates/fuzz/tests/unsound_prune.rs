@@ -8,8 +8,9 @@
 
 use inseq_engine::fault::{set_unsound_prune, unsound_prune_enabled};
 use inseq_fuzz::oracles::{disagrees, run_oracle, Oracle, OracleOutcome, DEFAULT_BUDGET};
-use inseq_fuzz::{generate, ActionSpec, GenConfig, ProgramSpec, SpecStmt};
+use inseq_fuzz::{generate, GenConfig};
 use inseq_kernel::Value;
+use inseq_lang::spec::{ActionSpec, ProgramSpec, SpecStmt};
 use inseq_lang::{BinOp, Expr, Sort};
 use rand::rngs::StdRng;
 use rand::SeedableRng;

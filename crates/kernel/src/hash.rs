@@ -15,10 +15,15 @@
 //! which shard owns a configuration), and Fx is keyless, so the same value
 //! hashes identically everywhere.
 
-use std::hash::{Hash, Hasher};
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 
 /// The Fx 64-bit multiply constant (derived from the golden ratio).
 const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
+
+/// A `HashMap` keyed through [`FxHasher`] — the right table for hot paths
+/// keyed by interner ids, which SipHash would dominate.
+pub type FxHashMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
 
 /// Hashes one value to completion with a fresh [`FxHasher`].
 pub fn fx_hash<T: Hash + ?Sized>(value: &T) -> u64 {

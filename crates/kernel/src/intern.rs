@@ -34,12 +34,11 @@
 //!
 //! Arenas grow append-only and ids are never invalidated, so resolved
 //! references (`&Value`, `&GlobalStore`, `&PendingAsync`) stay valid for the
-//! interner's lifetime. Concurrency story: the interner is deliberately
-//! *not* shared-mutable — the parallel engine gives each shard its own
-//! interner and translates at migration by re-interning the (resolved)
-//! configuration at the receiving shard, which preserves the sequential
-//! explorer's results without any cross-thread id coordination (see
-//! DESIGN.md).
+//! interner's lifetime. The interner is single-threaded: the sequential
+//! explorer and the certification path use it directly, while the parallel
+//! engine shares one [`crate::cintern::ConcurrentInterner`] — the same
+//! layering over segmented arenas and sharded dedup indexes — across all
+//! of its workers (see DESIGN.md).
 
 use std::hash::Hasher;
 

@@ -2,13 +2,11 @@
 //! enumeration over a state universe.
 
 use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
 use std::fmt;
-use std::hash::BuildHasherDefault;
 use std::rc::Rc;
 use std::sync::Arc;
 
-use inseq_kernel::hash::FxHasher;
+use inseq_kernel::hash::FxHashMap;
 use inseq_kernel::{
     ActionName, ActionOutcome, ActionSemantics, ArgsId, BagId, GlobalStore, Interner, PendingAsync,
     Program, StateUniverse, StoreId,
@@ -124,7 +122,7 @@ impl fmt::Display for MoverViolation {
 /// instead of a store-and-arguments tree.
 type EvalKey = (usize, StoreId, ArgsId);
 
-type EvalCache = HashMap<EvalKey, Rc<CachedOutcome>, BuildHasherDefault<FxHasher>>;
+type EvalCache = FxHashMap<EvalKey, Rc<CachedOutcome>>;
 
 /// An action outcome with interned post-stores and created bags. Cached
 /// behind `Rc` so a memo hit is a pointer bump, not an outcome deep-clone,

@@ -14,7 +14,7 @@
 //! * [`PhaseStat`] — one timed phase (a Fig. 3 premise, an exploration, a
 //!   scheduler job) with a wall clock and an item count;
 //! * [`EngineSnapshot`] — the parallel-exploration shape of one run
-//!   (worker count, per-shard occupancy, steal/migration traffic), filled
+//!   (worker count, per-shard occupancy, steal traffic), filled
 //!   in by `inseq-engine` and surfaced through `IsReport.stats`.
 //!
 //! Counters are *observability data*: they must never influence a verdict,
@@ -222,19 +222,10 @@ pub struct EngineSnapshot {
     /// Configurations expanded per shard, indexed by worker — the occupancy
     /// measure: a balanced run has near-equal entries.
     pub expanded: Vec<u64>,
-    /// Successful steal operations across all workers (work-stealing
-    /// engine only).
+    /// Successful steal operations across all workers.
     pub steals: u64,
-    /// Configurations that changed hands by stealing (work-stealing engine
-    /// only).
+    /// Configurations that changed hands by stealing.
     pub stolen: u64,
-    /// Work that left its discovering shard: stolen configurations on the
-    /// deque engine, staged channel migrations on the mpsc baseline.
-    pub migrated: u64,
-    /// Migrated configurations the receiving shard already knew — dedup
-    /// work sharding could not avoid (mpsc baseline only; structurally zero
-    /// on the shared-arena deque engine).
-    pub migration_dups: u64,
     /// Pending asyncs left unexpanded because an ample singleton stood in
     /// for them (partial-order reduction; zero on unreduced runs).
     pub pruned: u64,
@@ -301,8 +292,6 @@ impl EngineSnapshot {
         }
         self.steals += other.steals;
         self.stolen += other.stolen;
-        self.migrated += other.migrated;
-        self.migration_dups += other.migration_dups;
         self.pruned += other.pruned;
         self.orbit_collapses += other.orbit_collapses;
         self.lock_waits += other.lock_waits;
@@ -340,13 +329,6 @@ impl fmt::Display for EngineSnapshot {
             self.steals,
             self.stolen,
         )?;
-        if self.migration_dups > 0 || self.migrated != self.stolen {
-            write!(
-                f,
-                ", {} migrated ({} dups)",
-                self.migrated, self.migration_dups
-            )?;
-        }
         if self.pruned > 0 || self.orbit_collapses > 0 {
             write!(
                 f,
@@ -451,7 +433,6 @@ mod tests {
             expanded: vec![30, 30, 20, 20],
             steals: 5,
             stolen: 12,
-            migrated: 12,
             ..EngineSnapshot::default()
         };
         assert!(snap.ran());
@@ -460,16 +441,6 @@ mod tests {
         let text = snap.to_string();
         assert!(text.contains("4 worker(s)"), "{text}");
         assert!(text.contains("5 steals moving 12"), "{text}");
-        assert!(!text.contains("dups"), "no mpsc traffic to show: {text}");
-
-        let mpsc = EngineSnapshot {
-            workers: 2,
-            expanded: vec![50, 50],
-            migrated: 40,
-            migration_dups: 31,
-            ..EngineSnapshot::default()
-        };
-        assert!(mpsc.to_string().contains("40 migrated (31 dups)"));
 
         let reduced = EngineSnapshot {
             workers: 2,

@@ -26,10 +26,10 @@ use std::thread::{self, JoinHandle};
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use inseq_fuzz::corpus::table1_specs;
-use inseq_fuzz::spec::{ActionSpec, ProgramSpec, SpecStmt};
 use inseq_kernel::Value;
 use inseq_lang::build::int;
 use inseq_lang::serial::write_spec_line;
+use inseq_lang::spec::{ActionSpec, ProgramSpec, SpecStmt};
 use inseq_lang::Sort;
 use inseq_serve::{Server, ServerConfig};
 

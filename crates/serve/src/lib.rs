@@ -36,4 +36,4 @@
 pub mod proto;
 mod server;
 
-pub use server::{Server, ServerConfig, ServerState, DEFAULT_REQUEST_BUDGET};
+pub use server::{Server, ServerConfig, ServerState, DEFAULT_REQUEST_BUDGET, MAX_REQUEST_LINE};

@@ -22,6 +22,11 @@ use crate::proto::{self, CheckRequest, Request};
 /// fuzz oracle battery's default.
 pub const DEFAULT_REQUEST_BUDGET: usize = 4_000;
 
+/// Longest request line the daemon accepts, newline excluded. The longest
+/// Table-1 protocol is a few KiB on the wire, so this leaves ample room
+/// while bounding what one client can make a connection thread buffer.
+pub const MAX_REQUEST_LINE: usize = 1 << 20;
+
 /// How the daemon is wired up.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
@@ -243,7 +248,7 @@ fn handle_connection(
     // shutdown initiated on a *different* connection, or the drain in
     // [`Server::run`] would wait forever on this thread.
     stream.set_read_timeout(Some(std::time::Duration::from_millis(100)))?;
-    let mut reader = BufReader::new(stream.try_clone()?);
+    let mut reader = RequestLines::new(BufReader::new(stream.try_clone()?));
     let writer = Mutex::new(BufWriter::new(stream));
     let send = |line: &str| -> io::Result<()> {
         let mut w = writer.lock().expect("writer poisoned");
@@ -252,16 +257,15 @@ fn handle_connection(
         w.flush()
     };
 
-    // `line` accumulates across timeouts: a poll tick can surface a partial
-    // line, whose bytes `read_line` has already appended.
-    let mut line = String::new();
     loop {
-        match reader.read_line(&mut line) {
-            Ok(0) => return Ok(()),
+        let request = match reader.poll() {
+            Ok(Polled::Eof) => return Ok(()),
             Err(e)
                 if matches!(
                     e.kind(),
-                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+                    io::ErrorKind::WouldBlock
+                        | io::ErrorKind::TimedOut
+                        | io::ErrorKind::Interrupted
                 ) =>
             {
                 if state.is_shutting_down() {
@@ -270,10 +274,13 @@ fn handle_connection(
                 continue;
             }
             Err(e) => return Err(e),
-            Ok(_) if !line.ends_with('\n') => continue,
-            Ok(_) => {}
-        }
-        let request = std::mem::take(&mut line);
+            Ok(Polled::Pending) => continue,
+            Ok(Polled::Rejected(message)) => {
+                send(&proto::error(None, "bad-request", &message))?;
+                continue;
+            }
+            Ok(Polled::Line(request)) => request,
+        };
         let request = request.trim();
         if request.is_empty() || request.starts_with(';') {
             continue;
@@ -290,6 +297,75 @@ fn handle_connection(
             }
             Ok(Request::Check(req)) => handle_check(state, &writer, req)?,
         }
+    }
+}
+
+/// What one [`RequestLines::poll`] produced.
+#[derive(Debug, PartialEq, Eq)]
+enum Polled {
+    /// The peer closed the connection (a trailing unterminated line is
+    /// dropped).
+    Eof,
+    /// Bytes arrived but no newline yet.
+    Pending,
+    /// A complete request line, newline excluded.
+    Line(String),
+    /// A line that cannot be a request, with the reason: it outgrew
+    /// [`MAX_REQUEST_LINE`] (reported as soon as it does, its remainder
+    /// then discarded up to the next newline) or it is not UTF-8.
+    Rejected(String),
+}
+
+/// Splits a byte stream into request lines of at most [`MAX_REQUEST_LINE`]
+/// bytes. Unlike `read_line`, it neither buffers an over-long line nor
+/// fails the stream on invalid UTF-8: either rejects only that line.
+struct RequestLines<R> {
+    inner: R,
+    line: Vec<u8>,
+    /// Discarding the rest of an over-long line up to its newline.
+    skipping: bool,
+}
+
+impl<R: BufRead> RequestLines<R> {
+    fn new(inner: R) -> Self {
+        RequestLines {
+            inner,
+            line: Vec::new(),
+            skipping: false,
+        }
+    }
+
+    /// Consumes at most one buffered chunk of input. Read errors, including
+    /// poll timeouts, pass through; a partial line survives them.
+    fn poll(&mut self) -> io::Result<Polled> {
+        let chunk = self.inner.fill_buf()?;
+        if chunk.is_empty() {
+            return Ok(Polled::Eof);
+        }
+        let newline = chunk.iter().position(|&b| b == b'\n');
+        let part = &chunk[..newline.unwrap_or(chunk.len())];
+        let mut polled = Polled::Pending;
+        if !self.skipping {
+            if self.line.len() + part.len() > MAX_REQUEST_LINE {
+                self.line = Vec::new();
+                self.skipping = true;
+                polled = Polled::Rejected(format!("request line exceeds {MAX_REQUEST_LINE} bytes"));
+            } else {
+                self.line.extend_from_slice(part);
+            }
+        }
+        let consumed = newline.map_or(chunk.len(), |i| i + 1);
+        self.inner.consume(consumed);
+        if newline.is_some() {
+            if std::mem::take(&mut self.skipping) {
+                return Ok(polled);
+            }
+            return Ok(match String::from_utf8(std::mem::take(&mut self.line)) {
+                Ok(line) => Polled::Line(line),
+                Err(e) => Polled::Rejected(format!("request line is not valid UTF-8: {e}")),
+            });
+        }
+        Ok(polled)
     }
 }
 

@@ -2,7 +2,7 @@
 //! verdict bit-equality against batch [`IsApplication::check`] on the
 //! Table-1 protocols, whole-run cache hits on resubmission,
 //! footprint-incremental re-checking after an edit, bounded multi-tenant
-//! concurrency, and drain-on-shutdown.
+//! concurrency, drain-on-shutdown, and rejection of malformed request lines.
 
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Write};
@@ -16,7 +16,7 @@ use inseq_kernel::Value;
 use inseq_lang::serial::{canonical_hash, write_spec_line};
 use inseq_lang::spec::{ActionSpec, ProgramSpec, SpecStmt};
 use inseq_lang::{Expr, Sort};
-use inseq_serve::{Server, ServerConfig, ServerState};
+use inseq_serve::{Server, ServerConfig, ServerState, MAX_REQUEST_LINE};
 
 const BUDGET: usize = 4_000;
 
@@ -493,5 +493,61 @@ fn shutdown_drains_and_stops_accepting() {
     // A full check before shutdown still completes.
     let outcome = client.check("pre-shutdown", &two_phase_commit_spec(), None);
     assert!(outcome.is_verdict() || field_str(&outcome.last, "reason").is_some());
+    daemon.shutdown_and_join();
+}
+
+/// Sends raw bytes (no trailing newline added) on a client connection.
+fn send_raw(client: &mut Client, bytes: &[u8]) {
+    client.stream.write_all(bytes).expect("send");
+}
+
+#[test]
+fn over_long_request_line_is_rejected_and_the_connection_survives() {
+    // The cap must leave real programs far behind.
+    let longest = table1_specs()
+        .iter()
+        .map(|(_, spec)| write_spec_line(spec).len())
+        .max()
+        .expect("table 1 is not empty");
+    assert!(
+        longest * 64 < MAX_REQUEST_LINE,
+        "longest Table-1 line ({longest} bytes) is too close to the cap"
+    );
+
+    let daemon = start(ServerConfig::default());
+    let mut client = daemon.connect();
+    // Twice the cap, sent in pieces, then the terminating newline.
+    let piece = vec![b'x'; 64 * 1024];
+    for _ in 0..(2 * MAX_REQUEST_LINE / piece.len()) {
+        send_raw(&mut client, &piece);
+    }
+    send_raw(&mut client, b"\n");
+    let rejected = client.recv();
+    assert_eq!(
+        field_str(&rejected, "reason").as_deref(),
+        Some("bad-request"),
+        "expected a bad-request error: {rejected}"
+    );
+    // The rest of the over-long line was skipped, not parsed as requests.
+    client.send("(ping)");
+    let pong = client.recv();
+    assert!(pong.contains("\"type\": \"pong\""), "unexpected: {pong}");
+    daemon.shutdown_and_join();
+}
+
+#[test]
+fn non_utf8_request_line_is_rejected_and_the_connection_survives() {
+    let daemon = start(ServerConfig::default());
+    let mut client = daemon.connect();
+    send_raw(&mut client, b"(ping \xff\xfe)\n");
+    let rejected = client.recv();
+    assert_eq!(
+        field_str(&rejected, "reason").as_deref(),
+        Some("bad-request"),
+        "expected a bad-request error: {rejected}"
+    );
+    client.send("(ping)");
+    let pong = client.recv();
+    assert!(pong.contains("\"type\": \"pong\""), "unexpected: {pong}");
     daemon.shutdown_and_join();
 }

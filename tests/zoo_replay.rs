@@ -17,7 +17,7 @@ use std::path::PathBuf;
 
 use inseq_fuzz::coverage::MeasureOptions;
 use inseq_fuzz::meta::{verify, ReplayMeta};
-use inseq_fuzz::{parse_spec, write_spec};
+use inseq_lang::serial::{parse_spec, write_spec};
 
 fn zoo_path(stem: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join(format!("fuzz/corpus/{stem}.sexp"))
