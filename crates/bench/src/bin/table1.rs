@@ -20,11 +20,6 @@
 //! per-protocol interner and mover-cache hit rates, pairwise-check counts,
 //! and the slowest premises. The JSON rows always carry these counters.
 //!
-//! `--exec compiled|interp` selects the DSL evaluation backend for every
-//! action in the run: the register-bytecode VM (the default) or the
-//! tree-walk reference interpreter. Used to regenerate the before/after
-//! rows of `BENCH_table1.json`.
-//!
 //! `--large` switches to the exploration-throughput tier: the parametric
 //! instances of `inseq_protocols::large_exploration_cases()` (10^4–10^6+
 //! visited configurations), timed on a selectable engine with configs/sec
@@ -56,7 +51,10 @@
 //! apply.
 //!
 //! `--only`, `--json`, and `--stats` compose with `--large` and `--zoo`;
-//! `--jobs`, `--exec`, and `--compare` do not apply to them.
+//! `--jobs` and `--compare` do not apply to them.
+//!
+//! An unknown flag or a stray positional argument exits 1 with a
+//! diagnostic listing the valid flags.
 
 use std::process::ExitCode;
 
@@ -219,29 +217,6 @@ fn parse_only(args: &[String]) -> Option<Vec<String>> {
     None
 }
 
-fn parse_jobs(args: &[String]) -> Result<usize, String> {
-    let mut jobs = 1usize;
-    for (i, arg) in args.iter().enumerate() {
-        let value = if let Some(v) = arg.strip_prefix("--jobs=") {
-            Some(v.to_owned())
-        } else if arg == "--jobs" {
-            Some(
-                args.get(i + 1)
-                    .cloned()
-                    .ok_or("--jobs requires a thread count")?,
-            )
-        } else {
-            None
-        };
-        if let Some(v) = value {
-            jobs = v.parse::<usize>().ok().filter(|&n| n >= 1).ok_or_else(|| {
-                format!("invalid --jobs value `{v}` (expected a positive integer)")
-            })?;
-        }
-    }
-    Ok(jobs)
-}
-
 /// A `--flag value` / `--flag=value` string option.
 fn parse_value_of(args: &[String], flag: &str) -> Result<Option<String>, String> {
     let prefix = format!("{flag}=");
@@ -310,15 +285,31 @@ fn parse_reduce(args: &[String]) -> Result<inseq_kernel::ReduceMode, String> {
     }
 }
 
-fn parse_runs(args: &[String]) -> Result<usize, String> {
-    match parse_value_of(args, "--runs")? {
-        None => Ok(1),
+/// A positive-integer `--flag value` option, `default` when absent.
+fn parse_count(args: &[String], flag: &str, default: usize) -> Result<usize, String> {
+    match parse_value_of(args, flag)? {
+        None => Ok(default),
         Some(v) => v
             .parse::<usize>()
             .ok()
             .filter(|&n| n >= 1)
-            .ok_or_else(|| format!("invalid --runs value `{v}` (expected a positive integer)")),
+            .ok_or_else(|| format!("invalid {flag} value `{v}` (expected a positive integer)")),
     }
+}
+
+fn large_options(
+    args: &[String],
+    only: Option<Vec<String>>,
+    zoo: bool,
+) -> Result<inseq_bench::LargeOptions, String> {
+    Ok(inseq_bench::LargeOptions {
+        engines: parse_engines(args)?,
+        workers: parse_workers(args)?,
+        runs: parse_count(args, "--runs", 1)?,
+        only,
+        reduce: parse_reduce(args)?,
+        zoo,
+    })
 }
 
 /// The `--large` / `--zoo` path: run the exploration tier and render or
@@ -330,42 +321,11 @@ fn run_large(
     only: Option<Vec<String>>,
     zoo: bool,
 ) -> ExitCode {
-    let opts = {
-        let engines = match parse_engines(args) {
-            Ok(e) => e,
-            Err(e) => {
-                eprintln!("{e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let workers = match parse_workers(args) {
-            Ok(w) => w,
-            Err(e) => {
-                eprintln!("{e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let runs = match parse_runs(args) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("{e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let reduce = match parse_reduce(args) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("{e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        inseq_bench::LargeOptions {
-            engines,
-            workers,
-            runs,
-            only,
-            reduce,
-            zoo,
+    let opts = match large_options(args, only, zoo) {
+        Ok(opts) => opts,
+        Err(e) => {
+            eprintln!("{e}");
+            return ExitCode::FAILURE;
         }
     };
     let tier = if zoo { "zoo" } else { "large" };
@@ -406,51 +366,60 @@ fn run_large(
     ExitCode::SUCCESS
 }
 
-fn parse_exec(args: &[String]) -> Result<Option<inseq_lang::ExecMode>, String> {
-    for (i, arg) in args.iter().enumerate() {
-        let value = if let Some(v) = arg.strip_prefix("--exec=") {
-            Some(v.to_owned())
-        } else if arg == "--exec" {
-            Some(
-                args.get(i + 1)
-                    .cloned()
-                    .ok_or("--exec requires a backend (compiled|interp)")?,
-            )
+/// Flags that take no value.
+const SWITCHES: [&str; 4] = ["--compare", "--stats", "--large", "--zoo"];
+
+/// Flags that take a value, as `--flag value` or `--flag=value`.
+const VALUED: [&str; 7] = [
+    "--jobs",
+    "--only",
+    "--engine",
+    "--workers",
+    "--sweep-workers",
+    "--runs",
+    "--reduce",
+];
+
+/// Rejects unknown flags and stray positional arguments, so a misspelled
+/// or retired option fails loudly instead of silently running the default.
+fn check_args(args: &[String]) -> Result<(), String> {
+    let mut i = 0;
+    while i < args.len() {
+        let arg = args[i].as_str();
+        let inline_value = arg
+            .split_once('=')
+            .is_some_and(|(flag, _)| flag == "--json" || VALUED.contains(&flag));
+        i += if SWITCHES.contains(&arg) || inline_value {
+            1
+        } else if VALUED.contains(&arg) {
+            2
+        } else if arg == "--json" {
+            // The optional path is taken only when it does not look like a flag.
+            match args.get(i + 1) {
+                Some(next) if !next.starts_with("--") => 2,
+                _ => 1,
+            }
         } else {
-            None
+            return Err(format!(
+                "unknown argument `{arg}`; valid flags: {}, --json [PATH], {}",
+                SWITCHES.join(", "),
+                VALUED.map(|f| format!("{f} VALUE")).join(", ")
+            ));
         };
-        if let Some(v) = value {
-            return match v.as_str() {
-                "compiled" => Ok(Some(inseq_lang::ExecMode::Compiled)),
-                "interp" => Ok(Some(inseq_lang::ExecMode::Interp)),
-                other => Err(format!(
-                    "invalid --exec value `{other}` (expected `compiled` or `interp`)"
-                )),
-            };
-        }
     }
-    Ok(None)
+    Ok(())
 }
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    if let Err(e) = check_args(&args) {
+        eprintln!("{e}");
+        return ExitCode::FAILURE;
+    }
     let compare = args.iter().any(|a| a == "--compare");
     let stats = args.iter().any(|a| a == "--stats");
-    match parse_exec(&args) {
-        Ok(Some(mode)) => {
-            if !inseq_lang::set_default_exec_mode(mode) {
-                eprintln!("--exec: evaluation backend was already fixed for this process");
-                return ExitCode::FAILURE;
-            }
-        }
-        Ok(None) => {}
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    }
     let json = parse_json_mode(&args);
-    let jobs = match parse_jobs(&args) {
+    let jobs = match parse_count(&args, "--jobs", 1) {
         Ok(jobs) => jobs,
         Err(e) => {
             eprintln!("{e}");

@@ -1,7 +1,8 @@
 //! Negative-path coverage for the `table1 --only` needle filter — on both
 //! the Table-1 rows and the `--large` tier: a misspelled or empty selection
 //! must error out instead of silently shrinking the benchmark to nothing.
-//! Also pins the `--large --json` row shape and the `--engine` choices.
+//! Also pins the `--large --json` row shape, the `--engine` choices, and
+//! the rejection of unknown arguments.
 
 use inseq_bench::{large_rows, large_rows_as_json, table1_rows_only, LargeEngine, LargeOptions};
 
@@ -117,4 +118,29 @@ fn removed_mpsc_engine_is_rejected_with_the_valid_choices() {
         );
     }
     assert!(out.stdout.is_empty(), "no rows may run: {:?}", out.stdout);
+}
+
+#[test]
+fn unknown_flags_and_stray_positionals_are_rejected_with_the_valid_flags() {
+    // `--exec` is retired: the VM is the only whole-run evaluation mode, so
+    // `--exec interp` must fail loudly instead of quietly running the VM.
+    for (args, offending) in [
+        (&["--exec", "interp"][..], "--exec"),
+        (&["--only", "Ping-Pong", "stray"][..], "stray"),
+    ] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_table1"))
+            .args(args)
+            .output()
+            .expect("table1 binary runs");
+        assert_eq!(out.status.code(), Some(1), "{args:?} must exit 1");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("unknown argument `{offending}`")),
+            "error must name the offending argument: {stderr}"
+        );
+        for flag in ["--only", "--json", "--large", "--engine", "--reduce"] {
+            assert!(stderr.contains(flag), "error must list {flag}: {stderr}");
+        }
+        assert!(out.stdout.is_empty(), "no rows may run: {:?}", out.stdout);
+    }
 }

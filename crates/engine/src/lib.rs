@@ -41,8 +41,6 @@
 #![warn(missing_docs)]
 
 mod explore;
-#[cfg(feature = "fault-injection")]
-pub mod fault;
 mod memo;
 mod reduce;
 mod schedule;

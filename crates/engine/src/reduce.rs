@@ -77,9 +77,7 @@ pub struct Reducer {
     misses: AtomicU64,
     /// Test-only: skip every soundness obligation and prune on the first
     /// enabled candidate. Exists to prove the reduce oracle catches an
-    /// unsound rule; never set outside `#[cfg(feature = "fault-injection")]`
-    /// harnesses.
-    #[cfg(feature = "fault-injection")]
+    /// unsound rule; set only through [`Reducer::unsound_prune`].
     unsound: bool,
 }
 
@@ -94,7 +92,6 @@ impl Reducer {
             memo: Mutex::new(HashMap::new()),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
-            #[cfg(feature = "fault-injection")]
             unsound: false,
         }
     }
@@ -125,8 +122,9 @@ impl Reducer {
     /// Test-only: turns this reducer into a deliberately **unsound** one
     /// that skips every commutation and failure check and prunes on the
     /// first enabled candidate. Used by the fuzz harness to prove the
-    /// reduced-vs-unreduced oracle catches a broken pruning rule.
-    #[cfg(feature = "fault-injection")]
+    /// reduced-vs-unreduced oracle catches a broken pruning rule. The fault
+    /// is confined to this instance.
+    #[doc(hidden)]
     #[must_use]
     pub fn unsound_prune(mut self) -> Self {
         self.unsound = true;
@@ -187,8 +185,7 @@ impl ReductionPolicy for Reducer {
                 // expansion if no candidate is found.
                 _ => continue,
             }
-            #[cfg(feature = "fault-injection")]
-            if self.unsound || crate::fault::unsound_prune_enabled() {
+            if self.unsound {
                 return Some(i);
             }
             // Commutation obligations: against a further self-instance when

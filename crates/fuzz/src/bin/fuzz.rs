@@ -273,6 +273,7 @@ fn replay(path: PathBuf, opts: &Options) -> ExitCode {
             budget: opts.budget,
             workers: opts.workers,
             reduce: opts.reduce,
+            ..MeasureOptions::default()
         };
         let mismatches = inseq_fuzz::meta::verify(&spec, &meta, &measure);
         if mismatches.is_empty() {

@@ -35,7 +35,7 @@ use rand::{rngs::StdRng, Rng, SeedableRng};
 use crate::coverage::{measure_battery, CoverageMap, MeasureOptions};
 use crate::gen::{generate, GenConfig};
 use crate::mutate::{mutate, MutateConfig};
-use crate::oracles::{Disagreement, Oracle};
+use crate::oracles::{Disagreement, Faults, Oracle};
 use inseq_lang::spec::ProgramSpec;
 
 /// Mutation parents come from the last this-many corpus entries.
@@ -90,6 +90,9 @@ pub struct CampaignConfig {
     /// Wall-clock cap; the campaign stops at the first iteration boundary
     /// past it. `None` means iterations alone bound the run.
     pub time_limit: Option<Duration>,
+    /// Deliberate faults injected into every measured program.
+    #[doc(hidden)]
+    pub faults: Faults,
 }
 
 impl Default for CampaignConfig {
@@ -107,6 +110,7 @@ impl Default for CampaignConfig {
             workers: 2,
             reduce: ReduceMode::Por,
             time_limit: None,
+            faults: Faults::default(),
         }
     }
 }
@@ -117,6 +121,7 @@ impl CampaignConfig {
             budget: self.budget,
             workers: self.workers,
             reduce: self.reduce,
+            faults: self.faults.clone(),
         }
     }
 }

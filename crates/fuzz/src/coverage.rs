@@ -3,8 +3,9 @@
 //! A map is the union of three bitmap families:
 //!
 //! * **VM dispatch edges** — `(previous opcode kind, opcode kind)` pairs
-//!   recorded by `inseq_lang::coverage` while the measured program's
-//!   deterministic explorations and checks execute on the register VM;
+//!   recorded into the measured program's own `inseq_lang::coverage` sink
+//!   while its deterministic explorations and checks execute on the
+//!   register VM;
 //! * **oracle outcomes** — which of the battery's oracles fired and with
 //!   which verdict class (checked / skipped / disagreement);
 //! * **verdict variants** — the program's own behavior classes (assertion
@@ -23,20 +24,22 @@
 //! seed and program produce a bit-identical signature at any worker count
 //! and under any `--reduce` mode. `tests/coverage_determinism.rs` pins this.
 //!
-//! Measurement is process-global (the VM bitmap is shared), so
-//! [`measure_battery`] serializes through a mutex: concurrent tests cannot
-//! pollute each other's snapshots.
+//! The sink is attached to the program [`measure_battery`] builds for the
+//! recorded sections and to nothing else: the battery, [`crate::meta`]'s
+//! observation, and every other program in the process — on any thread —
+//! build their own and cannot reach it. Concurrent measurements need no
+//! lock.
 
 use std::fmt::Write as _;
-use std::sync::{Mutex, MutexGuard};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use inseq_core::mechanical_application;
 use inseq_engine::{ParallelExplorer, Reducer};
 use inseq_kernel::{Explorer, ReduceMode};
-use inseq_lang::coverage as vmcov;
+use inseq_lang::coverage::{self as vmcov, CoverageSink};
 
-use crate::oracles::{run_oracle, Disagreement, Oracle, OracleOutcome};
+use crate::oracles::{run_oracle_with, Disagreement, Faults, Oracle, OracleOutcome};
 use inseq_lang::spec::ProgramSpec;
 
 /// Number of `u64` words of auxiliary (non-VM) coverage.
@@ -172,7 +175,7 @@ pub struct MeasuredRun {
 }
 
 /// Knobs of a measured run.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 pub struct MeasureOptions {
     /// Exploration budget (distinct configurations) per oracle.
     pub budget: usize,
@@ -180,6 +183,9 @@ pub struct MeasureOptions {
     pub workers: usize,
     /// Reduction mode of the recorded reduced sequential exploration.
     pub reduce: ReduceMode,
+    /// Deliberate faults, in the recorded sections and the battery alike.
+    #[doc(hidden)]
+    pub faults: Faults,
 }
 
 impl Default for MeasureOptions {
@@ -188,16 +194,9 @@ impl Default for MeasureOptions {
             budget: crate::oracles::DEFAULT_BUDGET,
             workers: 2,
             reduce: ReduceMode::Por,
+            faults: Faults::default(),
         }
     }
-}
-
-/// Serializes measured runs: the VM coverage bitmap is process-global.
-static MEASURE_LOCK: Mutex<()> = Mutex::new(());
-
-fn lock_measure() -> MutexGuard<'static, ()> {
-    // A panicking measured test must not poison every later measurement.
-    MEASURE_LOCK.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 /// Runs the full oracle battery on `spec` while recording its coverage map.
@@ -206,19 +205,19 @@ fn lock_measure() -> MutexGuard<'static, ()> {
 /// sequential exploration, reduced sequential exploration, `check()`, and
 /// the worker-invariant unreduced engine exploration record VM edges; the
 /// battery itself (which interleaves parallel and budget-sensitive paths)
-/// runs unrecorded and contributes outcome bits only.
+/// builds the spec afresh without the sink and contributes outcome bits
+/// only.
 #[must_use]
 pub fn measure_battery(spec: &ProgramSpec, opts: &MeasureOptions) -> MeasuredRun {
-    let _guard = lock_measure();
     let mut map = CoverageMap::new();
-    vmcov::reset();
+    let sink = Arc::new(CoverageSink::default());
+    let hooks = opts.faults.vm.clone().with_coverage(Arc::clone(&sink));
 
-    let built = spec.build();
+    let built = spec.build_with(&hooks);
     let mut within_budget = false;
     match &built {
         Err(_) => map.set_aux(0, BIT_BUILD_FAILS),
         Ok(built) => {
-            vmcov::set_enabled(true);
             // Deterministic sequential exploration: verdict variants.
             match Explorer::new(&built.program)
                 .with_budget(opts.budget)
@@ -242,7 +241,10 @@ pub fn measure_battery(spec: &ProgramSpec, opts: &MeasureOptions) -> MeasuredRun
                 }
             }
             // Deterministic reduced sequential exploration: pruning variants.
-            let reducer = Reducer::new(opts.reduce);
+            let mut reducer = Reducer::new(opts.reduce);
+            if opts.faults.unsound_prune {
+                reducer = reducer.unsound_prune();
+            }
             match Explorer::new(&built.program)
                 .with_budget(opts.budget)
                 .with_reduction(&reducer)
@@ -282,9 +284,9 @@ pub fn measure_battery(spec: &ProgramSpec, opts: &MeasureOptions) -> MeasuredRun
                     .with_budget(opts.budget)
                     .explore([built.init.clone()]);
             }
-            vmcov::set_enabled(false);
         }
     }
+    map.vm = sink.snapshot();
 
     // The battery re-checks everything through both sequential and parallel
     // paths; it runs unrecorded (outcome bits only) per the contract above.
@@ -293,7 +295,7 @@ pub fn measure_battery(spec: &ProgramSpec, opts: &MeasureOptions) -> MeasuredRun
     let mut disagreement = None;
     for &oracle in &Oracle::ALL {
         let start = Instant::now();
-        let result = run_oracle(oracle, spec, opts.budget);
+        let result = run_oracle_with(oracle, spec, opts.budget, &opts.faults);
         phases.push((oracle, start.elapsed()));
         match result {
             Ok(out) => {
@@ -308,8 +310,6 @@ pub fn measure_battery(spec: &ProgramSpec, opts: &MeasureOptions) -> MeasuredRun
             }
         }
     }
-    map.vm = vmcov::snapshot();
-
     MeasuredRun {
         outcomes: match disagreement {
             Some(d) => Err(d),

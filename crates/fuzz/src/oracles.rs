@@ -30,6 +30,7 @@ use inseq_kernel::{
 use inseq_mover::MoverChecker;
 
 use inseq_lang::spec::{BuiltSpec, ProgramSpec};
+use inseq_lang::VmHooks;
 
 /// Default per-oracle exploration budget (distinct configurations).
 pub const DEFAULT_BUDGET: usize = 4_000;
@@ -124,6 +125,18 @@ impl OracleOutcome {
     }
 }
 
+/// Deliberate faults injected into one run — the test-only proof that the
+/// oracles have teeth. A healthy run beside it, even concurrently, is
+/// unaffected.
+#[doc(hidden)]
+#[derive(Debug, Clone, Default)]
+pub struct Faults {
+    /// Hooks every build of the spec carries (e.g. a VM add offset).
+    pub vm: VmHooks,
+    /// Build the `reduce` oracle's reducer with [`Reducer::unsound_prune`].
+    pub unsound_prune: bool,
+}
+
 fn explore(built: &BuiltSpec, budget: usize) -> Result<Exploration, String> {
     Explorer::new(&built.program)
         .with_budget(budget)
@@ -141,7 +154,22 @@ pub fn run_oracle(
     spec: &ProgramSpec,
     budget: usize,
 ) -> Result<OracleOutcome, Disagreement> {
-    let built = match spec.build() {
+    run_oracle_with(oracle, spec, budget, &Faults::default())
+}
+
+/// [`run_oracle`] with deliberate `faults` injected into this run alone.
+///
+/// # Errors
+///
+/// Returns the [`Disagreement`] when the oracle's two paths diverge.
+#[doc(hidden)]
+pub fn run_oracle_with(
+    oracle: Oracle,
+    spec: &ProgramSpec,
+    budget: usize,
+    faults: &Faults,
+) -> Result<OracleOutcome, Disagreement> {
+    let built = match spec.build_with(&faults.vm) {
         Ok(b) => b,
         Err(e) => return Ok(OracleOutcome::Skipped(format!("spec does not build: {e}"))),
     };
@@ -155,7 +183,7 @@ pub fn run_oracle(
         Oracle::Intern => intern(&exploration),
         Oracle::Mover => mover(&built, &exploration),
         Oracle::Bags => bags(&built, &exploration),
-        Oracle::Reduce => reduce(&built, &exploration, budget),
+        Oracle::Reduce => reduce(&built, &exploration, budget, faults.unsound_prune),
     }
 }
 
@@ -661,6 +689,7 @@ fn reduce(
     built: &BuiltSpec,
     exploration: &Exploration,
     budget: usize,
+    unsound_prune: bool,
 ) -> Result<OracleOutcome, Disagreement> {
     let fail = |detail: String| {
         Err(Disagreement {
@@ -670,7 +699,10 @@ fn reduce(
     };
     // Only ample-set pruning is on trial: generated specs carry no symmetry,
     // so `por` is the whole reduction surface a fuzz program can exercise.
-    let reducer = Reducer::new(ReduceMode::Por);
+    let mut reducer = Reducer::new(ReduceMode::Por);
+    if unsound_prune {
+        reducer = reducer.unsound_prune();
+    }
     let terminals: BTreeSet<&GlobalStore> = exploration.terminal_stores().collect();
     let runs = [
         ("seq", {

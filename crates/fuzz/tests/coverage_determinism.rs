@@ -9,10 +9,15 @@
 //! configurations) or on which of two identical runs produced it. These
 //! tests pin that contract on generated programs and on the scenario-zoo
 //! protocols (which cover the deadlock / schedule-dependent-failure / pass
-//! verdict classes).
+//! verdict classes), and pin that a measurement records only its own
+//! program, whatever else the process runs at the same time.
+
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use inseq_fuzz::corpus::zoo_specs;
 use inseq_fuzz::coverage::{measure_battery, MeasureOptions};
+use inseq_fuzz::meta::observe;
+use inseq_fuzz::oracles::{run_oracle, Oracle};
 use inseq_fuzz::{generate, GenConfig};
 use inseq_kernel::ReduceMode;
 use inseq_lang::spec::ProgramSpec;
@@ -39,6 +44,7 @@ fn signature(spec: &ProgramSpec, workers: usize, reduce: ReduceMode) -> String {
             budget: BUDGET,
             workers,
             reduce,
+            ..MeasureOptions::default()
         },
     );
     assert!(
@@ -92,4 +98,61 @@ fn signatures_separate_the_zoo_verdict_classes() {
         sigs[0] != sigs[1] && sigs[1] != sigs[2] && sigs[0] != sigs[2],
         "zoo signatures collide: {sigs:?}"
     );
+}
+
+/// Counts a finished measuring thread even when it panics, so the looping
+/// observer below always stops.
+struct Finished<'a>(&'a AtomicUsize);
+
+impl Drop for Finished<'_> {
+    fn drop(&mut self) {
+        self.0.fetch_add(1, Ordering::SeqCst);
+    }
+}
+
+#[test]
+fn concurrent_measurements_and_observations_reproduce_serial_signatures() {
+    let zoo = zoo_specs();
+    let serial: Vec<String> = zoo
+        .iter()
+        .map(|(_, spec)| signature(spec, 2, ReduceMode::Por))
+        .collect();
+    let finished = AtomicUsize::new(0);
+    std::thread::scope(|s| {
+        // Two measurements of different programs at the same time…
+        let measurers: Vec<_> = zoo[..2]
+            .iter()
+            .map(|(name, spec)| {
+                let finished = &finished;
+                s.spawn(move || {
+                    let _finished = Finished(finished);
+                    let sigs: Vec<String> = (0..3)
+                        .map(|_| signature(spec, 2, ReduceMode::Por))
+                        .collect();
+                    (name, sigs)
+                })
+            })
+            .collect();
+        // …while unrecorded VM work on a third program runs alongside them.
+        let (_, third) = &zoo[2];
+        let finished = &finished;
+        s.spawn(move || {
+            for oracle in Oracle::ALL.iter().cycle() {
+                if finished.load(Ordering::SeqCst) == 2 {
+                    break;
+                }
+                let _ = observe(third, BUDGET);
+                let _ = run_oracle(*oracle, third, BUDGET);
+            }
+        });
+        for (measurer, expected) in measurers.into_iter().zip(&serial) {
+            let (name, sigs) = measurer.join().expect("measuring thread");
+            for (round, sig) in sigs.iter().enumerate() {
+                assert_eq!(
+                    sig, expected,
+                    "{name}: concurrent signature drifted from the serial one in round {round}"
+                );
+            }
+        }
+    });
 }

@@ -5,26 +5,29 @@
 //! campaign, and the finding must shrink to a replayable repro.
 //!
 //! Guidance must never *hide* a fault: mutation only changes which programs
-//! run, and the battery inspects every one of them. This test lives in its
-//! own integration-test binary because the fault offset is process-global.
+//! run, and the battery inspects every one of them. The fault travels in the
+//! campaign configuration and reaches only the programs that campaign
+//! builds.
 //!
 //! Both campaigns are deterministic, so the iteration counts compared here
 //! are exact, not statistics.
 
 use inseq_fuzz::campaign::{run_campaign, CampaignConfig, CampaignResult};
-use inseq_fuzz::oracles::{disagrees, run_oracle, Oracle, OracleOutcome};
+use inseq_fuzz::oracles::{run_oracle, run_oracle_with, Faults, Oracle, OracleOutcome};
 use inseq_fuzz::shrink::shrink;
-use inseq_lang::fault::{set_vm_add_offset, vm_add_offset};
+use inseq_lang::spec::ProgramSpec;
+use inseq_lang::VmHooks;
 
 const BUDGET: usize = 800;
 
-fn campaign(guided: bool) -> CampaignResult {
+fn campaign(guided: bool, faults: &Faults) -> CampaignResult {
     run_campaign(
         &CampaignConfig {
             seed: 0,
             iters: 300,
             guided,
             budget: BUDGET,
+            faults: faults.clone(),
             ..CampaignConfig::default()
         },
         None,
@@ -33,25 +36,21 @@ fn campaign(guided: bool) -> CampaignResult {
 
 #[test]
 fn guided_campaign_finds_the_injected_fault_at_least_as_fast_as_blind() {
-    assert_eq!(vm_add_offset(), 0, "offset must start at identity");
-    set_vm_add_offset(1);
-
-    let guided = campaign(true);
-    let blind = campaign(false);
-
-    // Reset before any assertion can exit the test early: later tests in
-    // other binaries never see the fault, but assertions below re-run
-    // oracles and need the *injected* state, so heal only at the end.
-    let guided_find = guided.finding.as_ref().map(|f| f.iteration);
-    let blind_find = blind.finding.as_ref().map(|f| f.iteration);
-
-    let Some(found_at) = guided_find else {
-        set_vm_add_offset(0);
-        panic!("300 guided iterations never tripped the vm-interp oracle");
+    let faults = Faults {
+        vm: VmHooks::default().with_add_offset(1),
+        ..Faults::default()
     };
+    let guided = campaign(true, &faults);
+    let blind = campaign(false, &faults);
+
+    let found_at = guided
+        .finding
+        .as_ref()
+        .map(|f| f.iteration)
+        .expect("300 guided iterations never tripped the vm-interp oracle");
     // Blind finding is allowed to not exist within the window; guided must
     // then have strictly won. When both find, guided may not be slower.
-    if let Some(blind_at) = blind_find {
+    if let Some(blind_at) = blind.finding.as_ref().map(|f| f.iteration) {
         assert!(
             found_at <= blind_at,
             "guided took {found_at} iterations, blind only {blind_at}"
@@ -61,14 +60,13 @@ fn guided_campaign_finds_the_injected_fault_at_least_as_fast_as_blind() {
     // The finding shrinks to a still-disagreeing repro…
     let finding = guided.finding.as_ref().unwrap();
     assert_eq!(finding.disagreement.oracle, Oracle::VmInterp);
-    let small = shrink(&finding.spec, |candidate| {
-        disagrees(Oracle::VmInterp, candidate, BUDGET)
-    });
-    let still_disagrees = disagrees(Oracle::VmInterp, &small, BUDGET);
+    let disagrees =
+        |spec: &ProgramSpec| run_oracle_with(Oracle::VmInterp, spec, BUDGET, &faults).is_err();
+    let small = shrink(&finding.spec, disagrees);
+    assert!(disagrees(&small), "shrunk repro no longer disagrees");
 
-    // …and healing the VM clears it, pinning the blame on the fault.
-    set_vm_add_offset(0);
-    assert!(still_disagrees, "shrunk repro no longer disagrees");
+    // …and a build without the fault clears it, pinning the blame on the
+    // fault.
     assert!(
         matches!(
             run_oracle(Oracle::VmInterp, &small, BUDGET),

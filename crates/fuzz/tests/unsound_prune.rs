@@ -1,13 +1,15 @@
 //! End-to-end proof that the `reduce` oracle has teeth: deliberately break
-//! the ample rule (the engine's `fault-injection` feature makes every
-//! `Reducer` prune on the first enabled candidate with no commutation
-//! check) and check that the oracle catches the resulting verdict flip.
+//! the ample rule (the faulted run builds its `Reducer` with
+//! `Reducer::unsound_prune`, which prunes on the first enabled candidate
+//! with no commutation check) and check that the oracle catches the
+//! resulting verdict flip.
 //!
-//! This lives in its own integration-test binary so the process-global
-//! fault switch cannot leak into any other test.
+//! The fault belongs to the faulted run's own reducer, so a healthy run of
+//! the same spec in the same process — even concurrently — stays sound.
 
-use inseq_engine::fault::{set_unsound_prune, unsound_prune_enabled};
-use inseq_fuzz::oracles::{disagrees, run_oracle, Oracle, OracleOutcome, DEFAULT_BUDGET};
+use inseq_fuzz::oracles::{
+    run_oracle, run_oracle_with, Faults, Oracle, OracleOutcome, DEFAULT_BUDGET,
+};
 use inseq_fuzz::{generate, GenConfig};
 use inseq_kernel::Value;
 use inseq_lang::spec::{ActionSpec, ProgramSpec, SpecStmt};
@@ -61,18 +63,32 @@ fn order_sensitive_spec() -> ProgramSpec {
     }
 }
 
+fn unsound_prune() -> Faults {
+    Faults {
+        unsound_prune: true,
+        ..Faults::default()
+    }
+}
+
+fn agrees(spec: &ProgramSpec) -> bool {
+    matches!(
+        run_oracle(Oracle::Reduce, spec, DEFAULT_BUDGET),
+        Ok(OracleOutcome::Checked)
+    )
+}
+
+fn faulted_disagrees(spec: &ProgramSpec) -> bool {
+    run_oracle_with(Oracle::Reduce, spec, DEFAULT_BUDGET, &unsound_prune()).is_err()
+}
+
 #[test]
 fn injected_unsound_pruning_is_caught_by_the_reduce_oracle() {
-    assert!(!unsound_prune_enabled(), "fault must start disabled");
     let spec = order_sensitive_spec();
 
     // Sanity: the sound reduction agrees on the handcrafted program and on
     // a batch of generated ones.
     assert!(
-        matches!(
-            run_oracle(Oracle::Reduce, &spec, DEFAULT_BUDGET),
-            Ok(OracleOutcome::Checked)
-        ),
+        agrees(&spec),
         "sound reduction disagrees on the handcrafted program"
     );
     let config = GenConfig::default();
@@ -82,14 +98,11 @@ fn injected_unsound_pruning_is_caught_by_the_reduce_oracle() {
             .unwrap_or_else(|d| panic!("seed {seed} disagrees before injection: {d}"));
     }
 
-    // Inject: every Reducer now prunes to the first enabled pending with no
-    // commutation check. The pruned schedule is the only failing one, so
-    // the reduced verdict flips and the oracle must notice.
-    set_unsound_prune(true);
-    let caught = disagrees(Oracle::Reduce, &spec, DEFAULT_BUDGET);
-    set_unsound_prune(false);
+    // Inject: the faulted run's Reducer prunes to the first enabled pending
+    // with no commutation check. The pruned schedule is the only failing
+    // one, so the reduced verdict flips and the oracle must notice.
     assert!(
-        caught,
+        faulted_disagrees(&spec),
         "the reduce oracle missed an unsound pruning rule that hides the \
          only failing schedule"
     );
@@ -97,10 +110,24 @@ fn injected_unsound_pruning_is_caught_by_the_reduce_oracle() {
     // Heal: the same program must agree again, pinning the disagreement on
     // the injected fault rather than on a real reduction bug.
     assert!(
-        matches!(
-            run_oracle(Oracle::Reduce, &spec, DEFAULT_BUDGET),
-            Ok(OracleOutcome::Checked)
-        ),
+        agrees(&spec),
         "repro still disagrees after removing the fault"
     );
+}
+
+#[test]
+fn faulted_and_healthy_reduce_runs_of_one_spec_do_not_perturb_each_other() {
+    let spec = order_sensitive_spec();
+    std::thread::scope(|s| {
+        let faulted = s.spawn(|| (0..16).all(|_| faulted_disagrees(&spec)));
+        let healthy = s.spawn(|| (0..16).all(|_| agrees(&spec)));
+        assert!(
+            faulted.join().expect("faulted runner"),
+            "a faulted run agreed while a healthy run shared the process"
+        );
+        assert!(
+            healthy.join().expect("healthy runner"),
+            "a healthy run disagreed while a faulted run shared the process"
+        );
+    });
 }

@@ -16,7 +16,7 @@ use crate::interp;
 use crate::sort::Sort;
 use crate::stmt::Stmt;
 use crate::typeck;
-use crate::vm;
+use crate::vm::{self, VmHooks};
 
 /// The declarations of a protocol's global variables: names paired with
 /// sorts, in declaration order.
@@ -158,9 +158,11 @@ pub struct DslAction {
     body: Vec<Stmt>,
     globals: Arc<GlobalDecls>,
     slots: BTreeMap<String, Slot>,
-    /// Per-action execution-mode override; `None` defers to the process-wide
-    /// default ([`crate::set_default_exec_mode`] / `INSEQ_EXEC`).
-    exec: Option<ExecMode>,
+    /// Which evaluator serves `eval`: the VM unless forced with
+    /// [`DslAction::with_exec_mode`].
+    exec: ExecMode,
+    /// The owning program's VM hooks (coverage sink, injected fault).
+    pub(crate) hooks: VmHooks,
     /// Compile cache: one compile per action, shared by clones of the inner
     /// `Arc`. `Some(None)` records a failed compile (interpreter fallback).
     compiled: OnceLock<Option<Arc<CompiledAction>>>,
@@ -189,6 +191,7 @@ impl DslAction {
             params: Vec::new(),
             locals: Vec::new(),
             body: Vec::new(),
+            hooks: VmHooks::default(),
         }
     }
 
@@ -245,20 +248,17 @@ impl DslAction {
     }
 
     fn use_compiled(&self) -> bool {
-        matches!(
-            self.exec.unwrap_or_else(compile::default_exec_mode),
-            ExecMode::Compiled
-        )
+        self.exec == ExecMode::Compiled
     }
 
-    /// A copy of this action forced to the given execution mode, regardless
-    /// of the process-wide default. The compile cache and counters are
-    /// shared with the original, so forcing a mode is cheap and race-free —
-    /// differential tests use this to run the same action on both paths.
+    /// A copy of this action forced to the given execution mode. The compile
+    /// cache and counters are shared with the original, so forcing a mode is
+    /// cheap and race-free — differential tests use this to run the same
+    /// action on both paths.
     #[must_use]
     pub fn with_exec_mode(&self, mode: ExecMode) -> Arc<DslAction> {
         let mut action = self.clone();
-        action.exec = Some(mode);
+        action.exec = mode;
         Arc::new(action)
     }
 
@@ -341,6 +341,7 @@ pub struct ActionBuilder {
     params: Vec<(String, Sort)>,
     locals: Vec<(String, Sort)>,
     body: Vec<Stmt>,
+    pub(crate) hooks: VmHooks,
 }
 
 impl ActionBuilder {
@@ -400,7 +401,8 @@ impl ActionBuilder {
             body: self.body,
             globals: self.globals,
             slots,
-            exec: None,
+            exec: ExecMode::Compiled,
+            hooks: self.hooks,
             compiled: OnceLock::new(),
             interp_evals: Arc::new(Counter::new()),
         };

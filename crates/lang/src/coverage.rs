@@ -1,12 +1,11 @@
 //! Cheap VM-dispatch coverage for coverage-guided fuzzing.
 //!
 //! Only compiled under the `coverage` feature; when the feature is off the
-//! register VM contains no coverage code at all, and when it is on but
-//! recording is disabled (the initial state) the per-evaluation cost is one
-//! relaxed atomic load.
+//! register VM contains no coverage code at all, and when it is on a
+//! program without a sink pays one `Option` check per evaluation.
 //!
-//! The map is a fixed-size process-global bitmap over *dispatch edges*:
-//! ordered pairs `(previous opcode kind, current opcode kind)` observed by
+//! A [`CoverageSink`] is a fixed-size bitmap over *dispatch edges*: ordered
+//! pairs `(previous opcode kind, current opcode kind)` observed by
 //! [`crate::vm`]'s dispatch loop, with a virtual entry node so the first
 //! opcode of every op array contributes an edge too. Opcode kinds refine
 //! [`Op::Bin`] by its [`BinOp`] and [`Op::Quant`] by its quantifier kind —
@@ -14,17 +13,20 @@
 //! into the same comparison — which gives the fuzzer's scheduler a
 //! meaningfully richer signal than 29 bare variants at zero extra cost.
 //!
-//! Edges are recorded with relaxed `fetch_or`, so the map is a *set*: the
-//! union over every evaluation in a run, independent of thread interleaving
-//! and evaluation order. Two runs that execute the same set of evaluations
-//! produce bit-identical snapshots no matter how many workers executed
-//! them — the property the fuzzer's coverage-determinism gate pins down.
+//! A sink belongs to one program, through its [`crate::VmHooks`]: other
+//! programs' evaluations, on any thread, never touch it, so a measurement
+//! needs no lock and no on/off switch. Edges are recorded with relaxed
+//! `fetch_or`, so the map is a *set*: the union over every evaluation of
+//! the program, independent of thread interleaving and evaluation order.
+//! Two runs that execute the same set of evaluations produce bit-identical
+//! snapshots no matter how many workers executed them — the property the
+//! fuzzer's coverage-determinism gate pins down.
 //!
 //! [`Op::Bin`]: crate::compile::Op
 //! [`Op::Quant`]: crate::compile::Op
 //! [`BinOp`]: crate::BinOp
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::compile::{Op, QuantKind};
 use crate::expr::BinOp;
@@ -40,43 +42,39 @@ pub(crate) const ENTRY: u16 = OP_KINDS as u16;
 /// `prev` ranging over kinds plus the entry node.
 pub const SNAPSHOT_WORDS: usize = ((OP_KINDS + 1) * OP_KINDS).div_ceil(64);
 
-static ENABLED: AtomicBool = AtomicBool::new(false);
-static BITS: [AtomicU64; SNAPSHOT_WORDS] = [const { AtomicU64::new(0) }; SNAPSHOT_WORDS];
-
-/// Turns edge recording on or off (process-global, initially off).
-pub fn set_enabled(on: bool) {
-    ENABLED.store(on, Ordering::SeqCst);
+/// One program's dispatch-edge bitmap, shared by every thread evaluating
+/// that program's actions.
+#[derive(Debug)]
+pub struct CoverageSink {
+    bits: [AtomicU64; SNAPSHOT_WORDS],
 }
 
-/// Whether edge recording is on.
-#[must_use]
-pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
-}
-
-/// Clears the map.
-pub fn reset() {
-    for word in &BITS {
-        word.store(0, Ordering::SeqCst);
+impl Default for CoverageSink {
+    fn default() -> Self {
+        CoverageSink {
+            bits: [const { AtomicU64::new(0) }; SNAPSHOT_WORDS],
+        }
     }
 }
 
-/// The current map as bitmap words (always [`SNAPSHOT_WORDS`] long).
-#[must_use]
-pub fn snapshot() -> Vec<u64> {
-    BITS.iter().map(|w| w.load(Ordering::SeqCst)).collect()
+impl CoverageSink {
+    /// The map as bitmap words (always [`SNAPSHOT_WORDS`] long).
+    #[must_use]
+    pub fn snapshot(&self) -> Vec<u64> {
+        self.bits.iter().map(|w| w.load(Ordering::SeqCst)).collect()
+    }
+
+    #[inline]
+    pub(crate) fn record_edge(&self, prev: u16, cur: u16) {
+        let bit = prev as usize * OP_KINDS + cur as usize;
+        self.bits[bit / 64].fetch_or(1 << (bit % 64), Ordering::Relaxed);
+    }
 }
 
 /// Number of distinct dispatch edges set in a snapshot.
 #[must_use]
 pub fn edge_count(words: &[u64]) -> usize {
     words.iter().map(|w| w.count_ones() as usize).sum()
-}
-
-#[inline]
-pub(crate) fn record_edge(prev: u16, cur: u16) {
-    let bit = prev as usize * OP_KINDS + cur as usize;
-    BITS[bit / 64].fetch_or(1 << (bit % 64), Ordering::Relaxed);
 }
 
 /// The coverage kind index of an opcode.

@@ -54,8 +54,6 @@ mod compile;
 pub mod coverage;
 mod error;
 mod expr;
-#[cfg(feature = "fault-injection")]
-pub mod fault;
 mod footprint;
 mod interp;
 mod pretty;
@@ -68,12 +66,13 @@ mod typeck;
 mod vm;
 
 pub use action::{program_of, ActionBuilder, DslAction, GlobalDecls};
-pub use compile::{set_default_exec_mode, ExecMode};
+pub use compile::ExecMode;
 pub use error::TypeError;
 pub use expr::{BinOp, Expr};
 pub use pretty::{action_loc, pretty_action};
 pub use sort::Sort;
 pub use stmt::Stmt;
+pub use vm::VmHooks;
 
 /// Ergonomic constructors for expressions and statements, designed for glob
 /// import in protocol definitions: `use inseq_lang::build::*;`.

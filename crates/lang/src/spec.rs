@@ -21,6 +21,7 @@ use crate::error::TypeError;
 use crate::expr::Expr;
 use crate::sort::Sort;
 use crate::stmt::Stmt;
+use crate::vm::VmHooks;
 
 /// A statement with name-based callee references.
 ///
@@ -188,6 +189,17 @@ impl ProgramSpec {
     /// or kernel-level assembly failure. Shrinker candidates lean on this:
     /// an edit that breaks well-formedness is discarded, not explored.
     pub fn build(&self) -> Result<BuiltSpec, SpecError> {
+        self.build_with(&VmHooks::default())
+    }
+
+    /// [`ProgramSpec::build`] with every action — and so every `call`
+    /// callee — carrying `hooks`: a coverage sink that records exactly this
+    /// program's VM evaluations, or an injected fault confined to it.
+    ///
+    /// # Errors
+    ///
+    /// As [`ProgramSpec::build`].
+    pub fn build_with(&self, hooks: &VmHooks) -> Result<BuiltSpec, SpecError> {
         let mut decls = GlobalDecls::new();
         for (name, sort, _) in &self.globals {
             if decls.index_of(name).is_some() {
@@ -200,6 +212,7 @@ impl ProgramSpec {
         let mut built: Vec<Arc<DslAction>> = Vec::with_capacity(self.actions.len());
         for spec in &self.actions {
             let mut builder = DslAction::build(&spec.name, &decls);
+            builder.hooks = hooks.clone();
             for (p, sort) in &spec.params {
                 builder = builder.param(p.clone(), sort.clone());
             }

@@ -29,12 +29,50 @@
 use std::borrow::Cow;
 use std::collections::BTreeSet;
 use std::mem;
+#[cfg(feature = "coverage")]
+use std::sync::Arc;
 
 use inseq_kernel::{ActionOutcome, GlobalStore, Multiset, PendingAsync, Transition, Value};
 
 use crate::action::Slot;
 use crate::compile::{CExpr, CStmt, CompiledAction, Op, QuantKind};
 use crate::rt::{self, Fail};
+
+/// Per-program instrumentation of the register VM, attached to every action
+/// [`ProgramSpec::build_with`] builds (so `call` callees carry it too) and
+/// copied into each compiled form, where the dispatch loop reads it. Empty
+/// without the `coverage` and `fault-injection` features.
+///
+/// [`ProgramSpec::build_with`]: crate::spec::ProgramSpec::build_with
+#[derive(Debug, Clone, Default)]
+pub struct VmHooks {
+    #[cfg(feature = "coverage")]
+    coverage: Option<Arc<crate::coverage::CoverageSink>>,
+    #[cfg(feature = "fault-injection")]
+    add_offset: i64,
+}
+
+impl VmHooks {
+    /// These hooks with every VM evaluation recording its dispatch edges
+    /// into `sink`.
+    #[cfg(feature = "coverage")]
+    #[must_use]
+    pub fn with_coverage(mut self, sink: Arc<crate::coverage::CoverageSink>) -> Self {
+        self.coverage = Some(sink);
+        self
+    }
+
+    /// Test-only fault: these hooks with `delta` added to every integer
+    /// `Add` result the VM computes (the interpreter is untouched), so the
+    /// VM/interpreter oracle has a miscompile to catch. Applied at dispatch,
+    /// after constant folding, so only runtime additions are perturbed.
+    #[cfg(feature = "fault-injection")]
+    #[must_use]
+    pub fn with_add_offset(mut self, delta: i64) -> Self {
+        self.add_offset = delta;
+        self
+    }
+}
 
 /// One evaluation branch, the VM counterpart of [`rt::EvalState`]. The store
 /// stays borrowed from the evaluation's input until a global is written.
@@ -350,14 +388,14 @@ fn exec_ops(
     let name = ca.name.as_str();
     let mut pc = 0usize;
     #[cfg(feature = "coverage")]
-    let recording = crate::coverage::enabled();
+    let sink = ca.hooks.coverage.as_deref();
     #[cfg(feature = "coverage")]
     let mut cov_prev = crate::coverage::ENTRY;
     while let Some(op) = ops.get(pc) {
         #[cfg(feature = "coverage")]
-        if recording {
+        if let Some(sink) = sink {
             let cur = crate::coverage::op_index(op);
-            crate::coverage::record_edge(cov_prev, cur);
+            sink.record_edge(cov_prev, cur);
             cov_prev = cur;
         }
         match op {
@@ -384,9 +422,7 @@ fn exec_ops(
                 let r = rt::bin_values(*op, a, b, name)?;
                 #[cfg(feature = "fault-injection")]
                 let r = match (op, r) {
-                    (crate::expr::BinOp::Add, Value::Int(n)) => {
-                        Value::Int(n + crate::fault::vm_add_offset())
-                    }
+                    (crate::expr::BinOp::Add, Value::Int(n)) => Value::Int(n + ca.hooks.add_offset),
                     (_, r) => r,
                 };
                 put(regs, *dst, r);
