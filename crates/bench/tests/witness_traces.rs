@@ -11,8 +11,13 @@
 //! end at the target), not compared step-for-step against the sequential
 //! kernel: the forest records whichever schedule interned first, so a
 //! parallel trace is a real run but not necessarily the BFS-shortest one.
+//! The sequential kernel's traces, by contrast, are BFS-shortest, which
+//! the last test pins against distances computed from the explored graph.
+
+use std::collections::{HashMap, VecDeque};
 
 use inseq_engine::ParallelExplorer;
+use inseq_kernel::{Config, Explorer};
 use inseq_protocols::exploration_cases;
 
 #[test]
@@ -51,6 +56,49 @@ fn every_visited_config_has_a_witness_trace_at_1_2_4_8_workers() {
                     "{case}, w={workers}: trace must end at its target"
                 );
             }
+        }
+    }
+}
+
+/// The sequential kernel's witness traces are BFS-shortest: on every
+/// Table 1 P2 program, the trace to each visited configuration has exactly
+/// as many firings as that configuration's breadth-first distance from the
+/// seed, computed here independently from the explored graph's `steps()`.
+#[test]
+fn kernel_traces_are_bfs_shortest() {
+    for case in exploration_cases() {
+        let exploration = Explorer::new(&case.program)
+            .explore([case.init.clone()])
+            .unwrap_or_else(|e| panic!("{case}: exploration failed: {e}"));
+        let mut successors: HashMap<Config, Vec<Config>> = HashMap::new();
+        for step in exploration.steps() {
+            successors.entry(step.before).or_default().push(step.after);
+        }
+        let mut distance: HashMap<Config, usize> = HashMap::from([(case.init.clone(), 0)]);
+        let mut queue = VecDeque::from([case.init.clone()]);
+        while let Some(config) = queue.pop_front() {
+            let d = distance[&config];
+            for next in successors.get(&config).into_iter().flatten() {
+                if !distance.contains_key(next) {
+                    distance.insert(next.clone(), d + 1);
+                    queue.push_back(next.clone());
+                }
+            }
+        }
+        assert_eq!(
+            distance.len(),
+            exploration.config_count(),
+            "{case}: every visited config is reachable over steps()"
+        );
+        for config in exploration.configs() {
+            let trace = exploration
+                .trace_to(config)
+                .unwrap_or_else(|| panic!("{case}: visited config {config} has no trace"));
+            assert_eq!(
+                trace.len(),
+                distance[config],
+                "{case}: the trace to {config} is not BFS-shortest"
+            );
         }
     }
 }

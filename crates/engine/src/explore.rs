@@ -118,10 +118,9 @@ use inseq_obs::HitMissSnapshot;
 
 use inseq_kernel::hash::FxHashMap;
 use inseq_kernel::{
-    canonical_parts_concurrent, ActionName, BagId, ConcurrentInterner, Config, ConfigId, ConfigReq,
+    canonical_parts, ActionName, BagId, ConcurrentInterner, Config, ConfigId, ConfigReq,
     ExploreError, FailureWitness, GlobalStore, Multiset, PaId, PendingAsync, Program,
-    ReductionPolicy, Step, StoreId, StoreReq, Summary, Trace, Value, ValueId,
-    DEFAULT_CONFIG_BUDGET,
+    ReductionPolicy, StoreId, Summary, Trace, Value, DEFAULT_CONFIG_BUDGET,
 };
 
 /// Upper bound on the configurations moved by one steal. Half the victim's
@@ -461,16 +460,6 @@ struct WorkerOutput {
     stats: ShardStats,
 }
 
-/// One staged transition of the cache-fill in progress: the strictly-
-/// changed store slots (post-values) and the created pending multiset,
-/// borrowed from the evaluation outcome. Which pending fired is tracked
-/// alongside, per outcome, by the fill's span list. Nothing is interned
-/// until the whole round's stage is complete.
-struct Staged<'a> {
-    writes: Vec<(usize, Value)>,
-    created: &'a Multiset<PendingAsync>,
-}
-
 /// The interned outcome of firing one pending async on one store — the
 /// payload of the per-worker successor cache. Firing is a pure function of
 /// the `(store, pending async)` pair, both already canonical ids, and ids
@@ -542,25 +531,6 @@ struct Worker<'p, 'sh> {
 enum StepFault {
     Kernel(ExploreError),
     StopOnFailure,
-}
-
-/// Walks the parent-edge log from `target` back to a seed and resolves it
-/// into concrete steps — entirely lock-free. Chains are acyclic (recorded
-/// distances strictly decrease along them, even under concurrent
-/// relaxation), so this terminates.
-fn trace_from(interner: &ConcurrentInterner, target: ConfigId) -> Trace {
-    let mut steps = Vec::new();
-    let mut cursor = target;
-    while let Some((parent, fired)) = interner.parent_edge(cursor) {
-        steps.push(Step {
-            before: interner.resolve_config(parent),
-            fired: interner.pa(fired).clone(),
-            after: interner.resolve_config(cursor),
-        });
-        cursor = parent;
-    }
-    steps.reverse();
-    Trace { steps }
 }
 
 impl Worker<'_, '_> {
@@ -864,13 +834,16 @@ impl Worker<'_, '_> {
             return;
         }
         let interner = &self.shared.interner;
-        let parent_slots: &[ValueId] = interner.store_slots(sid);
+        let parent_slots = interner.store_slots(sid);
 
-        // Stage A: reduce every transition to (fired, changed slots,
-        // created), comparing candidate values against the parent's
-        // resolved slots. The footprint's write set bounds which slots can
-        // differ, letting the stage skip the rest.
-        let mut staged: Vec<Staged<'_>> = Vec::new();
+        // Stage A: reduce every transition to its strictly-changed slots
+        // (borrowed post-values) and created pendings, comparing candidate
+        // values against the parent's resolved slots. The footprint's write
+        // set bounds which slots can differ, letting the stage skip the
+        // rest. Nothing is interned until the whole round is staged.
+        let mut changed: Vec<(usize, &Value)> = Vec::new();
+        let mut changed_spans: Vec<(usize, usize)> = Vec::new();
+        let mut created: Vec<&Multiset<PendingAsync>> = Vec::new();
         let mut spans: Vec<(PaId, usize)> = Vec::with_capacity(outcomes.len());
         for (paid, outcome) in outcomes {
             let paid = *paid;
@@ -884,28 +857,10 @@ impl Worker<'_, '_> {
                 View::Full(transitions) => {
                     spans.push((paid, transitions.len()));
                     for t in transitions {
-                        let mut writes = Vec::new();
-                        match fp_writes {
-                            Some(ws) => {
-                                for &i in ws {
-                                    let v = t.globals.get(i);
-                                    if interner.value(parent_slots[i]) != v {
-                                        writes.push((i, v.clone()));
-                                    }
-                                }
-                            }
-                            None => {
-                                for (i, v) in t.globals.iter().enumerate() {
-                                    if interner.value(parent_slots[i]) != v {
-                                        writes.push((i, v.clone()));
-                                    }
-                                }
-                            }
-                        }
-                        staged.push(Staged {
-                            writes,
-                            created: &t.created,
-                        });
+                        let start = changed.len();
+                        interner.changed_slots(sid, &t.globals, fp_writes, &mut changed);
+                        changed_spans.push((start, changed.len()));
+                        created.push(&t.created);
                     }
                 }
                 View::Delta(transitions) => {
@@ -914,16 +869,14 @@ impl Worker<'_, '_> {
                         // Replay the memoized write-delta; by the footprint
                         // contract the result is exactly what `eval` would
                         // have produced here.
-                        let mut writes = Vec::new();
+                        let start = changed.len();
                         for (i, v) in &t.writes {
                             if interner.value(parent_slots[*i]) != v {
-                                writes.push((*i, v.clone()));
+                                changed.push((*i, v));
                             }
                         }
-                        staged.push(Staged {
-                            writes,
-                            created: &t.created,
-                        });
+                        changed_spans.push((start, changed.len()));
+                        created.push(&t.created);
                     }
                 }
             }
@@ -932,85 +885,39 @@ impl Worker<'_, '_> {
             return;
         }
 
-        // Stage B: intern all changed-slot values, one pass over their
-        // shards.
-        let value_refs: Vec<&Value> = staged
-            .iter()
-            .flat_map(|s| s.writes.iter().map(|(_, v)| v))
-            .collect();
-        let mut value_ids: Vec<ValueId> = Vec::new();
-        interner.intern_values(&value_refs, &mut value_ids);
+        // Stage B: intern the changed values and the changed successors'
+        // stores as diffs against the parent — O(writes) per request, one
+        // pass over each kind's shards; a write-free transition reuses the
+        // parent's id outright.
+        let mut store_ids: Vec<StoreId> = Vec::new();
+        interner.intern_successor_stores(sid, &changed, &changed_spans, &mut store_ids);
 
-        // Stage C: intern the *changed* successors' stores from diff
-        // requests — parent id plus slot patches — one pass over their
-        // shards. The interner derives each request's hash incrementally
-        // from the parent's (O(writes), not O(slots)) and compares through
-        // the parent on probe, so no full slot key is built here at all; a
-        // miss materializes inside the interner by cloning the parent and
-        // applying the staged writes. A write-free transition reuses the
-        // parent's id outright — canonicality makes that exact.
-        let mut store_ids: Vec<StoreId> = vec![sid; staged.len()];
-        let mut patches: Vec<(usize, ValueId)> = Vec::with_capacity(value_ids.len());
-        let mut dirty: Vec<(usize, usize, usize)> = Vec::new();
-        {
-            let mut vi = 0;
-            for (k, s) in staged.iter().enumerate() {
-                if s.writes.is_empty() {
-                    continue;
-                }
-                let start = patches.len();
-                for (i, _) in &s.writes {
-                    patches.push((*i, value_ids[vi]));
-                    vi += 1;
-                }
-                dirty.push((k, start, patches.len()));
-            }
-        }
-        let store_reqs: Vec<StoreReq<'_>> = dirty
-            .iter()
-            .map(|&(k, start, end)| StoreReq {
-                parent: sid,
-                patches: &patches[start..end],
-                writes: &staged[k].writes,
-            })
-            .collect();
-        let mut dirty_ids: Vec<StoreId> = Vec::new();
-        interner.intern_stores(&store_reqs, &mut dirty_ids);
-        for (&(k, _, _), &id) in dirty.iter().zip(&dirty_ids) {
-            store_ids[k] = id;
-        }
+        // Stage C: intern all created pending asyncs, one pass over their
+        // shards, as canonical entries in the bag's (resolved) order, which
+        // the per-configuration bag merge consumes.
+        let mut entries: Vec<(PaId, u32)> = Vec::new();
+        interner.intern_created(&created, &mut entries);
 
-        // Stage D: intern all created pending asyncs, one pass over their
-        // shards.
-        let pa_refs: Vec<&PendingAsync> = staged
-            .iter()
-            .flat_map(|s| s.created.iter_counts().map(|(pa, _)| pa))
-            .collect();
-        let mut pa_ids: Vec<PaId> = Vec::new();
-        interner.intern_pas(&pa_refs, &mut pa_ids);
-
-        // Stage E: assemble one cache entry per evaluated pending — its
-        // transitions' successor stores plus created entries in the bag's
-        // canonical (resolved) order, which `iter_counts` yields and the
-        // per-configuration bag merge consumes.
+        // Stage D: assemble one cache entry per evaluated pending.
         let mut ti = 0;
-        let mut pi = 0;
+        let mut at = 0;
         for &(paid, ntrans) in &spans {
             let mut stores = Vec::with_capacity(ntrans);
-            let mut created: Vec<Box<[(PaId, u32)]>> = Vec::with_capacity(ntrans);
+            let mut created_entries: Vec<Box<[(PaId, u32)]>> = Vec::with_capacity(ntrans);
             for _ in 0..ntrans {
                 stores.push(store_ids[ti]);
-                let mut entries: Vec<(PaId, u32)> = Vec::new();
-                for (_, count) in staged[ti].created.iter_counts() {
-                    let count = u32::try_from(count).expect("count exceeds u32");
-                    entries.push((pa_ids[pi], count));
-                    pi += 1;
-                }
-                created.push(entries.into_boxed_slice());
+                let next = at + created[ti].distinct_len();
+                created_entries.push(entries[at..next].into());
+                at = next;
                 ti += 1;
             }
-            self.succ_cache
-                .insert((sid, paid), CachedSucc::Steps { stores, created });
+            self.succ_cache.insert(
+                (sid, paid),
+                CachedSucc::Steps {
+                    stores,
+                    created: created_entries,
+                },
+            );
         }
     }
 
@@ -1033,11 +940,11 @@ impl Worker<'_, '_> {
         progressed: &mut bool,
     ) -> Result<(), StepFault> {
         let interner = &self.shared.interner;
-        let parent_entries: &[(PaId, u32)] = interner.bag_entries(bagid);
 
         let mut fired: Vec<PaId> = Vec::new();
         let mut store_ids: Vec<StoreId> = Vec::new();
-        let mut bag_vecs: Vec<Vec<(PaId, u32)>> = Vec::new();
+        let mut bag_data: Vec<(PaId, u32)> = Vec::new();
+        let mut bag_spans: Vec<(usize, usize)> = Vec::new();
         for &paid in selected {
             let entry = self
                 .succ_cache
@@ -1065,26 +972,11 @@ impl Worker<'_, '_> {
                     }
                     for (k, &succ) in stores.iter().enumerate() {
                         self.out.edges += 1;
-                        let mut entries = parent_entries.to_vec();
-                        let pos = entries
-                            .iter()
-                            .position(|&(p, _)| p == paid)
-                            .expect("fired pending async must occur in the parent bag");
-                        if entries[pos].1 > 1 {
-                            entries[pos].1 -= 1;
-                        } else {
-                            entries.remove(pos);
-                        }
-                        for &(pid, count) in created[k].iter() {
-                            let pa = interner.pa(pid);
-                            match entries.binary_search_by(|&(p, _)| interner.pa(p).cmp(pa)) {
-                                Ok(at) => entries[at].1 += count,
-                                Err(at) => entries.insert(at, (pid, count)),
-                            }
-                        }
+                        let start = bag_data.len();
+                        interner.bag_after(bagid, paid, &created[k], &mut bag_data);
+                        bag_spans.push((start, bag_data.len()));
                         fired.push(paid);
                         store_ids.push(succ);
-                        bag_vecs.push(entries);
                     }
                 }
             }
@@ -1094,9 +986,8 @@ impl Worker<'_, '_> {
         }
 
         // Intern the merged bags, one pass over their shards.
-        let bag_refs: Vec<&[(PaId, u32)]> = bag_vecs.iter().map(Vec::as_slice).collect();
         let mut bag_ids: Vec<BagId> = Vec::new();
-        interner.intern_bags(&bag_refs, &mut bag_ids);
+        interner.intern_bags(&bag_data, &bag_spans, &mut bag_ids);
 
         // Canonicalize under the symmetry quotient, when active.
         let mut parts: Vec<(StoreId, BagId)> = store_ids
@@ -1106,8 +997,7 @@ impl Worker<'_, '_> {
             .collect();
         if let Some(spec) = self.reduction.and_then(ReductionPolicy::symmetry) {
             for part in &mut parts {
-                let canon =
-                    canonical_parts_concurrent(interner, &mut self.canon_cache, spec, *part);
+                let canon = canonical_parts(interner, &mut self.canon_cache, spec, *part);
                 if canon != *part {
                     self.out.stats.orbit_collapses += 1;
                     *part = canon;
@@ -1136,7 +1026,7 @@ impl Worker<'_, '_> {
                 if interner.config_count() > self.budget {
                     // The parent edge to `id` is already recorded, so the
                     // exhaustion point has a concrete witness run.
-                    let trace = trace_from(interner, id);
+                    let trace = interner.trace_from(id);
                     return Err(StepFault::Kernel(ExploreError::BudgetExceeded {
                         limit: self.budget,
                         visited: interner.config_count(),
@@ -1177,8 +1067,9 @@ impl Worker<'_, '_> {
 /// all: [`configs`](ParallelExploration::configs) resolves configurations
 /// lazily from the arenas, so a multi-million-config run pays for
 /// materialization only if someone iterates it. Traces are valid firing
-/// sequences but, unlike the sequential explorer's BFS reconstruction, not
-/// guaranteed globally shortest.
+/// sequences but, unlike the sequential explorer's (whose breadth-first
+/// order makes the same parent-edge walk shortest), not guaranteed
+/// globally shortest.
 #[derive(Debug)]
 pub struct ParallelExploration {
     interner: ConcurrentInterner,
@@ -1255,7 +1146,7 @@ impl ParallelExploration {
     #[must_use]
     pub fn trace_to(&self, target: &Config) -> Option<Trace> {
         let id = self.interner.find_config(target)?;
-        Some(trace_from(&self.interner, id))
+        Some(self.interner.trace_from(id))
     }
 
     /// All gate violations, each with a concrete firing sequence reaching
@@ -1266,7 +1157,7 @@ impl ParallelExploration {
         self.failures
             .iter()
             .map(|(cid, _, fired, reason)| FailureWitness {
-                trace: trace_from(&self.interner, *cid),
+                trace: self.interner.trace_from(*cid),
                 fired: fired.clone(),
                 reason: reason.clone(),
             })
@@ -1278,7 +1169,7 @@ impl ParallelExploration {
     pub fn deadlock_witnesses(&self) -> Vec<Trace> {
         self.deadlocks
             .iter()
-            .map(|(cid, _)| trace_from(&self.interner, *cid))
+            .map(|(cid, _)| self.interner.trace_from(*cid))
             .collect()
     }
 

@@ -7,7 +7,7 @@
 //! |---|---|---|
 //! | `vm-interp` | tree-walk interpreter | register-bytecode VM |
 //! | `check-paths` | sequential [`IsApplication::check`] | engine-scheduled `check_with` (1/2/4 threads) |
-//! | `intern` | structural config equality | hash-consed [`Interner`] identity |
+//! | `intern` | structural config equality (`HashSet<&Config>`, no interner) | hash-consed [`ConcurrentInterner`] identity, in the explorer and re-interned fresh |
 //! | `mover` | brute-force mover conditions on plain eval | memoized, interned [`MoverChecker`] |
 //! | `bags` | element-order-oblivious multiset axioms | [`Multiset`]'s canonical representation |
 //! | `reduce` | unreduced exhaustive exploration | ample-set reduced exploration (seq + steal) |
@@ -17,15 +17,15 @@
 //! construction. Programs whose state space exceeds the exploration budget
 //! are skipped (reported as [`OracleOutcome::Skipped`]), not failed.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashSet};
 use std::fmt;
 
 use inseq_core::IsApplication;
 use inseq_engine::{Engine, ParallelExplorer, Reducer};
 use inseq_kernel::ReduceMode;
 use inseq_kernel::{
-    ActionName, ActionOutcome, Exploration, Explorer, GlobalStore, Interner, Multiset,
-    PendingAsync, Program, StateUniverse,
+    ActionName, ActionOutcome, ConcurrentInterner, Config, Exploration, Explorer, GlobalStore,
+    Multiset, PendingAsync, Program, StateUniverse,
 };
 use inseq_mover::MoverChecker;
 
@@ -353,10 +353,21 @@ fn intern(exploration: &Exploration) -> Result<OracleOutcome, Disagreement> {
             detail,
         })
     };
-    let mut interner = Interner::new();
+    // The explorer deduplicates through the same interner this oracle
+    // re-interns with, so first check its visited set against plain
+    // structural equality: no two visited configs may be equal.
+    let structural: HashSet<&Config> = exploration.configs().collect();
+    if structural.len() != exploration.config_count() {
+        return fail(format!(
+            "the explorer visited {} configs but only {} are structurally distinct",
+            exploration.config_count(),
+            structural.len()
+        ));
+    }
+    let interner = ConcurrentInterner::new();
     let mut ids = Vec::new();
     for config in exploration.configs() {
-        let (id, fresh) = interner.intern_config(config);
+        let (id, fresh) = interner.intern_config(config, None);
         if !fresh {
             // The explorer deduplicates structurally; a non-fresh intern of
             // a distinct exploration config means the interner conflated
@@ -365,7 +376,7 @@ fn intern(exploration: &Exploration) -> Result<OracleOutcome, Disagreement> {
                 "exploration config {config} interned as already-seen id {id:?}"
             ));
         }
-        let (again, fresh_again) = interner.intern_config(config);
+        let (again, fresh_again) = interner.intern_config(config, None);
         if fresh_again || again != id {
             return fail(format!(
                 "re-interning {config} gave ({again:?}, fresh={fresh_again}), expected ({id:?}, fresh=false)"
@@ -386,7 +397,7 @@ fn intern(exploration: &Exploration) -> Result<OracleOutcome, Disagreement> {
     }
     // Interned identity must induce exactly the structural quotient: as many
     // distinct ids as distinct configs.
-    let distinct: BTreeSet<_> = ids.iter().map(|id| format!("{id:?}")).collect();
+    let distinct: BTreeSet<_> = ids.iter().collect();
     if distinct.len() != exploration.config_count() {
         return fail(format!(
             "{} structural configs produced {} interned identities",

@@ -1,10 +1,11 @@
-//! A concurrent hash-consing interner: lock-free reads over segmented
-//! arenas, sharded short-lock dedup, and an embedded atomic parent-edge
-//! log.
+//! The hash-consing interner: lock-free reads over segmented arenas,
+//! sharded short-lock dedup, and an embedded atomic parent-edge log.
 //!
-//! [`ConcurrentInterner`] gives the parallel explorer the same id scheme as
-//! the sequential [`Interner`](crate::Interner) — dense `u32` ids per
-//! arena, id equality = structural equality — without a global mutex:
+//! [`ConcurrentInterner`] is the one interner behind every explorer and the
+//! mover checker. It implements the id scheme of [`crate::intern`] — dense
+//! `u32` ids per arena, id equality = structural equality — without a
+//! global mutex, so the sequential [`Explorer`](crate::Explorer), the
+//! mover checker and the parallel engine's workers all use the same arenas:
 //!
 //! * **Segmented arenas, lock-free reads.** Each arena is a [`SegVec`]: a
 //!   spine of lazily allocated segments with doubling capacities. Entries
@@ -33,25 +34,41 @@
 //!   lowers a target's distance and re-establishes `depth(child) >
 //!   depth(parent)` at write time), so walks terminate at a seed. Keeping
 //!   the edge inside the config entry — rather than in a side table —
-//!   makes edge/id alignment automatic under concurrent interning.
+//!   makes edge/id alignment automatic under concurrent interning. A
+//!   breadth-first explorer on one thread discovers every configuration
+//!   first along a shortest path and never relaxes, so its chains are
+//!   BFS-shortest ([`ConcurrentInterner::trace_from`]).
+//! * **First-intern order on one thread.** A fresh id is the arena's next
+//!   dense index, so a single-threaded caller sees ids in exactly the order
+//!   it first interned each object — the sequential explorer's config ids
+//!   are its discovery order, which is what makes its output reproducible
+//!   run to run. (Batch methods group items by shard first, so within one
+//!   batch fresh ids follow shard order — still a deterministic function of
+//!   the input.)
 //! * **Batched interning.** The `intern_*s` batch methods take a whole
 //!   expansion's staged successors and lock each affected shard at most
 //!   once per pass (items are grouped by shard first), which is how the
 //!   explorer's phase 3 pays O(affected shards) lock acquisitions instead
 //!   of O(successors).
 //!
+//! Construction allocates nothing: an arena's shard array, shard tables and
+//! segments are built on first use, so a short-lived interner (one per
+//! mover-checker obligation) pays for what it interns, not for 64 empty
+//! tables per arena.
+//!
 //! Contention is observable: lock acquisitions that had to wait (and for
 //! how long), and per-shard insert counts, surface through
 //! [`ConcurrentInterner::contention`] into the engine's `--stats` output.
 
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Mutex, MutexGuard, OnceLock, TryLockError};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, TryLockError};
 use std::time::Instant;
 
 use inseq_obs::ContentionSnapshot;
 
 use crate::action::PendingAsync;
-use crate::config::Config;
+use crate::config::{Config, Step};
+use crate::explore::Trace;
 use crate::hash::fx_hash;
 use crate::intern::{
     hash_bag_entries, hash_config_parts, BagId, ConfigId, IdTable, PaId, StoreId, ValueId,
@@ -66,12 +83,18 @@ use crate::value::Value;
 pub const NUM_SHARDS: usize = 64;
 
 /// Entries of the first (smallest) segment; segment `s` holds `BASE << s`.
-const BASE_BITS: u32 = 10;
+/// Small, because a segment's slots are built when it is first touched: a
+/// short-lived interner (a mover checker over a few dozen stores) must not
+/// pay for a thousand slots per arena.
+const BASE_BITS: u32 = 5;
 const BASE: usize = 1 << BASE_BITS;
 
 /// Spine length: cumulative capacity `BASE * (2^SPINE - 1)` exceeds the
 /// `u32` id space, so the spine never runs out before ids do.
-const SPINE: usize = 23;
+const SPINE: usize = 28;
+
+/// Largest batch whose shard order is sorted in a stack buffer.
+const STACK_BATCH: usize = 32;
 
 /// The parent-edge sentinel marking a seed (no predecessor).
 const SEED_EDGE: u64 = u64::MAX;
@@ -101,14 +124,14 @@ fn locate(index: usize) -> (usize, usize) {
 #[derive(Debug)]
 struct SegVec<T> {
     len: AtomicUsize,
-    spine: Vec<OnceLock<Box<[OnceLock<T>]>>>,
+    spine: [OnceLock<Box<[OnceLock<T>]>>; SPINE],
 }
 
 impl<T> SegVec<T> {
     fn new() -> Self {
         SegVec {
             len: AtomicUsize::new(0),
-            spine: (0..SPINE).map(|_| OnceLock::new()).collect(),
+            spine: [const { OnceLock::new() }; SPINE],
         }
     }
 
@@ -151,11 +174,11 @@ impl<T> SegVec<T> {
     }
 }
 
-/// One store-arena entry: the materialized store plus its slot-id key (the
-/// per-entry ownership replaces the sequential interner's flat
-/// struct-of-arrays spans, which cannot grow append-only under concurrent
-/// writers without a lock) and its [`store_hash`], kept so successor
-/// interning can derive a child's hash from the parent's in O(writes).
+/// One store-arena entry: the materialized store plus its slot-id key
+/// (owned per entry: flat struct-of-arrays spans cannot grow append-only
+/// under concurrent writers without a lock) and its [`store_hash`], kept
+/// so successor interning can derive a child's hash from the parent's in
+/// O(writes).
 #[derive(Debug)]
 struct StoreEntry {
     store: GlobalStore,
@@ -182,10 +205,10 @@ fn slot_mix(slot: usize, vid: ValueId) -> u64 {
 /// hash *path-independent* — a successor's hash is its parent's with the
 /// changed slots' old contributions XORed out and the new ones in, so the
 /// same store always hashes identically no matter which `(parent, writes)`
-/// diff produced it. That property is what lets [`intern_stores`]
-/// (`ConcurrentInterner::intern_stores`) hash in O(writes) without ever
-/// materializing the full slot key; dedup correctness still rests on the
-/// full equality compare at probe time, never on the hash.
+/// diff produced it. That property is what lets
+/// [`ConcurrentInterner::intern_successor_stores`] hash in O(writes)
+/// without ever materializing the full slot key; dedup correctness still
+/// rests on the full equality compare at probe time, never on the hash.
 fn store_hash(slots: &[ValueId]) -> u64 {
     slots
         .iter()
@@ -194,7 +217,8 @@ fn store_hash(slots: &[ValueId]) -> u64 {
 }
 
 /// Does `cand` equal `parent` with `patches` applied? `patches` must hold
-/// strictly ascending slot indices (the [`StoreReq`] contract); the walk
+/// strictly ascending slot indices, each post-value distinct from the
+/// parent's (what [`ConcurrentInterner::changed_slots`] produces); the walk
 /// advances one patch cursor alongside the slot scan.
 fn patched_eq(cand: &[ValueId], parent: &[ValueId], patches: &[(usize, ValueId)]) -> bool {
     if cand.len() != parent.len() {
@@ -253,41 +277,26 @@ fn shard_of(hash: u64) -> usize {
     }
 }
 
-/// One arena's sharded dedup index.
+/// One arena's sharded dedup index. The shard array is built on the
+/// arena's first intern or probe, so an arena a short-lived interner never
+/// touches costs nothing to build, move or drop.
 #[derive(Debug)]
 struct ShardedIndex {
-    shards: Vec<Mutex<IdTable>>,
+    shards: OnceLock<Box<[Mutex<IdTable>; NUM_SHARDS]>>,
 }
 
 impl ShardedIndex {
-    fn new() -> Self {
+    const fn new() -> Self {
         ShardedIndex {
-            shards: (0..NUM_SHARDS)
-                .map(|_| Mutex::new(IdTable::new()))
-                .collect(),
+            shards: OnceLock::new(),
         }
     }
-}
 
-/// A successor-store interning request for
-/// [`ConcurrentInterner::intern_stores`]: the interned parent the candidate
-/// diffs against, plus the changed slots both as interned ids (`patches`,
-/// the dedup key) and as owned values (`writes`, the recipe to materialize
-/// the store on a miss). The candidate's full slot key is never passed —
-/// its hash derives incrementally from the parent's and equality on probe
-/// compares through the parent, so a request costs O(writes), not
-/// O(slots).
-#[derive(Debug)]
-pub struct StoreReq<'a> {
-    /// The interned parent store the candidate diffs against.
-    pub parent: StoreId,
-    /// The slots where the candidate differs, as (index, interned
-    /// post-value id) — strictly ascending indices, post-value distinct
-    /// from the parent's at that slot.
-    pub patches: &'a [(usize, ValueId)],
-    /// The same changed slots as (index, owned post-value), applied to a
-    /// parent clone when the candidate is fresh.
-    pub writes: &'a [(usize, Value)],
+    fn shard(&self, shard: usize) -> &Mutex<IdTable> {
+        &self
+            .shards
+            .get_or_init(|| Box::new([const { Mutex::new(IdTable::new()) }; NUM_SHARDS]))[shard]
+    }
 }
 
 /// A config-interning request for
@@ -308,7 +317,9 @@ pub struct ConfigReq {
 /// the owning dedup shard.
 #[derive(Debug)]
 pub struct ConcurrentInterner {
-    values: SegVec<Value>,
+    /// Values behind `Arc`s, so a fresh store shares its changed slots'
+    /// allocations with the arena instead of deep-cloning them.
+    values: SegVec<Arc<Value>>,
     value_index: ShardedIndex,
     stores: SegVec<StoreEntry>,
     store_index: ShardedIndex,
@@ -323,7 +334,7 @@ pub struct ConcurrentInterner {
     /// Total nanoseconds spent waiting on held shard locks.
     lock_wait_nanos: AtomicU64,
     /// Fresh-id inserts per shard index, summed over all five arenas.
-    shard_inserts: Vec<AtomicU64>,
+    shard_inserts: [AtomicU64; NUM_SHARDS],
     /// `intern_config*` calls that found an existing id.
     config_hits: AtomicU64,
     /// `intern_config*` calls that allocated a fresh id.
@@ -353,7 +364,7 @@ impl ConcurrentInterner {
             config_index: ShardedIndex::new(),
             lock_waits: AtomicU64::new(0),
             lock_wait_nanos: AtomicU64::new(0),
-            shard_inserts: (0..NUM_SHARDS).map(|_| AtomicU64::new(0)).collect(),
+            shard_inserts: [const { AtomicU64::new(0) }; NUM_SHARDS],
             config_hits: AtomicU64::new(0),
             config_misses: AtomicU64::new(0),
         }
@@ -363,11 +374,12 @@ impl ConcurrentInterner {
     /// fast path is a `try_lock` with no clock read at all; only actual
     /// contention pays for two `Instant` calls.
     fn lock<'a>(&self, index: &'a ShardedIndex, shard: usize) -> MutexGuard<'a, IdTable> {
-        match index.shards[shard].try_lock() {
+        let mutex = index.shard(shard);
+        match mutex.try_lock() {
             Ok(guard) => guard,
             Err(TryLockError::WouldBlock) => {
                 let start = Instant::now();
-                let guard = index.shards[shard].lock().expect("shard lock poisoned");
+                let guard = mutex.lock().expect("shard lock poisoned");
                 self.lock_waits.fetch_add(1, Ordering::Relaxed);
                 #[allow(clippy::cast_possible_truncation)] // < 584 years
                 self.lock_wait_nanos
@@ -382,10 +394,41 @@ impl ConcurrentInterner {
         self.shard_inserts[shard].fetch_add(1, Ordering::Relaxed);
     }
 
+    /// Visits a batch grouped by dedup shard, locking each affected shard
+    /// once: `each(table, shard, i, hash)` runs for every item `i`, whose
+    /// hash is the `i`-th of `hashes`, in input order within a shard. The
+    /// shard order of a batch of up to [`STACK_BATCH`] items is sorted on
+    /// the stack, so an expansion's small batches allocate nothing here.
+    fn by_shard(
+        &self,
+        index: &ShardedIndex,
+        hashes: impl ExactSizeIterator<Item = u64>,
+        mut each: impl FnMut(&mut IdTable, usize, usize, u64),
+    ) {
+        let mut stack = [(0, 0, 0); STACK_BATCH];
+        let mut heap = Vec::new();
+        let order: &mut [(usize, usize, u64)] = if hashes.len() <= STACK_BATCH {
+            &mut stack[..hashes.len()]
+        } else {
+            heap.resize(hashes.len(), (0, 0, 0));
+            &mut heap
+        };
+        for (slot, (i, hash)) in order.iter_mut().zip(hashes.enumerate()) {
+            *slot = (shard_of(hash), i, hash);
+        }
+        order.sort_unstable_by_key(|&(shard, i, _)| (shard, i));
+        for group in order.chunk_by(|a, b| a.0 == b.0) {
+            let shard = group[0].0;
+            let mut table = self.lock(index, shard);
+            for &(_, i, hash) in group {
+                each(&mut table, shard, i, hash);
+            }
+        }
+    }
+
     // ----- values -----------------------------------------------------
 
-    /// Interns one value. Prefer [`intern_values`](Self::intern_values)
-    /// when staging several.
+    /// Interns one value.
     pub fn intern_value(&self, v: &Value) -> ValueId {
         let hash = fx_hash(v);
         let shard = shard_of(hash);
@@ -400,39 +443,13 @@ impl ConcurrentInterner {
         hash: u64,
         v: &Value,
     ) -> ValueId {
-        if let Some(id) = table.find(hash, |id| self.values.get(id as usize) == v) {
+        if let Some(id) = table.find(hash, |id| **self.values.get(id as usize) == *v) {
             return ValueId::from_raw(id);
         }
-        let id = self.values.push(v.clone());
+        let id = self.values.push(Arc::new(v.clone()));
         table.insert(hash, id);
         self.note_insert(shard);
         ValueId::from_raw(id)
-    }
-
-    /// Batch-interns values: groups by shard and locks each affected shard
-    /// exactly once. `out` is overwritten with one id per input, aligned.
-    pub fn intern_values(&self, items: &[&Value], out: &mut Vec<ValueId>) {
-        out.clear();
-        out.resize(items.len(), ValueId::from_raw(0));
-        let mut order: Vec<(usize, usize, u64)> = items
-            .iter()
-            .enumerate()
-            .map(|(i, v)| {
-                let hash = fx_hash(*v);
-                (shard_of(hash), i, hash)
-            })
-            .collect();
-        order.sort_unstable_by_key(|&(shard, i, _)| (shard, i));
-        let mut at = 0;
-        while at < order.len() {
-            let shard = order[at].0;
-            let mut table = self.lock(&self.value_index, shard);
-            while at < order.len() && order[at].0 == shard {
-                let (_, i, hash) = order[at];
-                out[i] = self.intern_value_locked(&mut table, shard, hash, items[i]);
-                at += 1;
-            }
-        }
     }
 
     /// Read-only probe: the id of `v` if it has been interned.
@@ -441,7 +458,7 @@ impl ConcurrentInterner {
         let hash = fx_hash(v);
         let table = self.lock(&self.value_index, shard_of(hash));
         table
-            .find(hash, |id| self.values.get(id as usize) == v)
+            .find(hash, |id| **self.values.get(id as usize) == *v)
             .map(ValueId::from_raw)
     }
 
@@ -459,8 +476,7 @@ impl ConcurrentInterner {
 
     // ----- pending asyncs ---------------------------------------------
 
-    /// Interns one pending async. Prefer [`intern_pas`](Self::intern_pas)
-    /// when staging several.
+    /// Interns one pending async.
     pub fn intern_pa(&self, pa: &PendingAsync) -> PaId {
         let hash = fx_hash(pa);
         let shard = shard_of(hash);
@@ -482,32 +498,6 @@ impl ConcurrentInterner {
         table.insert(hash, id);
         self.note_insert(shard);
         PaId::from_raw(id)
-    }
-
-    /// Batch-interns pending asyncs: one lock per affected shard; `out` is
-    /// overwritten with one id per input, aligned.
-    pub fn intern_pas(&self, items: &[&PendingAsync], out: &mut Vec<PaId>) {
-        out.clear();
-        out.resize(items.len(), PaId::from_raw(0));
-        let mut order: Vec<(usize, usize, u64)> = items
-            .iter()
-            .enumerate()
-            .map(|(i, pa)| {
-                let hash = fx_hash(*pa);
-                (shard_of(hash), i, hash)
-            })
-            .collect();
-        order.sort_unstable_by_key(|&(shard, i, _)| (shard, i));
-        let mut at = 0;
-        while at < order.len() {
-            let shard = order[at].0;
-            let mut table = self.lock(&self.pa_index, shard);
-            while at < order.len() && order[at].0 == shard {
-                let (_, i, hash) = order[at];
-                out[i] = self.intern_pa_locked(&mut table, shard, hash, items[i]);
-                at += 1;
-            }
-        }
     }
 
     /// Read-only probe: the id of `pa` if it has been interned.
@@ -568,59 +558,94 @@ impl ConcurrentInterner {
         )
     }
 
-    /// Batch-interns successor stores from diff requests: one lock per
-    /// affected shard. Each request's hash derives from the parent's stored
-    /// hash by XORing out the patched slots' old mixes and in the new ones
-    /// (O(writes)); the probe compares candidates against the parent's
-    /// slots seen through the patches, so the hit path never materializes
-    /// a slot key. A miss clones the parent (cheap — slots are
-    /// `Arc`-shared), applies the writes, and patches a copy of the
-    /// parent's key. `out` is overwritten with one id per request,
-    /// aligned.
-    pub fn intern_stores(&self, reqs: &[StoreReq<'_>], out: &mut Vec<StoreId>) {
-        out.clear();
-        out.resize(reqs.len(), StoreId::from_raw(0));
-        let mut order: Vec<(usize, usize, u64)> = reqs
-            .iter()
-            .enumerate()
-            .map(|(i, req)| {
-                let parent = self.stores.get(req.parent.index());
-                let mut hash = parent.hash;
-                for &(slot, vid) in req.patches {
-                    hash ^= slot_mix(slot, parent.slots[slot]) ^ slot_mix(slot, vid);
-                }
-                (shard_of(hash), i, hash)
-            })
-            .collect();
-        order.sort_unstable_by_key(|&(shard, i, _)| (shard, i));
-        let mut at = 0;
-        while at < order.len() {
-            let shard = order[at].0;
-            let mut table = self.lock(&self.store_index, shard);
-            while at < order.len() && order[at].0 == shard {
-                let (_, i, hash) = order[at];
-                let req = &reqs[i];
-                let parent = self.stores.get(req.parent.index());
-                out[i] = self.intern_store_locked(
-                    &mut table,
-                    shard,
-                    hash,
-                    |cand| patched_eq(cand, &parent.slots, req.patches),
-                    || {
-                        let mut store = parent.store.clone();
-                        for (slot, value) in req.writes {
-                            store.set(*slot, value.clone());
-                        }
-                        let mut slots = parent.slots.to_vec();
-                        for &(slot, vid) in req.patches {
-                            slots[slot] = vid;
-                        }
-                        (store, slots.into_boxed_slice())
-                    },
-                );
-                at += 1;
+    /// The slots where `new` differs from the interned store `parent`, as
+    /// `(slot, post-value)` in ascending slot order, appended to `out`.
+    /// `hint` — the firing action's footprint write set, sorted — bounds
+    /// the slots compared; `None` compares every slot.
+    pub fn changed_slots<'v>(
+        &self,
+        parent: StoreId,
+        new: &'v GlobalStore,
+        hint: Option<&[usize]>,
+        out: &mut Vec<(usize, &'v Value)>,
+    ) {
+        let base = self.store(parent);
+        let mut note = |i: usize| {
+            if !base.slot_eq(new, i) {
+                out.push((i, new.get(i)));
             }
+        };
+        match hint {
+            Some(ws) => ws.iter().copied().for_each(&mut note),
+            None => (0..new.len()).for_each(&mut note),
         }
+    }
+
+    /// The store hash of `parent` with `patches` applied, derived from the
+    /// parent's stored hash in O(patches): each patched slot's old mix is
+    /// XORed out and the new one in.
+    fn diff_hash(&self, parent: &StoreEntry, patches: &[(usize, ValueId)]) -> u64 {
+        patches.iter().fold(parent.hash, |hash, &(slot, vid)| {
+            hash ^ slot_mix(slot, parent.slots[slot]) ^ slot_mix(slot, vid)
+        })
+    }
+
+    /// Batch-interns the successor stores of one expansion as diffs against
+    /// their parent: successor `k` is `parent` with the changed slots
+    /// `changed[spans[k]]` applied (as produced by
+    /// [`changed_slots`](Self::changed_slots)). The changed values are
+    /// interned in one pass, the stores in another, each locking an
+    /// affected shard once. A diff costs O(writes), not O(slots): its hash
+    /// derives from the parent's, and the probe compares candidates against
+    /// the parent's slots seen through the patches, so the hit path never
+    /// builds a slot key. A miss clones the parent (cheap — slots are
+    /// `Arc`-shared), points the patched slots at the arena's values, and
+    /// patches a copy of the parent's key. A successor without changes is
+    /// `parent` itself — canonicality makes that exact. `out` is
+    /// overwritten with one id per span, aligned.
+    pub fn intern_successor_stores(
+        &self,
+        parent: StoreId,
+        changed: &[(usize, &Value)],
+        spans: &[(usize, usize)],
+        out: &mut Vec<StoreId>,
+    ) {
+        let mut patches: Vec<(usize, ValueId)> = changed
+            .iter()
+            .map(|&(slot, _)| (slot, ValueId::from_raw(0)))
+            .collect();
+        let hashes = changed.iter().map(|&(_, v)| fx_hash(v));
+        self.by_shard(&self.value_index, hashes, |table, shard, i, hash| {
+            patches[i].1 = self.intern_value_locked(table, shard, hash, changed[i].1);
+        });
+        let entry = self.stores.get(parent.index());
+        out.clear();
+        out.resize(spans.len(), parent);
+        let hashes = spans
+            .iter()
+            .map(|&(start, end)| self.diff_hash(entry, &patches[start..end]));
+        self.by_shard(&self.store_index, hashes, |table, shard, k, hash| {
+            let (start, end) = spans[k];
+            if start == end {
+                return;
+            }
+            let patches = &patches[start..end];
+            out[k] = self.intern_store_locked(
+                table,
+                shard,
+                hash,
+                |cand| patched_eq(cand, &entry.slots, patches),
+                || {
+                    let mut store = entry.store.clone();
+                    let mut slots = entry.slots.to_vec();
+                    for &(slot, vid) in patches {
+                        store.set_shared(slot, Arc::clone(self.values.get(vid.index())));
+                        slots[slot] = vid;
+                    }
+                    (store, slots.into_boxed_slice())
+                },
+            );
+        });
     }
 
     /// Read-only probe: the id of `store` if it has been interned.
@@ -674,8 +699,8 @@ impl ConcurrentInterner {
     }
 
     /// Interns a pending bag from canonical `(PaId, count)` entries, sorted
-    /// by the resolved pending-async order (the caller's contract, same as
-    /// the sequential interner's canonical form).
+    /// by the resolved pending-async order (the caller's contract; see
+    /// [`crate::intern`]).
     pub fn intern_bag_entries(&self, entries: &[(PaId, u32)]) -> BagId {
         let hash = hash_bag_entries(entries);
         let shard = shard_of(hash);
@@ -695,28 +720,77 @@ impl ConcurrentInterner {
         self.intern_bag_entries(&entries)
     }
 
-    /// Batch-interns bags from canonical entry slices: one lock per
-    /// affected shard. `out` is overwritten with one id per input, aligned.
-    pub fn intern_bags(&self, items: &[&[(PaId, u32)]], out: &mut Vec<BagId>) {
+    /// Batch-interns bags given as canonical entries back to back: bag `k`
+    /// is `data[spans[k]]`. One lock per affected shard; `out` is
+    /// overwritten with one id per span, aligned.
+    pub fn intern_bags(
+        &self,
+        data: &[(PaId, u32)],
+        spans: &[(usize, usize)],
+        out: &mut Vec<BagId>,
+    ) {
         out.clear();
-        out.resize(items.len(), BagId::from_raw(0));
-        let mut order: Vec<(usize, usize, u64)> = items
+        out.resize(spans.len(), BagId::from_raw(0));
+        let hashes = spans
             .iter()
-            .enumerate()
-            .map(|(i, entries)| {
-                let hash = hash_bag_entries(entries);
-                (shard_of(hash), i, hash)
-            })
-            .collect();
-        order.sort_unstable_by_key(|&(shard, i, _)| (shard, i));
-        let mut at = 0;
-        while at < order.len() {
-            let shard = order[at].0;
-            let mut table = self.lock(&self.bag_index, shard);
-            while at < order.len() && order[at].0 == shard {
-                let (_, i, hash) = order[at];
-                out[i] = self.intern_bag_locked(&mut table, shard, hash, items[i]);
-                at += 1;
+            .map(|&(start, end)| hash_bag_entries(&data[start..end]));
+        self.by_shard(&self.bag_index, hashes, |table, shard, k, hash| {
+            let (start, end) = spans[k];
+            out[k] = self.intern_bag_locked(table, shard, hash, &data[start..end]);
+        });
+    }
+
+    /// Interns the pending asyncs created by each of an expansion's
+    /// transitions in one pass, and writes each multiset's canonical
+    /// `(PaId, count)` entries to `out`, back to back: multiset `k`
+    /// occupies the next `created[k].distinct_len()` entries.
+    pub fn intern_created(&self, created: &[&Multiset<PendingAsync>], out: &mut Vec<(PaId, u32)>) {
+        let pas: Vec<(&PendingAsync, usize)> =
+            created.iter().flat_map(|bag| bag.iter_counts()).collect();
+        out.clear();
+        out.resize(pas.len(), (PaId::from_raw(0), 0));
+        let hashes = pas.iter().map(|&(pa, _)| fx_hash(pa));
+        self.by_shard(&self.pa_index, hashes, |table, shard, i, hash| {
+            let (pa, n) = pas[i];
+            let count = u32::try_from(n).expect("count exceeds u32");
+            out[i] = (self.intern_pa_locked(table, shard, hash, pa), count);
+        });
+    }
+
+    /// The entries of the successor bag `parent ∖ {consumed} ⊎ created`,
+    /// appended to `out` by a small-diff rebuild of the parent's entries: no
+    /// `Multiset` is built and untouched entries keep their ids. `created`
+    /// holds canonical entries (as from [`intern_created`](Self::intern_created));
+    /// the result stays sorted in the resolved pending-async order, so it is
+    /// canonical too.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `consumed` does not occur in `parent` (an explorer bug).
+    pub fn bag_after(
+        &self,
+        parent: BagId,
+        consumed: PaId,
+        created: &[(PaId, u32)],
+        out: &mut Vec<(PaId, u32)>,
+    ) {
+        let base = out.len();
+        out.extend_from_slice(self.bag_entries(parent));
+        let pos = base
+            + out[base..]
+                .iter()
+                .position(|&(p, _)| p == consumed)
+                .expect("consumed pending async must occur in the parent bag");
+        if out[pos].1 > 1 {
+            out[pos].1 -= 1;
+        } else {
+            out.remove(pos);
+        }
+        for &(pid, count) in created {
+            let pa = self.pa(pid);
+            match out[base..].binary_search_by(|&(p, _)| self.pa(p).cmp(pa)) {
+                Ok(at) => out[base + at].1 += count,
+                Err(at) => out.insert(base + at, (pid, count)),
             }
         }
     }
@@ -846,25 +920,10 @@ impl ConcurrentInterner {
     pub fn intern_configs(&self, reqs: &[ConfigReq], out: &mut Vec<(ConfigId, bool)>) {
         out.clear();
         out.resize(reqs.len(), (ConfigId::from_raw(0), false));
-        let mut order: Vec<(usize, usize, u64)> = reqs
-            .iter()
-            .enumerate()
-            .map(|(i, req)| {
-                let hash = hash_config_parts(req.store, req.bag);
-                (shard_of(hash), i, hash)
-            })
-            .collect();
-        order.sort_unstable_by_key(|&(shard, i, _)| (shard, i));
-        let mut at = 0;
-        while at < order.len() {
-            let shard = order[at].0;
-            let mut table = self.lock(&self.config_index, shard);
-            while at < order.len() && order[at].0 == shard {
-                let (_, i, hash) = order[at];
-                out[i] = self.intern_config_locked(&mut table, shard, hash, reqs[i]);
-                at += 1;
-            }
-        }
+        let hashes = reqs.iter().map(|req| hash_config_parts(req.store, req.bag));
+        self.by_shard(&self.config_index, hashes, |table, shard, i, hash| {
+            out[i] = self.intern_config_locked(table, shard, hash, reqs[i]);
+        });
     }
 
     /// Read-only probe: the id of `config` if it has been interned.
@@ -899,6 +958,29 @@ impl ConcurrentInterner {
         unpack_edge(self.configs.get(id.index()).edge.load(Ordering::Acquire))
     }
 
+    /// Walks the parent-edge log from `target` back to a seed and resolves
+    /// it into concrete steps — entirely lock-free. Chains are acyclic
+    /// (recorded distances strictly decrease along them, even under
+    /// concurrent relaxation), so this terminates. For an explorer that
+    /// interns in breadth-first order on one thread the walk is a shortest
+    /// path from the seeds: each config is first interned from a parent of
+    /// minimal depth, and no later edge offers a strictly smaller one.
+    #[must_use]
+    pub fn trace_from(&self, target: ConfigId) -> Trace {
+        let mut steps = Vec::new();
+        let mut cursor = target;
+        while let Some((parent, fired)) = self.parent_edge(cursor) {
+            steps.push(Step {
+                before: self.resolve_config(parent),
+                fired: self.pa(fired).clone(),
+                after: self.resolve_config(cursor),
+            });
+            cursor = parent;
+        }
+        steps.reverse();
+        Trace { steps }
+    }
+
     /// The recorded firing distance of a configuration from a seed.
     #[must_use]
     pub fn depth(&self, id: ConfigId) -> u32 {
@@ -928,8 +1010,9 @@ impl ConcurrentInterner {
         })
     }
 
-    /// Configuration dedup effectiveness, matching the sequential
-    /// interner's [`intern_stats`](crate::Interner::intern_stats) shape.
+    /// Configuration dedup effectiveness: how many `intern_config*` calls
+    /// found an existing id (hits) vs. allocated a fresh one (misses).
+    /// Observability data only — never consulted by the interner itself.
     #[must_use]
     pub fn intern_stats(&self) -> inseq_obs::HitMissSnapshot {
         inseq_obs::HitMissSnapshot::new(
@@ -976,7 +1059,7 @@ mod tests {
     #[test]
     fn segvec_entries_survive_growth_and_stay_stable() {
         let v: SegVec<usize> = SegVec::new();
-        let n = 5000; // crosses three segment boundaries
+        let n = 5000; // crosses seven segment boundaries
         for i in 0..n {
             assert_eq!(v.push(i), u32::try_from(i).unwrap());
         }
@@ -1018,17 +1101,28 @@ mod tests {
     fn batch_interning_matches_single_interning() {
         let single = ConcurrentInterner::new();
         let batched = ConcurrentInterner::new();
-        let values: Vec<Value> = (0..100).map(|n| Value::Int(n % 37)).collect();
-        let refs: Vec<&Value> = values.iter().collect();
-        let singles: Vec<ValueId> = refs.iter().map(|v| single.intern_value(v)).collect();
+        let pa = |n: i64| PendingAsync::new("A", vec![Value::Int(n % 37)]);
+        // 100 one-entry bags over 37 distinct pending asyncs, back to back:
+        // enough to take the heap path of the shard grouping, with
+        // within-batch duplicates.
+        let mut data = Vec::new();
+        let mut spans = Vec::new();
+        let mut singles = Vec::new();
+        for n in 0..100 {
+            let entry = (batched.intern_pa(&pa(n)), 1);
+            spans.push((data.len(), data.len() + 1));
+            data.push(entry);
+            singles.push(single.intern_bag(&Multiset::singleton(pa(n))));
+        }
         let mut out = Vec::new();
-        batched.intern_values(&refs, &mut out);
-        // Both interners dedup to the same id ↔ value mapping.
+        batched.intern_bags(&data, &spans, &mut out);
+        // Both interners dedup to the same id ↔ bag mapping.
         assert_eq!(singles.len(), out.len());
         for (s, b) in singles.iter().zip(&out) {
-            assert_eq!(single.value(*s), batched.value(*b));
+            assert_eq!(single.resolve_bag(*s), batched.resolve_bag(*b));
         }
-        assert_eq!(single.value_count(), batched.value_count());
+        assert_eq!(single.bag_count(), 37);
+        assert_eq!(batched.bag_count(), 37);
     }
 
     #[test]
@@ -1098,58 +1192,95 @@ mod tests {
     }
 
     #[test]
-    fn store_diff_requests_share_unchanged_slots() {
+    fn successor_stores_diff_only_changed_slots() {
         let i = ConcurrentInterner::new();
         let g1 = GlobalStore::new(vec![Value::Int(1), Value::Int(2)]);
         let s1 = i.intern_store(&g1);
-        let v3 = i.intern_value(&Value::Int(3));
-        let patches = vec![(1usize, v3)];
-        let writes = vec![(1usize, Value::Int(3))];
+        let g2 = GlobalStore::new(vec![Value::Int(1), Value::Int(3)]);
+        // With and without a write-set hint, only slot 1 differs.
+        let mut changed = Vec::new();
+        i.changed_slots(s1, &g2, None, &mut changed);
+        assert_eq!(changed, vec![(1, &Value::Int(3))]);
+        changed.clear();
+        i.changed_slots(s1, &g2, Some(&[1]), &mut changed);
+        assert_eq!(changed, vec![(1, &Value::Int(3))]);
+        // An unchanged successor (empty span) is the parent itself; the
+        // changed one shares slot 0's value id and matches a full intern.
         let mut out = Vec::new();
-        i.intern_stores(
-            &[StoreReq {
-                parent: s1,
-                patches: &patches,
-                writes: &writes,
-            }],
-            &mut out,
-        );
+        i.intern_successor_stores(s1, &changed, &[(0, 1), (1, 1)], &mut out);
+        assert_eq!(out[1], s1);
         let s2 = out[0];
         assert_ne!(s1, s2);
-        assert_eq!(
-            i.store(s2),
-            &GlobalStore::new(vec![Value::Int(1), Value::Int(3)])
-        );
+        assert_eq!(i.store(s2), &g2);
         assert_eq!(i.store_slots(s1)[0], i.store_slots(s2)[0]);
-        // An empty diff resolves to the parent id without materializing.
-        i.intern_stores(
-            &[StoreReq {
-                parent: s1,
-                patches: &[],
-                writes: &[],
-            }],
-            &mut out,
-        );
-        assert_eq!(out[0], s1);
         assert_eq!(i.store_count(), 2);
         // The diff-interned store and a full (non-diff) intern of the same
         // globals agree on the id — path-independent hashing plus the
         // equality probe make the diff path canonical.
-        assert_eq!(
-            i.intern_store(&GlobalStore::new(vec![Value::Int(1), Value::Int(3)])),
-            s2
-        );
+        assert_eq!(i.intern_store(&g2), s2);
         // Re-submitting the same diff is a pure hit.
-        i.intern_stores(
-            &[StoreReq {
-                parent: s1,
-                patches: &patches,
-                writes: &writes,
-            }],
-            &mut out,
-        );
-        assert_eq!(out[0], s2);
+        i.intern_successor_stores(s1, &changed, &[(0, 1)], &mut out);
+        assert_eq!(out, vec![s2]);
         assert_eq!(i.store_count(), 2);
+    }
+
+    #[test]
+    fn bag_after_matches_multiset_semantics() {
+        let i = ConcurrentInterner::new();
+        let a = PendingAsync::new("A", vec![Value::Int(1)]);
+        let b = PendingAsync::new("B", vec![]);
+        let c = PendingAsync::new("C", vec![]);
+        let bag: Multiset<PendingAsync> = [a.clone(), a.clone(), b.clone()].into_iter().collect();
+        let bid = i.intern_bag(&bag);
+        assert_eq!(i.resolve_bag(bid), bag);
+        let pa_a = i.intern_pa(&a);
+        let created: Multiset<PendingAsync> = [c.clone(), b.clone()].into_iter().collect();
+        let mut entries = Vec::new();
+        i.intern_created(&[&created], &mut entries);
+        let mut merged = Vec::new();
+        i.bag_after(bid, pa_a, &entries, &mut merged);
+        let next = i.intern_bag_entries(&merged);
+        let expected = bag.without(&a).unwrap().union(&created);
+        assert_eq!(i.resolve_bag(next), expected);
+        // Interning the expected multiset directly yields the same id.
+        assert_eq!(i.intern_bag(&expected), next);
+        // Entries stay sorted in multiset iteration order.
+        let resolved: Vec<_> = i
+            .bag_entries(next)
+            .iter()
+            .map(|&(p, _)| i.pa(p).clone())
+            .collect();
+        let direct: Vec<_> = expected.distinct().cloned().collect();
+        assert_eq!(resolved, direct);
+    }
+
+    #[test]
+    fn config_ids_dedup_and_probe() {
+        let i = ConcurrentInterner::new();
+        let g = GlobalStore::new(vec![Value::Int(1)]);
+        let bag = Multiset::singleton(PendingAsync::new("A", vec![]));
+        let c1 = Config::new(g.clone(), bag);
+        let (id1, fresh1) = i.intern_config(&c1, None);
+        assert!(fresh1);
+        let (id2, fresh2) = i.intern_config(&c1, None);
+        assert!(!fresh2);
+        assert_eq!(id1, id2);
+        assert_eq!(i.resolve_config(id1), c1);
+        assert_eq!(i.find_config(&c1), Some(id1));
+        let other = Config::new(g, Multiset::new());
+        assert_eq!(i.find_config(&other), None);
+    }
+
+    #[test]
+    fn tables_survive_growth_in_first_intern_order() {
+        let i = ConcurrentInterner::new();
+        let ids: Vec<ValueId> = (0..1000).map(|n| i.intern_value(&Value::Int(n))).collect();
+        for (n, id) in ids.iter().enumerate() {
+            // One thread: ids are dense in first-intern order.
+            assert_eq!(id.index(), n);
+            assert_eq!(i.find_value(&Value::Int(n as i64)), Some(*id));
+        }
+        assert_eq!(i.value_count(), 1000);
     }
 
     #[test]

@@ -9,21 +9,26 @@
 //! explicit-state substitute for the SMT-backed reasoning of the paper's
 //! CIVL implementation (see DESIGN.md §2 for the substitution argument).
 //!
-//! Exploration runs over *interned* state (see [`crate::intern`]): the
-//! visited set is the configuration arena itself, successor stores are
-//! interned through the firing action's write footprint so unchanged slots
-//! are shared with the parent, and successor pending bags are small-diff
+//! Exploration runs over *interned* state (see [`crate::intern`]) in a
+//! [`ConcurrentInterner`] used from one thread: the visited set is the
+//! configuration arena itself, successor stores are interned as diffs
+//! against the parent (bounded by the firing action's write footprint) so
+//! unchanged slots are shared, and successor pending bags are small-diff
 //! rebuilds of the parent's interned entry vector. Duplicate detection — the
 //! hot operation of explicit-state search — therefore hashes two `u32` ids
-//! instead of a full configuration tree.
+//! instead of a full configuration tree. Each configuration is interned
+//! with the edge that discovered it; breadth-first order makes that
+//! parent-edge log a shortest-path forest, from which every witness trace
+//! is read ([`ConcurrentInterner::trace_from`]).
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::HashMap;
 use std::fmt;
 
 use crate::action::{ActionName, ActionOutcome, PendingAsync};
+use crate::cintern::{ConcurrentInterner, ConfigReq};
 use crate::config::{Config, Step};
 use crate::error::ExploreError;
-use crate::intern::{BagId, Interner, PaId, StoreId};
+use crate::intern::{BagId, ConfigId, PaId, StoreId};
 use crate::program::Program;
 use crate::reduce::{canonical_parts, ReductionPolicy};
 use crate::store::GlobalStore;
@@ -93,25 +98,19 @@ impl<'p> Explorer<'p> {
         // One-time action setup (e.g. compiling to bytecode) before the hot
         // loop, so first-evaluation cost never lands mid-exploration.
         self.program.prepare_actions();
-        let mut interner = Interner::new();
-        // `(store, bag)` parts per config id, so dequeuing a configuration
-        // is two array reads instead of a deep clone.
-        let mut parts = Vec::new();
+        let interner = ConcurrentInterner::new();
         let mut initial_ids = Vec::new();
         let mut edges = Vec::new();
         let mut failures = Vec::new();
         let mut deadlocks = Vec::new();
-        let mut frontier: Vec<usize> = Vec::new();
+        let mut frontier: Vec<ConfigId> = Vec::new();
         for config in initial {
-            let (id, fresh) = interner.intern_config(&config);
-            if fresh {
-                parts.push(interner.config_parts(id));
-            }
+            let (id, _) = interner.intern_config(&config, None);
             initial_ids.push(id.index());
-            frontier.push(id.index());
+            frontier.push(id);
         }
-        // Write footprints per action, fetched once so the scheduling loop
-        // can intern successor stores through the footprint's write set.
+        // Write footprints per action, fetched once so successor stores are
+        // diffed against the parent over the footprint's write set only.
         let footprints: HashMap<ActionName, Vec<usize>> = self
             .program
             .actions()
@@ -120,19 +119,21 @@ impl<'p> Explorer<'p> {
         // Reused across configurations: the distinct pending asyncs of the
         // configuration under expansion. Bag entries are canonically sorted
         // in `Multiset` iteration order, so firing order (and hence edge and
-        // discovery order) matches the previous tree-walking explorer.
+        // discovery order) is that of the plain multiset semantics.
         let mut pa_buf: Vec<PaId> = Vec::new();
         let sym = self.reduction.and_then(ReductionPolicy::symmetry);
         // Raw successor parts → canonical parts, so each orbit is
         // canonicalized once (ids are append-only, keys never go stale).
         let mut canon_cache: HashMap<(StoreId, BagId), (StoreId, BagId)> = HashMap::new();
+        let mut outcomes: Vec<(PaId, ActionOutcome)> = Vec::new();
+        let mut round = Round::default();
         let mut pruned: u64 = 0;
         let mut orbit_collapses: u64 = 0;
         let mut cursor = 0;
         while cursor < frontier.len() {
             let id = frontier[cursor];
             cursor += 1;
-            let (sid, bagid) = parts[id];
+            let (sid, bagid) = interner.config_parts(id);
             pa_buf.clear();
             pa_buf.extend(interner.bag_entries(bagid).iter().map(|&(p, _)| p));
             // An ample singleton, when the policy proves one sound here.
@@ -156,77 +157,61 @@ impl<'p> Explorer<'p> {
             };
             let mut ample_round = ample.is_some();
             loop {
-                let mut any_fresh = false;
+                outcomes.clear();
                 for &paid in &to_expand {
-                    let outcome = {
-                        let globals = interner.store(sid);
-                        let pa = interner.pa(paid);
-                        self.program.eval_pa(globals, pa)?
-                    };
-                    match outcome {
+                    let outcome = self
+                        .program
+                        .eval_pa(interner.store(sid), interner.pa(paid))?;
+                    match &outcome {
                         ActionOutcome::Failure { reason } => {
                             progressed = true;
                             failures.push(Failure {
                                 config: id,
                                 fired: paid,
-                                reason,
+                                reason: reason.clone(),
                             });
                         }
-                        ActionOutcome::Transitions(transitions) => {
-                            if !transitions.is_empty() {
-                                progressed = true;
-                            }
-                            let writes =
-                                footprints.get(&interner.pa(paid).action).map(Vec::as_slice);
-                            for t in transitions {
-                                let next_sid = interner.intern_store_diff(sid, &t.globals, writes);
-                                let next_bag = interner.bag_after(bagid, paid, &t.created);
-                                let (next_sid, next_bag) = match sym {
-                                    Some(spec) => {
-                                        let canon = canonical_parts(
-                                            &mut interner,
-                                            &mut canon_cache,
-                                            spec,
-                                            (next_sid, next_bag),
-                                        );
-                                        if canon != (next_sid, next_bag) {
-                                            orbit_collapses += 1;
-                                        }
-                                        canon
-                                    }
-                                    None => (next_sid, next_bag),
-                                };
-                                let (next_id, fresh) =
-                                    interner.intern_config_parts(next_sid, next_bag);
-                                edges.push(Edge {
-                                    from: id,
-                                    fired: paid,
-                                    to: next_id.index(),
-                                });
-                                if fresh {
-                                    any_fresh = true;
-                                    parts.push((next_sid, next_bag));
-                                    if interner.config_count() > self.budget {
-                                        // The edge to `next_id` is already
-                                        // recorded, so the exhaustion point
-                                        // has a concrete witness run.
-                                        let trace = shortest_steps(
-                                            &interner,
-                                            &edges,
-                                            &initial_ids,
-                                            next_id.index(),
-                                        )
-                                        .map(|steps| Trace { steps });
-                                        return Err(ExploreError::BudgetExceeded {
-                                            limit: self.budget,
-                                            visited: interner.config_count(),
-                                            trace,
-                                        });
-                                    }
-                                    frontier.push(next_id.index());
-                                }
-                            }
+                        ActionOutcome::Transitions(ts) => progressed |= !ts.is_empty(),
+                    }
+                    outcomes.push((paid, outcome));
+                }
+                round.intern_successors(&interner, (sid, bagid), &outcomes, &footprints);
+                // Configs go in one at a time, in firing order, so config
+                // ids stay in discovery order.
+                let mut any_fresh = false;
+                for k in 0..round.fired.len() {
+                    let mut next = (round.stores[k], round.bags[k]);
+                    if let Some(spec) = sym {
+                        let canon = canonical_parts(&interner, &mut canon_cache, spec, next);
+                        if canon != next {
+                            orbit_collapses += 1;
+                            next = canon;
                         }
+                    }
+                    let fired = round.fired[k];
+                    let (next_id, fresh) = interner.intern_config_parts(ConfigReq {
+                        store: next.0,
+                        bag: next.1,
+                        edge: Some((id, fired)),
+                    });
+                    edges.push(Edge {
+                        from: id.index(),
+                        fired,
+                        to: next_id.index(),
+                    });
+                    if fresh {
+                        any_fresh = true;
+                        if interner.config_count() > self.budget {
+                            // The parent edge to `next_id` is already
+                            // recorded, so the exhaustion point has a
+                            // concrete (shortest) witness run.
+                            return Err(ExploreError::BudgetExceeded {
+                                limit: self.budget,
+                                visited: interner.config_count(),
+                                trace: Some(interner.trace_from(next_id)),
+                            });
+                        }
+                        frontier.push(next_id);
                     }
                 }
                 if ample_round {
@@ -290,61 +275,75 @@ struct Edge {
     to: usize,
 }
 
+/// The interned successors of one expansion round, one entry per
+/// transition, aligned by index; the buffers are reused across rounds.
+#[derive(Default)]
+struct Round {
+    /// The pending async each transition fired.
+    fired: Vec<PaId>,
+    /// The successor stores.
+    stores: Vec<StoreId>,
+    /// The successor bags.
+    bags: Vec<BagId>,
+    /// Per transition: its span of changed slots, then of `bag_data`.
+    spans: Vec<(usize, usize)>,
+    /// Every transition's created entries, back to back.
+    created: Vec<(PaId, u32)>,
+    /// Every successor bag's merged entries, back to back.
+    bag_data: Vec<(PaId, u32)>,
+}
+
+impl Round {
+    /// Interns the successors of the configuration `(sid, bagid)` under
+    /// the round's evaluated `outcomes`, one batch per kind: the changed
+    /// values and stores (diffed over each action's footprint write set),
+    /// the created pendings, and the merged bags.
+    fn intern_successors(
+        &mut self,
+        interner: &ConcurrentInterner,
+        (sid, bagid): (StoreId, BagId),
+        outcomes: &[(PaId, ActionOutcome)],
+        footprints: &HashMap<ActionName, Vec<usize>>,
+    ) {
+        self.fired.clear();
+        self.spans.clear();
+        let mut changed = Vec::new();
+        let mut created = Vec::new();
+        for (paid, outcome) in outcomes {
+            let ActionOutcome::Transitions(transitions) = outcome else {
+                continue;
+            };
+            let hint = footprints.get(&interner.pa(*paid).action);
+            for t in transitions {
+                let start = changed.len();
+                interner.changed_slots(sid, &t.globals, hint.map(Vec::as_slice), &mut changed);
+                self.spans.push((start, changed.len()));
+                self.fired.push(*paid);
+                created.push(&t.created);
+            }
+        }
+        interner.intern_successor_stores(sid, &changed, &self.spans, &mut self.stores);
+        interner.intern_created(&created, &mut self.created);
+        self.spans.clear();
+        self.bag_data.clear();
+        let mut at = 0;
+        for (&fired, bag) in self.fired.iter().zip(&created) {
+            let next = at + bag.distinct_len();
+            let start = self.bag_data.len();
+            interner.bag_after(bagid, fired, &self.created[at..next], &mut self.bag_data);
+            self.spans.push((start, self.bag_data.len()));
+            at = next;
+        }
+        interner.intern_bags(&self.bag_data, &self.spans, &mut self.bags);
+    }
+}
+
 /// A recorded gate violation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct Failure {
-    config: usize,
+    config: ConfigId,
     fired: PaId,
     reason: String,
-}
-
-/// One shortest edge path from any id in `initial` to `target`, resolved
-/// into concrete steps via the interner. `None` when `target` is not
-/// reachable over the recorded edges (e.g. a config absorbed into a universe
-/// from an invariant transition rather than from this exploration).
-///
-/// This BFS-parent walk is the single reconstruction routine behind
-/// [`Exploration::execution_reaching`], [`Exploration::trace_to`], the
-/// failure/deadlock witnesses, and the budget-exhaustion trace.
-fn shortest_steps(
-    interner: &Interner,
-    edges: &[Edge],
-    initial: &[usize],
-    target: usize,
-) -> Option<Vec<Step>> {
-    let mut adjacency: HashMap<usize, Vec<&Edge>> = HashMap::new();
-    for e in edges {
-        adjacency.entry(e.from).or_default().push(e);
-    }
-    let mut incoming: HashMap<usize, &Edge> = HashMap::new();
-    let mut queue: VecDeque<usize> = initial.iter().copied().collect();
-    let mut seen: HashSet<usize> = initial.iter().copied().collect();
-    while let Some(id) = queue.pop_front() {
-        if id == target {
-            break;
-        }
-        for e in adjacency.get(&id).into_iter().flatten() {
-            if seen.insert(e.to) {
-                incoming.insert(e.to, e);
-                queue.push_back(e.to);
-            }
-        }
-    }
-    if !seen.contains(&target) {
-        return None;
-    }
-    let mut steps = Vec::new();
-    let mut cursor = target;
-    while let Some(e) = incoming.get(&cursor) {
-        steps.push(Step {
-            before: interner.resolve_config(interner.config_id(e.from)),
-            fired: interner.pa(e.fired).clone(),
-            after: interner.resolve_config(interner.config_id(e.to)),
-        });
-        cursor = e.from;
-    }
-    steps.reverse();
-    Some(steps)
 }
 
 /// A **witness**: a concrete firing sequence from an initial configuration
@@ -446,16 +445,17 @@ impl fmt::Display for FailureWitness {
 /// The result of exhaustively exploring a program: the reachable
 /// configuration graph plus all gate violations encountered.
 ///
-/// Configurations are kept both interned (for O(1) membership probes) and
-/// materialized (so `configs()` can hand out `&Config` without rebuilding).
+/// Configurations are kept both interned (for O(1) membership probes and
+/// the parent-edge log behind every witness trace) and materialized (so
+/// `configs()` can hand out `&Config` without rebuilding).
 #[derive(Debug)]
 pub struct Exploration {
-    interner: Interner,
+    interner: ConcurrentInterner,
     configs: Vec<Config>,
     initial: Vec<usize>,
     edges: Vec<Edge>,
     failures: Vec<Failure>,
-    deadlocks: Vec<usize>,
+    deadlocks: Vec<ConfigId>,
     pruned: u64,
     orbit_collapses: u64,
 }
@@ -497,7 +497,7 @@ impl Exploration {
                 format!(
                     "executing {} from {} fails: {}",
                     self.interner.pa(f.fired),
-                    self.configs[f.config],
+                    self.configs[f.config.index()],
                     f.reason
                 )
             })
@@ -509,7 +509,7 @@ impl Exploration {
     /// terminate from them. (A blocked pending async is not by itself a
     /// deadlock; some other pending async may still run.)
     pub fn deadlocked_configs(&self) -> impl Iterator<Item = &Config> {
-        self.deadlocks.iter().map(|&id| &self.configs[id])
+        self.deadlocks.iter().map(|&id| &self.configs[id.index()])
     }
 
     /// Whether any reachable configuration is a deadlock.
@@ -539,16 +539,15 @@ impl Exploration {
     /// `target`, or `None` when `target` is unreachable.
     #[must_use]
     pub fn execution_reaching(&self, target: &Config) -> Option<Execution> {
-        let target_id = self.interner.find_config(target)?.index();
-        let steps = shortest_steps(&self.interner, &self.edges, &self.initial, target_id)?;
-        Some(Execution { steps })
+        self.trace_to(target).map(Execution::from)
     }
 
     /// Reconstructs one shortest witness trace from an initial configuration
     /// to `target`, or `None` when `target` is unreachable.
     #[must_use]
     pub fn trace_to(&self, target: &Config) -> Option<Trace> {
-        self.execution_reaching(target).map(Trace::from)
+        let id = self.interner.find_config(target)?;
+        Some(self.interner.trace_from(id))
     }
 
     /// All gate violations, each with a concrete firing sequence reaching
@@ -557,14 +556,10 @@ impl Exploration {
     pub fn failure_witnesses(&self) -> Vec<FailureWitness> {
         self.failures
             .iter()
-            .filter_map(|fail| {
-                let steps =
-                    shortest_steps(&self.interner, &self.edges, &self.initial, fail.config)?;
-                Some(FailureWitness {
-                    trace: Trace { steps },
-                    fired: self.resolve_pa(fail.fired),
-                    reason: fail.reason.clone(),
-                })
+            .map(|fail| FailureWitness {
+                trace: self.interner.trace_from(fail.config),
+                fired: self.resolve_pa(fail.fired),
+                reason: fail.reason.clone(),
             })
             .collect()
     }
@@ -574,10 +569,7 @@ impl Exploration {
     pub fn deadlock_witnesses(&self) -> Vec<Trace> {
         self.deadlocks
             .iter()
-            .filter_map(|&id| {
-                let steps = shortest_steps(&self.interner, &self.edges, &self.initial, id)?;
-                Some(Trace { steps })
-            })
+            .map(|&id| self.interner.trace_from(id))
             .collect()
     }
 

@@ -56,7 +56,7 @@ mod store;
 mod universe;
 mod value;
 
-pub use cintern::{ConcurrentInterner, ConfigReq, StoreReq, NUM_SHARDS};
+pub use cintern::{ConcurrentInterner, ConfigReq, NUM_SHARDS};
 
 pub use action::{
     ActionName, ActionOutcome, ActionSemantics, ExecStats, Footprint, NativeAction, PendingAsync,
@@ -67,12 +67,12 @@ pub use error::{ExploreError, KernelError};
 pub use explore::{
     Execution, Exploration, Explorer, FailureWitness, Summary, Trace, DEFAULT_CONFIG_BUDGET,
 };
-pub use intern::{ArgsId, BagId, ConfigId, Interner, PaId, StoreId, ValueId};
+pub use intern::{BagId, ConfigId, PaId, StoreId, ValueId};
 pub use multiset::Multiset;
 pub use program::{GlobalSchema, Program, ProgramBuilder};
 pub use reduce::{
-    canonical_parts, canonical_parts_concurrent, node_permutations, pair_commutes_at,
-    pair_commutes_within, ReduceMode, ReductionPolicy, SymmetrySpec, PAIR_CLOSURE_DEPTH,
+    canonical_parts, node_permutations, pair_commutes_at, pair_commutes_within, ReduceMode,
+    ReductionPolicy, SymmetrySpec, PAIR_CLOSURE_DEPTH,
 };
 pub use store::GlobalStore;
 pub use universe::StateUniverse;

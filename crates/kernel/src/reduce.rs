@@ -36,7 +36,7 @@ use std::sync::Arc;
 use crate::action::{ActionOutcome, PendingAsync, Transition};
 use crate::cintern::ConcurrentInterner;
 use crate::config::Config;
-use crate::intern::{BagId, Interner, StoreId};
+use crate::intern::{BagId, StoreId};
 use crate::multiset::Multiset;
 use crate::program::Program;
 use crate::store::GlobalStore;
@@ -44,36 +44,11 @@ use crate::store::GlobalStore;
 /// The canonical orbit representative of raw successor parts, interned and
 /// memoized. The cache key is the raw `(store, bag)` pair — interner ids are
 /// append-only, so an entry never goes stale. Shared by the sequential
-/// explorer and the parallel engines so both quotient identically.
-pub fn canonical_parts(
-    interner: &mut Interner,
-    cache: &mut HashMap<(StoreId, BagId), (StoreId, BagId)>,
-    spec: &SymmetrySpec,
-    raw: (StoreId, BagId),
-) -> (StoreId, BagId) {
-    if let Some(&canon) = cache.get(&raw) {
-        return canon;
-    }
-    let config = Config::new(interner.store(raw.0).clone(), interner.resolve_bag(raw.1));
-    let canon_config = spec.canon_config(&config);
-    let canon = if canon_config == config {
-        raw
-    } else {
-        (
-            interner.intern_store(&canon_config.globals),
-            interner.intern_bag(&canon_config.pending),
-        )
-    };
-    cache.insert(raw, canon);
-    canon
-}
-
-/// The concurrent counterpart of [`canonical_parts`], running against the
-/// lock-free [`ConcurrentInterner`]: same
-/// canonicalization and memoization contract, but resolution borrows from
-/// the interner without locks and re-interning only locks the (at most two)
-/// dedup shards the canonical parts hash into. The cache stays per-worker.
-pub fn canonical_parts_concurrent<S: std::hash::BuildHasher>(
+/// explorer and the parallel engine's workers (each with its own cache), so
+/// both quotient identically; resolution borrows from the interner without
+/// locks, and re-interning locks only the shards the canonical parts hash
+/// into.
+pub fn canonical_parts<S: std::hash::BuildHasher>(
     interner: &ConcurrentInterner,
     cache: &mut HashMap<(StoreId, BagId), (StoreId, BagId), S>,
     spec: &SymmetrySpec,

@@ -77,6 +77,19 @@ impl GlobalStore {
         self.values[index] = Arc::new(value);
     }
 
+    /// Whether slot `index` holds equal values in both stores — O(1) when
+    /// the two stores share the slot's allocation (a successor's untouched
+    /// slots share their parent's).
+    pub(crate) fn slot_eq(&self, other: &GlobalStore, index: usize) -> bool {
+        self.values[index] == other.values[index]
+    }
+
+    /// In-place update with an already shared value (the interner's arena
+    /// entry), so the store and the arena share one allocation.
+    pub(crate) fn set_shared(&mut self, index: usize, value: Arc<Value>) {
+        self.values[index] = value;
+    }
+
     /// Iterates over the values in schema order.
     pub fn iter(&self) -> impl Iterator<Item = &Value> {
         self.values.iter().map(Arc::as_ref)

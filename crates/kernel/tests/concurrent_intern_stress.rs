@@ -8,16 +8,15 @@
 //! interned under it, and ids are canonical — two threads interning equal
 //! values get the same id, distinct values never share one.
 //!
-//! The proptest drives the sharded interner and the sequential
-//! [`Interner`] through identical operation sequences and requires them to
-//! be observationally equivalent: same fresh/duplicate verdicts, same
-//! resolved objects, same dedup counts.
+//! The proptest drives the interner and a plain model — one `Vec` plus
+//! `HashMap` per arena, ids assigned in first-intern order — through the
+//! same operation sequence and requires them to agree on every id, every
+//! fresh/duplicate verdict, every resolved object, every probe for present
+//! and absent items, and every arena count.
 
 use std::collections::HashMap;
 
-use inseq_kernel::{
-    ConcurrentInterner, Config, GlobalStore, Interner, Multiset, PendingAsync, Value,
-};
+use inseq_kernel::{ConcurrentInterner, Config, GlobalStore, Multiset, PendingAsync, Value};
 
 const THREADS: usize = 8;
 const OPS_PER_THREAD: usize = 100_000;
@@ -193,9 +192,103 @@ fn concurrent_intern_stress_ids_are_canonical_and_resolve() {
     assert!(contention.inserts_total() >= (value_ids.len() + pa_ids.len()) as u64);
 }
 
-mod proptest_equivalence {
+mod model {
+    use std::hash::Hash;
+
     use super::*;
     use proptest::prelude::*;
+
+    /// One arena of the model: objects in first-intern order, plus the
+    /// reverse index that makes interning idempotent.
+    struct Arena<T> {
+        items: Vec<T>,
+        index: HashMap<T, usize>,
+    }
+
+    impl<T: Clone + Eq + Hash> Arena<T> {
+        fn new() -> Self {
+            Arena {
+                items: Vec::new(),
+                index: HashMap::new(),
+            }
+        }
+
+        /// The item's index and whether this call added it.
+        fn intern(&mut self, item: T) -> (usize, bool) {
+            if let Some(&i) = self.index.get(&item) {
+                return (i, false);
+            }
+            self.items.push(item.clone());
+            self.index.insert(item, self.items.len() - 1);
+            (self.items.len() - 1, true)
+        }
+
+        fn find(&self, item: &T) -> Option<usize> {
+            self.index.get(item).copied()
+        }
+    }
+
+    /// The whole interner, modelled arena by arena with the same layering:
+    /// a store is its slot values' indices, a bag its `(pa index, count)`
+    /// entries in multiset order, a config its `(store, bag)` indices.
+    struct Model {
+        values: Arena<Value>,
+        stores: Arena<Vec<usize>>,
+        pas: Arena<PendingAsync>,
+        bags: Arena<Vec<(usize, usize)>>,
+        configs: Arena<(usize, usize)>,
+    }
+
+    impl Model {
+        fn new() -> Self {
+            Model {
+                values: Arena::new(),
+                stores: Arena::new(),
+                pas: Arena::new(),
+                bags: Arena::new(),
+                configs: Arena::new(),
+            }
+        }
+
+        fn store(&mut self, g: &GlobalStore) -> usize {
+            let key = g.iter().map(|v| self.values.intern(v.clone()).0).collect();
+            self.stores.intern(key).0
+        }
+
+        fn bag(&mut self, bag: &Multiset<PendingAsync>) -> usize {
+            let key = bag
+                .iter_counts()
+                .map(|(pa, n)| (self.pas.intern(pa.clone()).0, n))
+                .collect();
+            self.bags.intern(key).0
+        }
+
+        fn config(&mut self, c: &Config) -> (usize, bool) {
+            let store = self.store(&c.globals);
+            let bag = self.bag(&c.pending);
+            self.configs.intern((store, bag))
+        }
+
+        /// Read-only probes, mirroring the interner's `find_*`.
+        fn find_store(&self, g: &GlobalStore) -> Option<usize> {
+            let key: Option<Vec<usize>> = g.iter().map(|v| self.values.find(v)).collect();
+            self.stores.find(&key?)
+        }
+
+        fn find_bag(&self, bag: &Multiset<PendingAsync>) -> Option<usize> {
+            let key: Option<Vec<(usize, usize)>> = bag
+                .iter_counts()
+                .map(|(pa, n)| Some((self.pas.find(pa)?, n)))
+                .collect();
+            self.bags.find(&key?)
+        }
+
+        fn find_config(&self, c: &Config) -> Option<usize> {
+            let store = self.find_store(&c.globals)?;
+            let bag = self.find_bag(&c.pending)?;
+            self.configs.find(&(store, bag))
+        }
+    }
 
     #[derive(Debug, Clone)]
     enum Op {
@@ -205,103 +298,126 @@ mod proptest_equivalence {
         Config(Vec<i64>, Vec<(u8, u8)>),
     }
 
-    fn op_strategy() -> impl Strategy<Value = Op> {
+    /// Operations over a small universe, so duplicates are frequent.
+    /// `wide` widens every range, so probes built from it also name items
+    /// that were never interned.
+    fn op_strategy(wide: i64) -> impl Strategy<Value = Op> {
+        let k = u8::try_from(wide).unwrap();
         prop_oneof![
-            (0i64..8).prop_map(Op::Value),
-            (0u8..3, proptest::collection::vec(0i64..5, 0..3)).prop_map(|(a, v)| Op::Pa(a, v)),
-            proptest::collection::vec((0u8..4, 1u8..3), 0..3).prop_map(Op::Bag),
+            (0i64..8 + wide).prop_map(Op::Value),
+            (0u8..3, proptest::collection::vec(0i64..5 + wide, 0..3))
+                .prop_map(|(a, v)| Op::Pa(a, v)),
+            proptest::collection::vec((0u8..4 + k, 1u8..3), 0..3).prop_map(Op::Bag),
             (
-                proptest::collection::vec(0i64..4, 2),
-                proptest::collection::vec((0u8..4, 1u8..3), 0..3)
+                proptest::collection::vec(0i64..4 + wide, 2),
+                proptest::collection::vec((0u8..4 + k, 1u8..3), 0..3)
             )
                 .prop_map(|(s, b)| Op::Config(s, b)),
         ]
     }
 
+    fn pa_of(k: u8, args: &[i64]) -> PendingAsync {
+        PendingAsync::new(
+            ACTIONS[(k % 3) as usize],
+            args.iter().map(|&x| Value::Int(x)).collect::<Vec<_>>(),
+        )
+    }
+
     fn bag_of(entries: &[(u8, u8)]) -> Multiset<PendingAsync> {
         let mut bag = Multiset::new();
         for &(k, n) in entries {
-            bag.insert_n(
-                PendingAsync::new(ACTIONS[(k % 3) as usize], vec![Value::Int(i64::from(k))]),
-                n as usize,
-            );
+            bag.insert_n(pa_of(k, &[i64::from(k)]), n as usize);
         }
         bag
     }
 
+    fn config_of(slots: &[i64], entries: &[(u8, u8)]) -> Config {
+        let store = GlobalStore::new(slots.iter().map(|&x| Value::Int(x)).collect::<Vec<_>>());
+        Config::new(store, bag_of(entries))
+    }
+
+    fn assert_counts(conc: &ConcurrentInterner, model: &Model) -> Result<(), TestCaseError> {
+        prop_assert_eq!(conc.value_count(), model.values.items.len());
+        prop_assert_eq!(conc.store_count(), model.stores.items.len());
+        prop_assert_eq!(conc.pa_count(), model.pas.items.len());
+        prop_assert_eq!(conc.bag_count(), model.bags.items.len());
+        prop_assert_eq!(conc.config_count(), model.configs.items.len());
+        Ok(())
+    }
+
     proptest! {
-        /// Observational equivalence with the sequential interner: driving
-        /// both through the same operation sequence yields the same
-        /// fresh/duplicate verdicts, the same resolved objects, and the
-        /// same dedup counts.
+        /// The interner against the model: after every operation the id is
+        /// the model's first-intern index, the fresh/duplicate verdict and
+        /// every arena count agree, and the id resolves to the object; then
+        /// every `find_*` probe — over interned and never-interned items —
+        /// agrees with the model's.
         #[test]
-        fn concurrent_intern_stress_matches_sequential_interner(
-            ops in proptest::collection::vec(op_strategy(), 1..120)
+        fn interner_matches_vec_and_hashmap_model(
+            ops in proptest::collection::vec(op_strategy(0), 1..120),
+            probes in proptest::collection::vec(op_strategy(3), 0..40),
         ) {
-            let mut seq = Interner::new();
             let conc = ConcurrentInterner::new();
+            let mut model = Model::new();
             for op in &ops {
                 match op {
                     Op::Value(x) => {
                         let v = Value::Int(*x);
-                        let a = seq.intern_value(&v);
-                        let b = conc.intern_value(&v);
-                        prop_assert_eq!(seq.value(a), conc.value(b));
-                        prop_assert_eq!(a.index(), b.index());
+                        let id = conc.intern_value(&v);
+                        prop_assert_eq!(id.index(), model.values.intern(v.clone()).0);
+                        prop_assert_eq!(conc.value(id), &v);
                     }
                     Op::Pa(k, args) => {
-                        let pa = PendingAsync::new(
-                            ACTIONS[(k % 3) as usize],
-                            args.iter().map(|&x| Value::Int(x)).collect::<Vec<_>>(),
-                        );
-                        let a = seq.intern_pa(&pa);
-                        let b = conc.intern_pa(&pa);
-                        prop_assert_eq!(seq.pa(a), conc.pa(b));
-                        prop_assert_eq!(a.index(), b.index());
+                        let pa = pa_of(*k, args);
+                        let id = conc.intern_pa(&pa);
+                        prop_assert_eq!(id.index(), model.pas.intern(pa.clone()).0);
+                        prop_assert_eq!(conc.pa(id), &pa);
                     }
                     Op::Bag(entries) => {
                         let bag = bag_of(entries);
-                        let a = seq.intern_bag(&bag);
-                        let b = conc.intern_bag(&bag);
-                        prop_assert_eq!(seq.resolve_bag(a), conc.resolve_bag(b));
-                        prop_assert_eq!(a.index(), b.index());
+                        let id = conc.intern_bag(&bag);
+                        prop_assert_eq!(id.index(), model.bag(&bag));
+                        prop_assert_eq!(conc.resolve_bag(id), bag);
                     }
                     Op::Config(slots, entries) => {
-                        let store = GlobalStore::new(
-                            slots.iter().map(|&x| Value::Int(x)).collect::<Vec<_>>(),
+                        let config = config_of(slots, entries);
+                        let (id, fresh) = conc.intern_config(&config, None);
+                        prop_assert_eq!((id.index(), fresh), model.config(&config));
+                        prop_assert_eq!(conc.resolve_config(id), config);
+                    }
+                }
+                assert_counts(&conc, &model)?;
+            }
+            for op in ops.iter().chain(&probes) {
+                match op {
+                    Op::Value(x) => {
+                        let v = Value::Int(*x);
+                        let found = conc.find_value(&v).map(inseq_kernel::ValueId::index);
+                        prop_assert_eq!(found, model.values.find(&v));
+                    }
+                    Op::Pa(k, args) => {
+                        let pa = pa_of(*k, args);
+                        let found = conc.find_pa(&pa).map(inseq_kernel::PaId::index);
+                        prop_assert_eq!(found, model.pas.find(&pa));
+                    }
+                    Op::Bag(entries) => {
+                        let bag = bag_of(entries);
+                        let found = conc.find_bag(&bag).map(inseq_kernel::BagId::index);
+                        prop_assert_eq!(found, model.find_bag(&bag));
+                    }
+                    Op::Config(slots, entries) => {
+                        let config = config_of(slots, entries);
+                        let found = conc.find_config(&config).map(inseq_kernel::ConfigId::index);
+                        prop_assert_eq!(found, model.find_config(&config));
+                        let store = conc.find_store(&config.globals);
+                        prop_assert_eq!(
+                            store.map(inseq_kernel::StoreId::index),
+                            model.find_store(&config.globals)
                         );
-                        let config = Config::new(store, bag_of(entries));
-                        let (a, fresh_a) = seq.intern_config(&config);
-                        let (b, fresh_b) = conc.intern_config(&config, None);
-                        prop_assert_eq!(fresh_a, fresh_b);
-                        prop_assert_eq!(seq.resolve_config(a), conc.resolve_config(b));
-                        prop_assert_eq!(a.index(), b.index());
                     }
                 }
             }
-            // Same dedup outcome overall: the arenas agree on every count
-            // the two interners both maintain through these operations.
-            prop_assert_eq!(seq.pa_count(), conc.pa_count());
-            prop_assert_eq!(seq.bag_count(), conc.bag_count());
-            prop_assert_eq!(seq.store_count(), conc.store_count());
-            prop_assert_eq!(seq.config_count(), conc.config_count());
-            // Dedup probes agree too: equal objects found, absent objects
-            // not.
-            for op in &ops {
-                if let Op::Config(slots, entries) = op {
-                    let store = GlobalStore::new(
-                        slots.iter().map(|&x| Value::Int(x)).collect::<Vec<_>>(),
-                    );
-                    let config = Config::new(store, bag_of(entries));
-                    let a = seq.find_config(&config);
-                    let b = conc.find_config(&config);
-                    prop_assert_eq!(a.is_some(), b.is_some());
-                    prop_assert_eq!(
-                        a.map(inseq_kernel::ConfigId::index),
-                        b.map(inseq_kernel::ConfigId::index)
-                    );
-                }
-            }
+            // Probes never intern.
+            assert_counts(&conc, &model)?;
         }
     }
 }

@@ -9,7 +9,7 @@ use std::hash::{Hash, Hasher};
 
 use proptest::prelude::*;
 
-use inseq_kernel::{Config, GlobalStore, Interner, Map, Multiset, PendingAsync, Value};
+use inseq_kernel::{ConcurrentInterner, Config, GlobalStore, Map, Multiset, PendingAsync, Value};
 
 fn hash_of<T: Hash>(t: &T) -> u64 {
     let mut h = DefaultHasher::new();
@@ -69,7 +69,7 @@ proptest! {
     /// value, so `Eq`/`Ord`/`Hash` are preserved verbatim.
     #[test]
     fn value_roundtrip_preserves_eq_ord_hash(v in value_strategy()) {
-        let mut interner = Interner::new();
+        let interner = ConcurrentInterner::new();
         let id = interner.intern_value(&v);
         let back = interner.value(id).clone();
         prop_assert_eq!(&back, &v);
@@ -84,7 +84,7 @@ proptest! {
     /// the explorer relies on).
     #[test]
     fn value_ids_are_injective(a in value_strategy(), b in value_strategy()) {
-        let mut interner = Interner::new();
+        let interner = ConcurrentInterner::new();
         let ia = interner.intern_value(&a);
         let ib = interner.intern_value(&b);
         prop_assert_eq!(ia == ib, a == b);
@@ -102,13 +102,13 @@ proptest! {
     /// config equality.
     #[test]
     fn config_roundtrip_and_id_identity(a in config_strategy(), b in config_strategy()) {
-        let mut interner = Interner::new();
-        let (ia, fresh_a) = interner.intern_config(&a);
+        let interner = ConcurrentInterner::new();
+        let (ia, fresh_a) = interner.intern_config(&a, None);
         prop_assert!(fresh_a);
-        let (ia2, fresh_a2) = interner.intern_config(&a);
+        let (ia2, fresh_a2) = interner.intern_config(&a, None);
         prop_assert_eq!(ia, ia2);
         prop_assert!(!fresh_a2);
-        let (ib, _) = interner.intern_config(&b);
+        let (ib, _) = interner.intern_config(&b, None);
         prop_assert_eq!(ia == ib, a == b);
         let ra = interner.resolve_config(ia);
         let rb = interner.resolve_config(ib);
@@ -133,10 +133,17 @@ proptest! {
         changed[slot] = patch;
         let new = GlobalStore::new(changed);
 
-        let mut a = Interner::new();
+        let a = ConcurrentInterner::new();
         let pid = a.intern_store(&parent);
-        let diffed = a.intern_store_diff(pid, &new, None);
-        let hinted = a.intern_store_diff(pid, &new, Some(&[slot]));
+        let mut ids = Vec::new();
+        let mut changed = Vec::new();
+        a.changed_slots(pid, &new, None, &mut changed);
+        a.intern_successor_stores(pid, &changed, &[(0, changed.len())], &mut ids);
+        let diffed = ids[0];
+        changed.clear();
+        a.changed_slots(pid, &new, Some(&[slot]), &mut changed);
+        a.intern_successor_stores(pid, &changed, &[(0, changed.len())], &mut ids);
+        let hinted = ids[0];
         let full = a.intern_store(&new);
         prop_assert_eq!(diffed, full);
         prop_assert_eq!(hinted, full);
@@ -144,13 +151,23 @@ proptest! {
     }
 
     /// Bags: interning a multiset of pending asyncs round-trips, and
-    /// `bag_after` (the explorer's successor-bag constructor) agrees with
+    /// `bag_after` (the explorers' successor-bag constructor) agrees with
     /// plain multiset semantics.
     #[test]
-    fn bag_roundtrip(c in config_strategy()) {
-        let mut interner = Interner::new();
+    fn bag_roundtrip(c in config_strategy(), created in config_strategy()) {
+        let interner = ConcurrentInterner::new();
         let id = interner.intern_bag(&c.pending);
         prop_assert_eq!(&interner.resolve_bag(id), &c.pending);
         prop_assert_eq!(interner.find_bag(&c.pending), Some(id));
+        if let Some(consumed) = c.pending.distinct().next() {
+            let mut entries = Vec::new();
+            interner.intern_created(&[&created.pending], &mut entries);
+            let mut merged = Vec::new();
+            interner.bag_after(id, interner.intern_pa(consumed), &entries, &mut merged);
+            let next = interner.intern_bag_entries(&merged);
+            let expected = c.pending.without(consumed).unwrap().union(&created.pending);
+            prop_assert_eq!(&interner.resolve_bag(next), &expected);
+            prop_assert_eq!(interner.intern_bag(&expected), next);
+        }
     }
 }

@@ -8,8 +8,8 @@ use std::sync::Arc;
 
 use inseq_kernel::hash::FxHashMap;
 use inseq_kernel::{
-    ActionName, ActionOutcome, ActionSemantics, ArgsId, BagId, GlobalStore, Interner, PendingAsync,
-    Program, StateUniverse, StoreId,
+    ActionName, ActionOutcome, ActionSemantics, BagId, ConcurrentInterner, GlobalStore, PaId,
+    PendingAsync, Program, StateUniverse, StoreId,
 };
 use inseq_obs::HitMissSnapshot;
 
@@ -115,12 +115,15 @@ impl fmt::Display for MoverViolation {
     }
 }
 
-/// Memoization key: action identity (by `Arc` address) plus *interned* input
-/// store and argument-list ids. The same `(store, args)` inputs recur across
-/// many co-enabled pairs, so caching turns the quadratic pairwise sweep into
-/// mostly lookups — and with id keys a lookup hashes three machine words
-/// instead of a store-and-arguments tree.
-type EvalKey = (usize, StoreId, ArgsId);
+/// Memoization key: action identity (by `Arc` address) plus the *interned*
+/// input store and pending async. A [`PaId`] is injective on (name, args),
+/// so it names the argument list exactly; the action pointer still
+/// separates an abstraction from the program's own action of the same
+/// name. The same `(store, args)` inputs recur across many co-enabled
+/// pairs, so caching turns the quadratic pairwise sweep into mostly
+/// lookups — and with id keys a lookup hashes three machine words instead
+/// of a store-and-arguments tree.
+type EvalKey = (usize, StoreId, PaId);
 
 type EvalCache = FxHashMap<EvalKey, Rc<CachedOutcome>>;
 
@@ -144,7 +147,7 @@ struct CachedTransition {
 /// effectiveness plus the number of pairwise condition checks performed.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MoverStats {
-    /// Hits/misses of the `(action, store, args)` evaluation cache.
+    /// Hits/misses of the `(action, store, pending async)` evaluation cache.
     pub eval_cache: HitMissSnapshot,
     /// `(mover, partner, store)` triples checked against conditions (1)-(3)
     /// or their right-mover duals.
@@ -168,11 +171,11 @@ impl MoverStats {
 pub struct MoverChecker<'a> {
     program: &'a Program,
     universe: &'a StateUniverse,
-    interner: RefCell<Interner>,
+    interner: ConcurrentInterner,
     cache: RefCell<EvalCache>,
     /// Stats live in `Cell`s (the checker is single-threaded by
-    /// construction — `RefCell` everywhere) so read-only checking methods
-    /// can count without widening their borrows.
+    /// construction — the memo is a `RefCell`) so read-only checking
+    /// methods can count without widening their borrows.
     eval_hits: Cell<u64>,
     eval_misses: Cell<u64>,
     pairwise: Cell<u64>,
@@ -188,7 +191,7 @@ impl<'a> MoverChecker<'a> {
         MoverChecker {
             program,
             universe,
-            interner: RefCell::new(Interner::new()),
+            interner: ConcurrentInterner::new(),
             cache: RefCell::new(EvalCache::default()),
             eval_hits: Cell::new(0),
             eval_misses: Cell::new(0),
@@ -210,31 +213,26 @@ impl<'a> MoverChecker<'a> {
         &self,
         action: &Arc<dyn ActionSemantics>,
         store: StoreId,
-        args: ArgsId,
+        pa: PaId,
     ) -> Rc<CachedOutcome> {
-        let key = (Arc::as_ptr(action).cast::<()>() as usize, store, args);
+        let key = (Arc::as_ptr(action).cast::<()>() as usize, store, pa);
         if let Some(hit) = self.cache.borrow().get(&key) {
             self.eval_hits.set(self.eval_hits.get() + 1);
             return Rc::clone(hit);
         }
         self.eval_misses.set(self.eval_misses.get() + 1);
-        let out = {
-            let interner = self.interner.borrow();
-            action.eval(interner.store(store), interner.args(args))
-        };
+        let interner = &self.interner;
+        let out = action.eval(interner.store(store), &interner.pa(pa).args);
         let cached = Rc::new(match out {
             ActionOutcome::Failure { reason } => CachedOutcome::Failure(reason),
-            ActionOutcome::Transitions(ts) => {
-                let mut interner = self.interner.borrow_mut();
-                CachedOutcome::Transitions(
-                    ts.iter()
-                        .map(|t| CachedTransition {
-                            globals: interner.intern_store(&t.globals),
-                            created: interner.intern_bag(&t.created),
-                        })
-                        .collect(),
-                )
-            }
+            ActionOutcome::Transitions(ts) => CachedOutcome::Transitions(
+                ts.iter()
+                    .map(|t| CachedTransition {
+                        globals: interner.intern_store(&t.globals),
+                        created: interner.intern_bag(&t.created),
+                    })
+                    .collect(),
+            ),
         });
         self.cache.borrow_mut().insert(key, Rc::clone(&cached));
         cached
@@ -264,22 +262,23 @@ impl<'a> MoverChecker<'a> {
                 Ok(x) => x,
                 Err(_) => continue, // partner no longer in the pool
             };
+            let l_id = self.interner.intern_pa(pa_l);
+            let x_id = self.interner.intern_pa(pa_x);
             for g in stores {
-                self.check_pair_left(mover, pa_l, x, pa_x, g)?;
+                self.check_pair_left(mover, (pa_l, l_id), x, (pa_x, x_id), g)?;
             }
         }
         // Condition (4): non-blocking from every store where the gate holds.
         for (g, args) in self.universe.enabled_at(mover_name) {
-            let (g_id, args_id) = {
-                let mut interner = self.interner.borrow_mut();
-                (interner.intern_store(g), interner.intern_args(args))
-            };
-            match &*self.outcome_at(mover, g_id, args_id) {
+            let pa = PendingAsync::new(mover_name.clone(), args.clone());
+            let g_id = self.interner.intern_store(g);
+            let pa_id = self.interner.intern_pa(&pa);
+            match &*self.outcome_at(mover, g_id, pa_id) {
                 CachedOutcome::Failure(_) => {} // outside the gate: vacuous
                 CachedOutcome::Transitions(ts) => {
                     if ts.is_empty() {
                         return Err(MoverViolation::Blocking {
-                            mover: PendingAsync::new(mover_name.clone(), args.clone()),
+                            mover: pa,
                             store: g.clone(),
                         });
                     }
@@ -292,22 +291,15 @@ impl<'a> MoverChecker<'a> {
     fn check_pair_left(
         &self,
         l: &Arc<dyn ActionSemantics>,
-        pa_l: &PendingAsync,
+        (pa_l, l_id): (&PendingAsync, PaId),
         x: &Arc<dyn ActionSemantics>,
-        pa_x: &PendingAsync,
+        (pa_x, x_id): (&PendingAsync, PaId),
         g: &GlobalStore,
     ) -> Result<(), MoverViolation> {
         self.pairwise.set(self.pairwise.get() + 1);
-        let (g_id, l_args, x_args) = {
-            let mut interner = self.interner.borrow_mut();
-            (
-                interner.intern_store(g),
-                interner.intern_args(&pa_l.args),
-                interner.intern_args(&pa_x.args),
-            )
-        };
-        let l_out = self.outcome_at(l, g_id, l_args);
-        let x_out = self.outcome_at(x, g_id, x_args);
+        let g_id = self.interner.intern_store(g);
+        let l_out = self.outcome_at(l, g_id, l_id);
+        let x_out = self.outcome_at(x, g_id, x_id);
         let l_fails = matches!(*l_out, CachedOutcome::Failure(_));
 
         // (1) Forward preservation of ρ_l by x: if ρ_l holds at g and x steps
@@ -315,8 +307,7 @@ impl<'a> MoverChecker<'a> {
         if !l_fails {
             if let CachedOutcome::Transitions(x_ts) = &*x_out {
                 for t in x_ts {
-                    if let CachedOutcome::Failure(reason) = &*self.outcome_at(l, t.globals, l_args)
-                    {
+                    if let CachedOutcome::Failure(reason) = &*self.outcome_at(l, t.globals, l_id) {
                         return Err(MoverViolation::GateNotForwardPreserved {
                             mover: pa_l.clone(),
                             other: pa_x.clone(),
@@ -334,7 +325,7 @@ impl<'a> MoverChecker<'a> {
             if matches!(*x_out, CachedOutcome::Failure(_)) {
                 for t in l_ts {
                     if !matches!(
-                        *self.outcome_at(x, t.globals, x_args),
+                        *self.outcome_at(x, t.globals, x_id),
                         CachedOutcome::Failure(_)
                     ) {
                         return Err(MoverViolation::GateNotBackwardPreserved {
@@ -353,17 +344,17 @@ impl<'a> MoverChecker<'a> {
         if !l_fails {
             if let CachedOutcome::Transitions(x_ts) = &*x_out {
                 for tx in x_ts {
-                    let l_after = self.outcome_at(l, tx.globals, l_args);
+                    let l_after = self.outcome_at(l, tx.globals, l_id);
                     if let CachedOutcome::Transitions(l_after) = &*l_after {
                         for tl in l_after {
                             if !self.commuted_order_reaches(
-                                l, l_args, x, x_args, g_id, tl.globals, tl.created, tx.created,
+                                l, l_id, x, x_id, g_id, tl.globals, tl.created, tx.created,
                             ) {
                                 return Err(MoverViolation::DoesNotCommute {
                                     mover: pa_l.clone(),
                                     other: pa_x.clone(),
                                     store: g.clone(),
-                                    target: self.interner.borrow().store(tl.globals).clone(),
+                                    target: self.interner.store(tl.globals).clone(),
                                 });
                             }
                         }
@@ -381,15 +372,15 @@ impl<'a> MoverChecker<'a> {
     fn commuted_order_reaches(
         &self,
         l: &Arc<dyn ActionSemantics>,
-        l_args: ArgsId,
+        l_id: PaId,
         x: &Arc<dyn ActionSemantics>,
-        x_args: ArgsId,
+        x_id: PaId,
         g: StoreId,
         target: StoreId,
         omega_l: BagId,
         omega_x: BagId,
     ) -> bool {
-        let l_first = self.outcome_at(l, g, l_args);
+        let l_first = self.outcome_at(l, g, l_id);
         let l_ts = match &*l_first {
             CachedOutcome::Transitions(ts) => ts,
             CachedOutcome::Failure(_) => return false,
@@ -398,7 +389,7 @@ impl<'a> MoverChecker<'a> {
             if tl.created != omega_l {
                 continue;
             }
-            let x_after = self.outcome_at(x, tl.globals, x_args);
+            let x_after = self.outcome_at(x, tl.globals, x_id);
             if let CachedOutcome::Transitions(x_ts) = &*x_after {
                 if x_ts
                     .iter()
@@ -429,8 +420,10 @@ impl<'a> MoverChecker<'a> {
                 Ok(x) => x,
                 Err(_) => continue,
             };
+            let r_id = self.interner.intern_pa(pa_r);
+            let x_id = self.interner.intern_pa(pa_x);
             for g in stores {
-                self.check_pair_right(mover, pa_r, x, pa_x, g)?;
+                self.check_pair_right(mover, (pa_r, r_id), x, (pa_x, x_id), g)?;
             }
         }
         Ok(())
@@ -439,29 +432,21 @@ impl<'a> MoverChecker<'a> {
     fn check_pair_right(
         &self,
         r: &Arc<dyn ActionSemantics>,
-        pa_r: &PendingAsync,
+        (pa_r, r_id): (&PendingAsync, PaId),
         x: &Arc<dyn ActionSemantics>,
-        pa_x: &PendingAsync,
+        (pa_x, x_id): (&PendingAsync, PaId),
         g: &GlobalStore,
     ) -> Result<(), MoverViolation> {
         self.pairwise.set(self.pairwise.get() + 1);
-        let (g_id, r_args, x_args) = {
-            let mut interner = self.interner.borrow_mut();
-            (
-                interner.intern_store(g),
-                interner.intern_args(&pa_r.args),
-                interner.intern_args(&pa_x.args),
-            )
-        };
-        let r_out = self.outcome_at(r, g_id, r_args);
+        let g_id = self.interner.intern_store(g);
+        let r_out = self.outcome_at(r, g_id, r_id);
         // Dual of (1): ρ_x forward-preserved by r — if ρ_x holds at g and r
         // steps g → g1, ρ_x must hold at g1 (else x's failure is lost when x
         // moves before r).
         if let CachedOutcome::Transitions(r_ts) = &*r_out {
-            if !matches!(*self.outcome_at(x, g_id, x_args), CachedOutcome::Failure(_)) {
+            if !matches!(*self.outcome_at(x, g_id, x_id), CachedOutcome::Failure(_)) {
                 for t in r_ts {
-                    if let CachedOutcome::Failure(reason) = &*self.outcome_at(x, t.globals, x_args)
-                    {
+                    if let CachedOutcome::Failure(reason) = &*self.outcome_at(x, t.globals, x_id) {
                         return Err(MoverViolation::GateNotForwardPreserved {
                             mover: pa_r.clone(),
                             other: pa_x.clone(),
@@ -473,17 +458,17 @@ impl<'a> MoverChecker<'a> {
             }
             // Commutation r; x ⊑ x; r.
             for tr in r_ts {
-                let x_after = self.outcome_at(x, tr.globals, x_args);
+                let x_after = self.outcome_at(x, tr.globals, x_id);
                 if let CachedOutcome::Transitions(x_ts) = &*x_after {
                     for tx in x_ts {
                         if !self.commuted_order_reaches(
-                            x, x_args, r, r_args, g_id, tx.globals, tx.created, tr.created,
+                            x, x_id, r, r_id, g_id, tx.globals, tx.created, tr.created,
                         ) {
                             return Err(MoverViolation::DoesNotCommute {
                                 mover: pa_r.clone(),
                                 other: pa_x.clone(),
                                 store: g.clone(),
-                                target: self.interner.borrow().store(tx.globals).clone(),
+                                target: self.interner.store(tx.globals).clone(),
                             });
                         }
                     }
