@@ -51,10 +51,10 @@
 //!   explorer's phase 3 pays O(affected shards) lock acquisitions instead
 //!   of O(successors).
 //!
-//! Construction allocates nothing: an arena's shard array, shard tables and
-//! segments are built on first use, so a short-lived interner (one per
-//! mover-checker obligation) pays for what it interns, not for 64 empty
-//! tables per arena.
+//! Construction allocates one array of empty shard tables per arena; a
+//! table's slots and an arena's segments are allocated on first use, so a
+//! short-lived interner (one per mover-checker obligation) pays for what it
+//! interns, not for 64 slot arrays per arena.
 //!
 //! Contention is observable: lock acquisitions that had to wait (and for
 //! how long), and per-shard insert counts, surface through
@@ -92,9 +92,6 @@ const BASE: usize = 1 << BASE_BITS;
 /// Spine length: cumulative capacity `BASE * (2^SPINE - 1)` exceeds the
 /// `u32` id space, so the spine never runs out before ids do.
 const SPINE: usize = 28;
-
-/// Largest batch whose shard order is sorted in a stack buffer.
-const STACK_BATCH: usize = 32;
 
 /// The parent-edge sentinel marking a seed (no predecessor).
 const SEED_EDGE: u64 = u64::MAX;
@@ -277,26 +274,12 @@ fn shard_of(hash: u64) -> usize {
     }
 }
 
-/// One arena's sharded dedup index. The shard array is built on the
-/// arena's first intern or probe, so an arena a short-lived interner never
-/// touches costs nothing to build, move or drop.
-#[derive(Debug)]
-struct ShardedIndex {
-    shards: OnceLock<Box<[Mutex<IdTable>; NUM_SHARDS]>>,
-}
+/// One arena's sharded dedup index: [`NUM_SHARDS`] tables, each behind its
+/// own short lock.
+type ShardedIndex = Box<[Mutex<IdTable>; NUM_SHARDS]>;
 
-impl ShardedIndex {
-    const fn new() -> Self {
-        ShardedIndex {
-            shards: OnceLock::new(),
-        }
-    }
-
-    fn shard(&self, shard: usize) -> &Mutex<IdTable> {
-        &self
-            .shards
-            .get_or_init(|| Box::new([const { Mutex::new(IdTable::new()) }; NUM_SHARDS]))[shard]
-    }
+fn sharded_index() -> ShardedIndex {
+    Box::new([const { Mutex::new(IdTable::new()) }; NUM_SHARDS])
 }
 
 /// A config-interning request for
@@ -353,15 +336,15 @@ impl ConcurrentInterner {
     pub fn new() -> Self {
         ConcurrentInterner {
             values: SegVec::new(),
-            value_index: ShardedIndex::new(),
+            value_index: sharded_index(),
             stores: SegVec::new(),
-            store_index: ShardedIndex::new(),
+            store_index: sharded_index(),
             pas: SegVec::new(),
-            pa_index: ShardedIndex::new(),
+            pa_index: sharded_index(),
             bags: SegVec::new(),
-            bag_index: ShardedIndex::new(),
+            bag_index: sharded_index(),
             configs: SegVec::new(),
-            config_index: ShardedIndex::new(),
+            config_index: sharded_index(),
             lock_waits: AtomicU64::new(0),
             lock_wait_nanos: AtomicU64::new(0),
             shard_inserts: [const { AtomicU64::new(0) }; NUM_SHARDS],
@@ -374,7 +357,7 @@ impl ConcurrentInterner {
     /// fast path is a `try_lock` with no clock read at all; only actual
     /// contention pays for two `Instant` calls.
     fn lock<'a>(&self, index: &'a ShardedIndex, shard: usize) -> MutexGuard<'a, IdTable> {
-        let mutex = index.shard(shard);
+        let mutex = &index[shard];
         match mutex.try_lock() {
             Ok(guard) => guard,
             Err(TryLockError::WouldBlock) => {
@@ -396,26 +379,17 @@ impl ConcurrentInterner {
 
     /// Visits a batch grouped by dedup shard, locking each affected shard
     /// once: `each(table, shard, i, hash)` runs for every item `i`, whose
-    /// hash is the `i`-th of `hashes`, in input order within a shard. The
-    /// shard order of a batch of up to [`STACK_BATCH`] items is sorted on
-    /// the stack, so an expansion's small batches allocate nothing here.
+    /// hash is the `i`-th of `hashes`, in input order within a shard.
     fn by_shard(
         &self,
         index: &ShardedIndex,
-        hashes: impl ExactSizeIterator<Item = u64>,
+        hashes: impl Iterator<Item = u64>,
         mut each: impl FnMut(&mut IdTable, usize, usize, u64),
     ) {
-        let mut stack = [(0, 0, 0); STACK_BATCH];
-        let mut heap = Vec::new();
-        let order: &mut [(usize, usize, u64)] = if hashes.len() <= STACK_BATCH {
-            &mut stack[..hashes.len()]
-        } else {
-            heap.resize(hashes.len(), (0, 0, 0));
-            &mut heap
-        };
-        for (slot, (i, hash)) in order.iter_mut().zip(hashes.enumerate()) {
-            *slot = (shard_of(hash), i, hash);
-        }
+        let mut order: Vec<(usize, usize, u64)> = hashes
+            .enumerate()
+            .map(|(i, hash)| (shard_of(hash), i, hash))
+            .collect();
         order.sort_unstable_by_key(|&(shard, i, _)| (shard, i));
         for group in order.chunk_by(|a, b| a.0 == b.0) {
             let shard = group[0].0;

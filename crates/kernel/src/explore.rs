@@ -157,61 +157,88 @@ impl<'p> Explorer<'p> {
             };
             let mut ample_round = ample.is_some();
             loop {
-                outcomes.clear();
-                for &paid in &to_expand {
-                    let outcome = self
-                        .program
-                        .eval_pa(interner.store(sid), interner.pa(paid))?;
-                    match &outcome {
-                        ActionOutcome::Failure { reason } => {
-                            progressed = true;
-                            failures.push(Failure {
-                                config: id,
-                                fired: paid,
-                                reason: reason.clone(),
-                            });
-                        }
-                        ActionOutcome::Transitions(ts) => progressed |= !ts.is_empty(),
-                    }
-                    outcomes.push((paid, outcome));
-                }
-                round.intern_successors(&interner, (sid, bagid), &outcomes, &footprints);
-                // Configs go in one at a time, in firing order, so config
-                // ids stay in discovery order.
                 let mut any_fresh = false;
-                for k in 0..round.fired.len() {
-                    let mut next = (round.stores[k], round.bags[k]);
-                    if let Some(spec) = sym {
-                        let canon = canonical_parts(&interner, &mut canon_cache, spec, next);
-                        if canon != next {
-                            orbit_collapses += 1;
-                            next = canon;
+                let mut at = 0;
+                while at < to_expand.len() {
+                    // Evaluate a chunk of the round, then intern its
+                    // successors as one batch. The chunk ends at an
+                    // evaluation error, or once interning its successors
+                    // could cross the budget: nothing is evaluated past a
+                    // point where a one-at-a-time run would already have
+                    // stopped, so errors and budget exhaustion surface
+                    // exactly as they would firing one pending at a time.
+                    outcomes.clear();
+                    let mut successors = 0;
+                    let mut error = None;
+                    while at < to_expand.len()
+                        && interner.config_count() + successors <= self.budget
+                    {
+                        let paid = to_expand[at];
+                        at += 1;
+                        let outcome =
+                            match self.program.eval_pa(interner.store(sid), interner.pa(paid)) {
+                                Ok(outcome) => outcome,
+                                Err(err) => {
+                                    error = Some(err);
+                                    break;
+                                }
+                            };
+                        match &outcome {
+                            ActionOutcome::Failure { reason } => {
+                                progressed = true;
+                                failures.push(Failure {
+                                    config: id,
+                                    fired: paid,
+                                    reason: reason.clone(),
+                                });
+                            }
+                            ActionOutcome::Transitions(ts) => {
+                                progressed |= !ts.is_empty();
+                                successors += ts.len();
+                            }
+                        }
+                        outcomes.push((paid, outcome));
+                    }
+                    round.intern_successors(&interner, (sid, bagid), &outcomes, &footprints);
+                    // Configs go in one at a time, in firing order, so
+                    // config ids stay in discovery order.
+                    for k in 0..round.fired.len() {
+                        let mut next = (round.stores[k], round.bags[k]);
+                        if let Some(spec) = sym {
+                            let canon = canonical_parts(&interner, &mut canon_cache, spec, next);
+                            if canon != next {
+                                orbit_collapses += 1;
+                                next = canon;
+                            }
+                        }
+                        let fired = round.fired[k];
+                        let (next_id, fresh) = interner.intern_config_parts(ConfigReq {
+                            store: next.0,
+                            bag: next.1,
+                            edge: Some((id, fired)),
+                        });
+                        edges.push(Edge {
+                            from: id.index(),
+                            fired,
+                            to: next_id.index(),
+                        });
+                        if fresh {
+                            any_fresh = true;
+                            if interner.config_count() > self.budget {
+                                // The parent edge to `next_id` is already
+                                // recorded, so the exhaustion point has a
+                                // concrete (shortest) witness run.
+                                return Err(ExploreError::BudgetExceeded {
+                                    limit: self.budget,
+                                    visited: interner.config_count(),
+                                    trace: Some(interner.trace_from(next_id)),
+                                });
+                            }
+                            frontier.push(next_id);
                         }
                     }
-                    let fired = round.fired[k];
-                    let (next_id, fresh) = interner.intern_config_parts(ConfigReq {
-                        store: next.0,
-                        bag: next.1,
-                        edge: Some((id, fired)),
-                    });
-                    edges.push(Edge {
-                        from: id.index(),
-                        fired,
-                        to: next_id.index(),
-                    });
-                    if fresh {
-                        any_fresh = true;
-                        if interner.config_count() > self.budget {
-                            // The parent edge to `next_id` is already
-                            // recorded, so the exhaustion point has a
-                            // concrete (shortest) witness run.
-                            return Err(ExploreError::BudgetExceeded {
-                                limit: self.budget,
-                                visited: interner.config_count(),
-                                trace: Some(interner.trace_from(next_id)),
-                            });
-                        }
-                        frontier.push(next_id);
+                    if let Some(err) = error {
+                        return Err(err.into());
                     }
                 }
                 if ample_round {
@@ -275,8 +302,8 @@ struct Edge {
     to: usize,
 }
 
-/// The interned successors of one expansion round, one entry per
-/// transition, aligned by index; the buffers are reused across rounds.
+/// The interned successors of one batch of evaluated pendings, one entry
+/// per transition, aligned by index; the buffers are reused across batches.
 #[derive(Default)]
 struct Round {
     /// The pending async each transition fired.
@@ -295,7 +322,7 @@ struct Round {
 
 impl Round {
     /// Interns the successors of the configuration `(sid, bagid)` under
-    /// the round's evaluated `outcomes`, one batch per kind: the changed
+    /// the batch's evaluated `outcomes`, one batch per kind: the changed
     /// values and stores (diffed over each action's footprint write set),
     /// the created pendings, and the merged bags.
     fn intern_successors(
@@ -686,6 +713,8 @@ pub struct Summary {
 mod tests {
     use super::*;
     use crate::demo::{counter_program, failing_program};
+    use crate::error::KernelError;
+    use crate::multiset::Multiset;
     use crate::value::Value;
 
     #[test]
@@ -741,6 +770,38 @@ mod tests {
         // budget, and each firing is legal in its pre-configuration.
         assert!(!trace.is_empty());
         assert_chains(&p, &trace.steps);
+    }
+
+    #[test]
+    fn budget_and_evaluation_errors_surface_in_firing_order() {
+        // `Inc` fires before `Zzz` (bag order); `Zzz` names no action.
+        let p = counter_program();
+        let mut pending = Multiset::new();
+        pending.insert(PendingAsync::new("Inc", vec![]));
+        pending.insert(PendingAsync::new("Zzz", vec![]));
+        let init = Config::new(GlobalStore::new(vec![Value::Int(0)]), pending);
+        // `Inc`'s successor crosses the budget before `Zzz` is evaluated.
+        let err = Explorer::new(&p)
+            .with_budget(1)
+            .explore([init.clone()])
+            .unwrap_err();
+        assert!(
+            matches!(
+                err,
+                ExploreError::BudgetExceeded {
+                    limit: 1,
+                    visited: 2,
+                    ..
+                }
+            ),
+            "expected the budget to trip first, got {err:?}"
+        );
+        // With room to spare, the evaluation error is what stops the run.
+        let err = Explorer::new(&p).explore([init]).unwrap_err();
+        assert!(
+            matches!(err, ExploreError::Kernel(KernelError::UnknownAction(ref a)) if a.as_str() == "Zzz"),
+            "expected the unknown action, got {err:?}"
+        );
     }
 
     /// Replays `steps` against the program: endpoints chain, every fired
