@@ -1,9 +1,16 @@
-//! Obligation-granular IS checking with a content-addressed result cache.
+//! The IS rule as a list of obligations, the one driver that discharges
+//! them, and a content-addressed result cache.
 //!
-//! [`IsApplication::check`] discharges the Fig. 3 premises monolithically:
-//! any edit to the program re-runs everything. This module splits the rule
-//! into its individual [`ObligationKind`]s and gives each one a *content
-//! key* derived from
+//! [`IsApplication::obligations`] lists the Fig. 3 premises in canonical
+//! order. [`check`](IsApplication::check),
+//! [`check_with`](IsApplication::check_with) and
+//! [`check_incremental`](IsApplication::check_incremental) discharge that
+//! list through one driver and differ only in the explorer (sequential or
+//! parallel), the executor (in-thread, or one engine job per obligation)
+//! and whether an [`ObligationCache`] answers first. The first failure in
+//! canonical order is the verdict, so all three name the same premise.
+//!
+//! Each obligation gets a *content key* derived from
 //!
 //! * the content hashes of the actions the obligation actually evaluates
 //!   (supplied by the caller as [`ArtifactKeys`] — the daemon derives them
@@ -31,21 +38,20 @@
 //! identical submission (same program, artifacts, instances, and budget)
 //! short-circuits through a whole-run cache before exploring anything.
 
+use std::cell::OnceCell;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use inseq_engine::{Engine, Job, JobResult};
+use inseq_engine::{Engine, EngineReport, Job, JobResult};
 use inseq_kernel::hash::{fx_hash, mix};
 use inseq_kernel::{ActionName, ActionSemantics, Config, Footprint, GlobalStore, Program, Value};
 use inseq_mover::{MoverChecker, MoverStats};
 use inseq_obs::{HitMiss, HitMissSnapshot, PhaseStat};
 
 use crate::measure::Measure;
-use crate::rule::{IsApplication, IsReport, IsViolation};
-
-use std::sync::Arc;
+use crate::rule::{Artifacts, CheckPrep, Explore, IsApplication, IsReport, IsStats, IsViolation};
 
 // ---------------------------------------------------------------------------
 // Obligations
@@ -71,9 +77,8 @@ pub enum ObligationKind {
 }
 
 impl ObligationKind {
-    /// The display label; identical to the job names of
-    /// [`IsApplication::check_with`] so engine reports, premise phase stats
-    /// and daemon responses all agree.
+    /// The display label: the one spelling of each premise, shared by
+    /// engine job names, premise phase stats and daemon responses.
     #[must_use]
     pub fn label(&self) -> String {
         match self {
@@ -197,36 +202,20 @@ impl ArtifactKeys {
 // The cache
 // ---------------------------------------------------------------------------
 
-#[derive(Debug, Clone)]
-struct StoredOutcome {
-    passed: bool,
-    premise: Option<String>,
-    message: Option<String>,
-}
-
-impl StoredOutcome {
-    fn to_outcome(&self, kind: ObligationKind) -> ObligationOutcome {
-        ObligationOutcome {
-            kind,
-            passed: self.passed,
-            premise: self.premise.clone(),
-            message: self.message.clone(),
-            cached: true,
-            wall: Duration::ZERO,
-        }
+/// A stored outcome as a cache hit reports it: nothing ran, so no wall.
+fn served(outcome: &ObligationOutcome) -> ObligationOutcome {
+    ObligationOutcome {
+        cached: true,
+        wall: Duration::ZERO,
+        ..outcome.clone()
     }
 }
 
-#[derive(Debug)]
-struct StoredRun {
-    report: IsReport,
-    outcomes: Vec<(ObligationKind, StoredOutcome)>,
-}
-
+/// Stored outcomes keep their kind: every key mixes in the kind's label.
 #[derive(Debug, Default)]
 struct CacheInner {
-    obligations: HashMap<u64, StoredOutcome>,
-    full: HashMap<u64, StoredRun>,
+    obligations: HashMap<u64, ObligationOutcome>,
+    full: HashMap<u64, (IsReport, Vec<ObligationOutcome>)>,
 }
 
 /// A content-addressed store of obligation verdicts and whole-run reports,
@@ -272,14 +261,10 @@ impl ObligationCache {
         self.len() == 0
     }
 
-    fn lookup_obligation(&self, key: u64) -> Option<StoredOutcome> {
-        let found = self
-            .inner
-            .lock()
-            .expect("cache poisoned")
-            .obligations
-            .get(&key)
-            .cloned();
+    fn lookup_obligation(&self, key: u64) -> Option<ObligationOutcome> {
+        let inner = self.inner.lock().expect("cache poisoned");
+        let found = inner.obligations.get(&key).map(served);
+        drop(inner);
         match &found {
             Some(_) => self.obligation_lookups.hits.incr(),
             None => self.obligation_lookups.misses.incr(),
@@ -292,22 +277,15 @@ impl ObligationCache {
             .lock()
             .expect("cache poisoned")
             .obligations
-            .insert(
-                key,
-                StoredOutcome {
-                    passed: outcome.passed,
-                    premise: outcome.premise.clone(),
-                    message: outcome.message.clone(),
-                },
-            );
+            .insert(key, outcome.clone());
     }
 
-    fn lookup_full(&self, key: u64) -> Option<(IsReport, Vec<(ObligationKind, StoredOutcome)>)> {
+    fn lookup_full(&self, key: u64) -> Option<(IsReport, Vec<ObligationOutcome>)> {
         let inner = self.inner.lock().expect("cache poisoned");
         let found = inner
             .full
             .get(&key)
-            .map(|run| (run.report.clone(), run.outcomes.clone()));
+            .map(|(report, outcomes)| (report.clone(), outcomes.iter().map(served).collect()));
         drop(inner);
         match &found {
             Some(_) => self.full_lookups.hits.incr(),
@@ -317,27 +295,17 @@ impl ObligationCache {
     }
 
     fn store_full(&self, key: u64, report: &IsReport, outcomes: &[ObligationOutcome]) {
-        let stored = StoredRun {
-            report: report.clone(),
-            outcomes: outcomes
-                .iter()
-                .map(|o| {
-                    (
-                        o.kind.clone(),
-                        StoredOutcome {
-                            passed: o.passed,
-                            premise: o.premise.clone(),
-                            message: o.message.clone(),
-                        },
-                    )
-                })
-                .collect(),
+        // Statistics belong to the run that produced them; a later hit
+        // records its own.
+        let counts = IsReport {
+            stats: IsStats::default(),
+            ..report.clone()
         };
         self.inner
             .lock()
             .expect("cache poisoned")
             .full
-            .insert(key, stored);
+            .insert(key, (counts, outcomes.to_vec()));
     }
 }
 
@@ -418,12 +386,7 @@ impl<'a> KeyDeriver<'a> {
 
     /// Hash of the `(store, args)` pairs at which `name` is enabled,
     /// projected onto `indices`.
-    fn enabled_slice(
-        &self,
-        prep: &crate::rule::CheckPrep,
-        name: &ActionName,
-        indices: &BTreeSet<usize>,
-    ) -> u64 {
+    fn enabled_slice(&self, prep: &CheckPrep, name: &ActionName, indices: &BTreeSet<usize>) -> u64 {
         combine_unordered(
             prep.universe
                 .enabled_at(name)
@@ -433,7 +396,7 @@ impl<'a> KeyDeriver<'a> {
     }
 
     /// Hash of the target inputs projected onto `indices`.
-    fn target_slice(&self, prep: &crate::rule::CheckPrep, indices: &BTreeSet<usize>) -> u64 {
+    fn target_slice(&self, prep: &CheckPrep, indices: &BTreeSet<usize>) -> u64 {
         combine_unordered(
             prep.target_inputs
                 .iter()
@@ -442,7 +405,7 @@ impl<'a> KeyDeriver<'a> {
         )
     }
 
-    fn key(&self, prep: &crate::rule::CheckPrep, kind: &ObligationKind) -> Option<u64> {
+    fn key(&self, prep: &CheckPrep, kind: &ObligationKind) -> Option<u64> {
         let label = fx_hash(&kind.label());
         let body = match kind {
             ObligationKind::AbstractionSound(a) => {
@@ -569,38 +532,80 @@ impl<'a> KeyDeriver<'a> {
 }
 
 // ---------------------------------------------------------------------------
-// The incremental checker
+// The driver
 // ---------------------------------------------------------------------------
+
+/// Who discharges the obligations the cache did not answer.
+pub(crate) enum Executor<'e> {
+    /// The calling thread, in canonical order, stopping at the first
+    /// failure. Every (LM) obligation shares one [`MoverChecker`], so its
+    /// evaluation cache spans the eliminated actions.
+    InThread,
+    /// One engine job per obligation. The checker is `!Sync`, so each (LM)
+    /// job builds its own.
+    Engine(&'e Engine),
+}
+
+/// An obligation's outcome, and its violation when it failed in this run.
+type Discharged = (ObligationOutcome, Option<IsViolation>);
 
 fn outcome_of(
     kind: &ObligationKind,
-    result: &Result<(), IsViolation>,
+    result: Result<(), IsViolation>,
     wall: Duration,
-) -> ObligationOutcome {
-    match result {
-        Ok(()) => ObligationOutcome {
-            kind: kind.clone(),
-            passed: true,
-            premise: None,
-            message: None,
-            cached: false,
-            wall,
-        },
-        Err(v) => ObligationOutcome {
-            kind: kind.clone(),
-            passed: false,
-            premise: Some(v.premise().to_owned()),
-            message: Some(v.to_string()),
-            cached: false,
-            wall,
-        },
+) -> Discharged {
+    let failure = result.as_ref().err();
+    let outcome = ObligationOutcome {
+        kind: kind.clone(),
+        passed: failure.is_none(),
+        premise: failure.map(|v| v.premise().to_owned()),
+        message: failure.map(ToString::to_string),
+        cached: false,
+        wall,
+    };
+    (outcome, result.err())
+}
+
+/// One run of the driver.
+pub(crate) struct Run {
+    pub(crate) incremental: IncrementalReport,
+    /// The violation behind `incremental.failure`, unless the cache served
+    /// that failure.
+    violation: Option<IsViolation>,
+    /// The engine's per-job report, under the engine executor.
+    pub(crate) engine: Option<EngineReport>,
+}
+
+impl Run {
+    /// The run itself when every discharged premise held, else the first
+    /// violation in canonical order.
+    pub(crate) fn verdict(self) -> Result<Self, IsViolation> {
+        if self.incremental.failure.is_none() {
+            return Ok(self);
+        }
+        Err(self
+            .violation
+            .expect("runs without a cache keep their violations"))
+    }
+}
+
+impl IncrementalReport {
+    fn new(report: IsReport, outcomes: Vec<ObligationOutcome>, full_hit: bool) -> Self {
+        let failure = outcomes.iter().find(|o| !o.passed).cloned();
+        IncrementalReport {
+            report,
+            outcomes,
+            failure,
+            full_hit,
+        }
     }
 }
 
 impl IsApplication {
-    /// The obligations of this application, in the premise order of
-    /// [`check`](IsApplication::check): abstraction soundness per eliminated
-    /// action, (I1), (I2), (I3), then (LM) and (CO) per eliminated action.
+    /// The obligations of this application, in canonical premise order:
+    /// abstraction soundness per eliminated action, (I1), (I2), (I3), then
+    /// (LM) and (CO) per eliminated action. Every check path discharges
+    /// exactly this list.
     #[must_use]
     pub fn obligations(&self) -> Vec<ObligationKind> {
         let mut v = Vec::new();
@@ -619,6 +624,196 @@ impl IsApplication {
         v
     }
 
+    /// The driver behind every check path: resolves the artifacts, answers
+    /// an identical earlier run from `cache`, explores the instances,
+    /// [`discharge`](IsApplication::discharge)s the obligations and records
+    /// this run's statistics.
+    ///
+    /// # Errors
+    ///
+    /// Returns `Err` only when there is no verdict: a structural problem, a
+    /// failed exploration, or an obligation the engine did not run.
+    pub(crate) fn drive(
+        &self,
+        explore: Explore,
+        executor: Executor<'_>,
+        cache: Option<(&ObligationCache, &ArtifactKeys)>,
+        on_outcome: &(dyn Fn(&ObligationOutcome) + Sync),
+    ) -> Result<Run, IsViolation> {
+        let artifacts = self.artifacts()?;
+        let cache = cache.map(|(store, keys)| {
+            let deriver = KeyDeriver::new(self, keys, artifacts.invariant, artifacts.replacement);
+            (store, deriver)
+        });
+        let full = cache
+            .as_ref()
+            .and_then(|(store, deriver)| Some((*store, deriver.full_key()?)));
+
+        // Whole-run short-circuit: an identical submission skips even the
+        // exploration. Nothing runs, so nothing is timed or counted.
+        if let Some((mut report, outcomes)) = full.and_then(|(store, key)| store.lookup_full(key)) {
+            outcomes.iter().for_each(on_outcome);
+            self.record_stats(
+                &mut report,
+                Duration::ZERO,
+                &outcomes,
+                MoverStats::default(),
+            );
+            return Ok(Run {
+                incremental: IncrementalReport::new(report, outcomes, true),
+                violation: None,
+                engine: None,
+            });
+        }
+
+        let started = Instant::now();
+        let prep = self.prepare(explore, artifacts.invariant)?;
+        let explore_wall = started.elapsed();
+        let cache = cache.as_ref().map(|(store, deriver)| (*store, deriver));
+        let (discharged, mover, engine) =
+            self.discharge(&prep, &artifacts, executor, cache, on_outcome)?;
+        let (outcomes, mut violations): (Vec<_>, Vec<_>) = discharged.into_iter().unzip();
+        let violation = outcomes
+            .iter()
+            .position(|o| !o.passed)
+            .and_then(|i| violations[i].take());
+
+        let mut report = prep.report;
+        self.record_stats(&mut report, explore_wall, &outcomes, mover);
+        if let Some((store, key)) = full {
+            store.store_full(key, &report, &outcomes);
+        }
+        Ok(Run {
+            incremental: IncrementalReport::new(report, outcomes, false),
+            violation,
+            engine,
+        })
+    }
+
+    /// Discharges the obligations over `prep`: cache hits first, streamed in
+    /// canonical order, then the misses on `executor`. Returns the outcomes
+    /// in canonical order, the mover checkers' statistics and the engine's
+    /// per-job report.
+    fn discharge(
+        &self,
+        prep: &CheckPrep,
+        artifacts: &Artifacts<'_>,
+        executor: Executor<'_>,
+        cache: Option<(&ObligationCache, &KeyDeriver<'_>)>,
+        on_outcome: &(dyn Fn(&ObligationOutcome) + Sync),
+    ) -> Result<(Vec<Discharged>, MoverStats, Option<EngineReport>), IsViolation> {
+        let obligations = self.obligations();
+        let mut slots: Vec<Option<Discharged>> = Vec::with_capacity(obligations.len());
+        let mut misses: Vec<(usize, Option<u64>)> = Vec::new();
+        for (i, kind) in obligations.iter().enumerate() {
+            let key = cache.and_then(|(_, deriver)| deriver.key(prep, kind));
+            let hit = cache
+                .zip(key)
+                .and_then(|((store, _), k)| store.lookup_obligation(k));
+            if let Some(outcome) = &hit {
+                on_outcome(outcome);
+            } else {
+                misses.push((i, key));
+            }
+            slots.push(hit.map(|outcome| (outcome, None)));
+        }
+
+        let run_one = |i: usize, key: Option<u64>, mover: &OnceCell<_>| {
+            let kind = &obligations[i];
+            let started = Instant::now();
+            let result = match kind {
+                ObligationKind::AbstractionSound(a) => self.check_abstraction_sound(prep, a),
+                ObligationKind::InvariantBase => self.check_i1(prep, artifacts.invariant),
+                ObligationKind::Replacement => self.check_i2(prep, artifacts.replacement),
+                ObligationKind::Induction => self.check_i3(prep, artifacts.choice),
+                ObligationKind::LeftMover(a) => {
+                    let checker =
+                        mover.get_or_init(|| MoverChecker::new(self.program(), &prep.universe));
+                    self.check_left_mover(prep, a, checker)
+                }
+                ObligationKind::Cooperation(a) => self.check_cooperation(prep, a),
+            };
+            let (outcome, violation) = outcome_of(kind, result, started.elapsed());
+            if let Some(((store, _), k)) = cache.zip(key) {
+                store.store_obligation(k, &outcome);
+            }
+            on_outcome(&outcome);
+            (outcome, violation)
+        };
+
+        let mut mover_stats = MoverStats::default();
+        let mut engine_report = None;
+        match executor {
+            Executor::InThread => {
+                let mover = OnceCell::new();
+                for (i, key) in misses {
+                    let (outcome, violation) = run_one(i, key, &mover);
+                    let failed = !outcome.passed;
+                    slots[i] = Some((outcome, violation));
+                    if failed {
+                        break;
+                    }
+                }
+                mover_stats = mover.get().map(MoverChecker::stats).unwrap_or_default();
+            }
+            Executor::Engine(engine) => {
+                let table = Mutex::new((&mut slots, &mut mover_stats));
+                let (run_one, shared) = (&run_one, &table);
+                let jobs: Vec<Job<'_>> = misses
+                    .iter()
+                    .map(|&(i, key)| {
+                        Job::new(obligations[i].label(), move || {
+                            let mover = OnceCell::new();
+                            let (outcome, violation) = run_one(i, key, &mover);
+                            let message = outcome.message.clone();
+                            let mut table = shared.lock().expect("outcome table poisoned");
+                            table.0[i] = Some((outcome, violation));
+                            if let Some(checker) = mover.into_inner() {
+                                *table.1 = table.1.merged(checker.stats());
+                            }
+                            JobResult::from_check(message.map_or(Ok(()), Err))
+                        })
+                    })
+                    .collect();
+                engine_report = Some(engine.run(jobs));
+            }
+        }
+
+        // Outcomes up to the first obligation left undischarged. Without a
+        // failure before it — the engine rejected its job (shutting down) or
+        // the job panicked — there is no verdict.
+        let discharged: Vec<Discharged> = slots.into_iter().map_while(|s| s).collect();
+        if let Some(kind) = obligations.get(discharged.len()) {
+            if discharged.iter().all(|(o, _)| o.passed) {
+                return Err(IsViolation::Exploration {
+                    message: format!("obligation `{kind}` was not discharged by the engine"),
+                });
+            }
+        }
+        Ok((discharged, mover_stats, engine_report))
+    }
+
+    /// Records this run's statistics in `report`: the mover checkers'
+    /// traffic, the evaluation-backend counters, and the premise phases —
+    /// `"explore"` first, then each outcome in canonical order.
+    fn record_stats(
+        &self,
+        report: &mut IsReport,
+        explore_wall: Duration,
+        outcomes: &[ObligationOutcome],
+        mover: MoverStats,
+    ) {
+        let explore = PhaseStat::new("explore", explore_wall, report.reachable_configs);
+        let obligations = outcomes
+            .iter()
+            .map(|o| PhaseStat::new(o.kind.label(), o.wall, 0));
+        let stats = &mut report.stats;
+        stats.mover_cache = mover.eval_cache;
+        stats.pairwise_checks = mover.pairwise_checks;
+        stats.exec = self.program().exec_stats();
+        stats.premises = std::iter::once(explore).chain(obligations).collect();
+    }
+
     /// Checks all premises like [`check`](IsApplication::check), but answers
     /// content-addressed obligations from `cache` and schedules the rest as
     /// concurrent jobs on `engine`. Every obligation's outcome is pushed to
@@ -633,11 +828,16 @@ impl IsApplication {
     /// discharged rather than stopping at the first failure, so their
     /// verdicts populate the cache for later submissions.
     ///
+    /// The report's statistics belong to this run: on a whole-run cache hit
+    /// nothing is explored or discharged, so every premise wall is zero and
+    /// there is no interner or mover traffic.
+    ///
     /// # Errors
     ///
     /// Returns `Err` only for the shared prefix — structural problems or a
-    /// failed exploration — exactly as `check` does. Premise violations are
-    /// reported through [`IncrementalReport::failure`], not `Err`.
+    /// failed exploration — exactly as `check` does, or when the engine does
+    /// not run an obligation. Premise violations are reported through
+    /// [`IncrementalReport::failure`], not `Err`.
     ///
     /// # Panics
     ///
@@ -649,168 +849,14 @@ impl IsApplication {
         keys: &ArtifactKeys,
         on_outcome: &(dyn Fn(&ObligationOutcome) + Sync),
     ) -> Result<IncrementalReport, IsViolation> {
-        let invariant = self.require(self.invariant_action(), "invariant action `I`")?;
-        let replacement = self.require(self.replacement_action(), "replacement action `M'`")?;
-        let choice = self.choice_fn().ok_or_else(|| IsViolation::Structural {
-            message: "no choice function supplied".into(),
-        })?;
-        self.structural_checks()?;
-
-        let deriver = KeyDeriver::new(self, keys, invariant, replacement);
-
-        // Whole-run short-circuit: an identical submission skips even the
-        // exploration.
-        let full_key = deriver.full_key();
-        if let Some(key) = full_key {
-            if let Some((report, stored)) = cache.lookup_full(key) {
-                let outcomes: Vec<ObligationOutcome> = stored
-                    .into_iter()
-                    .map(|(kind, o)| o.to_outcome(kind))
-                    .collect();
-                for o in &outcomes {
-                    on_outcome(o);
-                }
-                let failure = outcomes.iter().find(|o| !o.passed).cloned();
-                return Ok(IncrementalReport {
-                    report,
-                    outcomes,
-                    failure,
-                    full_hit: true,
-                });
-            }
-        }
-
-        // Shared prefix, on the sequential explorer so violations carry the
-        // same witness traces as `check`.
-        let explore_started = Instant::now();
-        let prep = self.prepare_sequential(invariant)?;
-        let explore_wall = explore_started.elapsed();
-
-        // Resolve each obligation against the cache.
-        let obligations = self.obligations();
-        let mut resolved: Vec<Option<ObligationOutcome>> = Vec::new();
-        let mut misses: Vec<(usize, ObligationKind, Option<u64>)> = Vec::new();
-        for (i, kind) in obligations.iter().enumerate() {
-            let key = deriver.key(&prep, kind);
-            let hit = key.and_then(|k| cache.lookup_obligation(k));
-            match hit {
-                Some(stored) => {
-                    let outcome = stored.to_outcome(kind.clone());
-                    on_outcome(&outcome);
-                    resolved.push(Some(outcome));
-                }
-                None => {
-                    resolved.push(None);
-                    misses.push((i, kind.clone(), key));
-                }
-            }
-        }
-
-        // Discharge the misses as engine jobs.
-        let fresh: Mutex<BTreeMap<usize, ObligationOutcome>> = Mutex::new(BTreeMap::new());
-        let mover_stats: Mutex<MoverStats> = Mutex::new(MoverStats::default());
-        let prep_ref = &prep;
-        let fresh_ref = &fresh;
-        let mover_ref = &mover_stats;
-        let jobs: Vec<Job<'_>> = misses
-            .iter()
-            .map(|(i, kind, key)| {
-                let (i, kind, key) = (*i, kind.clone(), *key);
-                Job::new(kind.label(), move || {
-                    let started = Instant::now();
-                    let result = match &kind {
-                        ObligationKind::AbstractionSound(a) => {
-                            self.check_abstraction_sound(prep_ref, a)
-                        }
-                        ObligationKind::InvariantBase => self.check_i1(prep_ref, invariant),
-                        ObligationKind::Replacement => self.check_i2(prep_ref, replacement),
-                        ObligationKind::Induction => self.check_i3(prep_ref, choice),
-                        ObligationKind::LeftMover(a) => {
-                            let checker = MoverChecker::new(self.program(), &prep_ref.universe);
-                            let outcome = self.alpha(a).and_then(|alpha| {
-                                checker.check_left(&alpha, a).map_err(|violation| {
-                                    let witness = prep_ref.trace_for(violation.store());
-                                    IsViolation::NotLeftMover {
-                                        action: a.clone(),
-                                        violation,
-                                        witness,
-                                    }
-                                })
-                            });
-                            let mut agg = mover_ref.lock().expect("mover stats poisoned");
-                            *agg = agg.merged(checker.stats());
-                            drop(agg);
-                            outcome
-                        }
-                        ObligationKind::Cooperation(a) => self.check_cooperation(prep_ref, a),
-                    };
-                    let outcome = outcome_of(&kind, &result, started.elapsed());
-                    if let Some(k) = key {
-                        cache.store_obligation(k, &outcome);
-                    }
-                    on_outcome(&outcome);
-                    let job_result = match &result {
-                        Ok(()) => JobResult::pass(),
-                        Err(v) => JobResult::fail(v.to_string()),
-                    };
-                    fresh_ref
-                        .lock()
-                        .expect("outcome table poisoned")
-                        .insert(i, outcome);
-                    job_result
-                })
-            })
-            .collect();
-        engine.run(jobs);
-
-        let mut fresh = fresh.into_inner().expect("outcome table poisoned");
-        for (i, kind, _) in &misses {
-            match fresh.remove(i) {
-                Some(outcome) => resolved[*i] = Some(outcome),
-                None => {
-                    // The engine rejected the job (shutting down); there is
-                    // no verdict to report.
-                    return Err(IsViolation::Exploration {
-                        message: format!(
-                            "engine is shutting down; obligation `{kind}` was rejected"
-                        ),
-                    });
-                }
-            }
-        }
-        let outcomes: Vec<ObligationOutcome> = resolved
-            .into_iter()
-            .map(|o| o.expect("every obligation resolved"))
-            .collect();
-        let failure = outcomes.iter().find(|o| !o.passed).cloned();
-
-        let mut report = prep.report.clone();
-        let lm = mover_stats.into_inner().expect("mover stats poisoned");
-        report.stats.mover_cache = lm.eval_cache;
-        report.stats.pairwise_checks = lm.pairwise_checks;
-        report.stats.exec = self.program().exec_stats();
-        let mut premises = Vec::with_capacity(outcomes.len() + 1);
-        premises.push(PhaseStat::new(
-            "explore",
-            explore_wall,
-            report.reachable_configs,
-        ));
-        premises.extend(
-            outcomes
-                .iter()
-                .map(|o| PhaseStat::new(o.kind.label(), o.wall, 0)),
-        );
-        report.stats.premises = premises;
-
-        if let Some(key) = full_key {
-            cache.store_full(key, &report, &outcomes);
-        }
-        Ok(IncrementalReport {
-            report,
-            outcomes,
-            failure,
-            full_hit: false,
-        })
+        let executor = Executor::Engine(engine);
+        let run = self.drive(
+            Explore::Sequential,
+            executor,
+            Some((cache, keys)),
+            on_outcome,
+        )?;
+        Ok(run.incremental)
     }
 }
 

@@ -5,20 +5,18 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::error::Error;
 use std::fmt;
 use std::sync::Arc;
-use std::time::Instant;
 
-use inseq_engine::{
-    Engine, EngineReport, Job, JobResult, ParallelExploration, ParallelExplorer, Reducer,
-};
+use inseq_engine::{Engine, EngineReport, ParallelExploration, ParallelExplorer, Reducer};
 use inseq_kernel::{
     ActionName, ActionOutcome, ActionSemantics, Config, ExecStats, Exploration, Explorer,
     GlobalStore, Multiset, PendingAsync, Program, ReduceMode, StateUniverse, Trace, Transition,
     Value,
 };
-use inseq_mover::{MoverChecker, MoverStats, MoverViolation};
+use inseq_mover::{MoverChecker, MoverViolation};
 use inseq_obs::{EngineSnapshot, HitMissSnapshot, PhaseStat};
 use inseq_refine::{check_action_refinement, RefinementViolation};
 
+use crate::incr::Executor;
 use crate::measure::Measure;
 
 /// A transition of the invariant action, as seen by the choice function:
@@ -313,7 +311,9 @@ pub struct IsStats {
     /// Action-evaluation backend counters (compiled bytecode vs. the
     /// tree-walk interpreter), summed over the program's actions.
     pub exec: ExecStats,
-    /// Per-premise wall clock and item counts, in completion order.
+    /// Wall clock and item counts of the `"explore"` prefix, then of each
+    /// discharged obligation in canonical premise order
+    /// ([`IsApplication::obligations`]).
     pub premises: Vec<PhaseStat>,
 }
 
@@ -634,101 +634,14 @@ impl IsApplication {
     }
 
     /// Checks all premises of the IS rule (Fig. 3) on the configured
-    /// instances.
+    /// instances, in canonical premise order on the calling thread.
     ///
     /// # Errors
     ///
     /// Returns the first violated premise with a concrete witness.
     pub fn check(&self) -> Result<IsReport, IsViolation> {
-        let invariant = self.require(self.invariant.as_ref(), "invariant action `I`")?;
-        let replacement = self.require(self.replacement.as_ref(), "replacement action `M'`")?;
-        let choice = self
-            .choice
-            .as_ref()
-            .ok_or_else(|| IsViolation::Structural {
-                message: "no choice function supplied".into(),
-            })?;
-        self.structural_checks()?;
-
-        // Shared prefix of all Fig. 3 obligations. The sequential explorer
-        // keeps its parent forest, so every premise below can attach a
-        // concrete firing sequence to its counterexample.
-        let mut premises: Vec<PhaseStat> = Vec::new();
-        let started = Instant::now();
-        let prep = self.prepare_sequential(invariant)?;
-        premises.push(PhaseStat::new(
-            "explore",
-            started.elapsed(),
-            prep.report.reachable_configs,
-        ));
-
-        // Premise: A ≼ α(A) for each A ∈ E.
-        for action_name in &self.eliminated {
-            let started = Instant::now();
-            self.check_abstraction_sound(&prep, action_name)?;
-            premises.push(PhaseStat::new(
-                format!("{action_name} ≼ α"),
-                started.elapsed(),
-                0,
-            ));
-        }
-
-        // (I1): M ≼ I at every target input.
-        let started = Instant::now();
-        self.check_i1(&prep, invariant)?;
-        premises.push(PhaseStat::new("(I1) M ≼ I", started.elapsed(), 0));
-
-        // (I2): I restricted to PA_E-free transitions refines M'.
-        let started = Instant::now();
-        self.check_i2(&prep, replacement)?;
-        premises.push(PhaseStat::new("(I2) I∖PA_E ≼ M'", started.elapsed(), 0));
-
-        // (I3): induction step — absorb the chosen PA into the invariant.
-        let started = Instant::now();
-        self.check_i3(&prep, choice)?;
-        premises.push(PhaseStat::new("(I3) induction", started.elapsed(), 0));
-
-        // (LM): each abstraction is a left mover w.r.t. P. One checker for
-        // the whole set, so evaluation caching spans the eliminated actions.
-        let mover_checker = MoverChecker::new(&self.program, &prep.universe);
-        for action_name in &self.eliminated {
-            let started = Instant::now();
-            let alpha = self.alpha(action_name)?;
-            mover_checker
-                .check_left(&alpha, action_name)
-                .map_err(|violation| {
-                    let witness = prep.trace_for(violation.store());
-                    IsViolation::NotLeftMover {
-                        action: action_name.clone(),
-                        violation,
-                        witness,
-                    }
-                })?;
-            premises.push(PhaseStat::new(
-                format!("(LM) {action_name}"),
-                started.elapsed(),
-                0,
-            ));
-        }
-        let mover_stats = mover_checker.stats();
-
-        // (CO): each abstraction can step while decreasing the measure.
-        for action_name in &self.eliminated {
-            let started = Instant::now();
-            self.check_cooperation(&prep, action_name)?;
-            premises.push(PhaseStat::new(
-                format!("(CO) {action_name}"),
-                started.elapsed(),
-                0,
-            ));
-        }
-
-        let mut report = prep.report;
-        report.stats.mover_cache = mover_stats.eval_cache;
-        report.stats.pairwise_checks = mover_stats.pairwise_checks;
-        report.stats.exec = self.program.exec_stats();
-        report.stats.premises = premises;
-        Ok(report)
+        let run = self.drive(Explore::Sequential, Executor::InThread, None, &|_| {})?;
+        Ok(run.verdict()?.incremental.report)
     }
 
     /// Checks all premises and, on success, returns the transformed program.
@@ -745,243 +658,143 @@ impl IsApplication {
     /// concurrently on an [`Engine`].
     ///
     /// The instance exploration runs on a [`ParallelExplorer`] with one
-    /// shard per engine thread; the independent obligations — `A ≼ α(A)`
-    /// per eliminated action, (I1), (I2), (I3), and the per-action (LM) and
-    /// (CO) conditions — then run as a job DAG rooted at the exploration.
-    /// On success the returned [`EngineReport`] carries per-obligation wall
-    /// clock and configuration counts.
+    /// shard per engine thread; the obligations — `A ≼ α(A)` per eliminated
+    /// action, (I1), (I2), (I3), and the per-action (LM) and (CO)
+    /// conditions — then run as one engine job each. The returned
+    /// [`EngineReport`] carries per-obligation wall clock.
     ///
-    /// The verdict is identical to `check`'s; when *several* premises are
-    /// violated the reported witness may be a different one, since
-    /// obligations finish in parallel rather than in textual order (the
-    /// violation with the smallest job index is returned to keep the result
-    /// deterministic).
+    /// The verdict is identical to `check`'s, and so is the violated
+    /// premise when several fail: every obligation runs, and the first
+    /// failure in canonical premise order is returned. Its witness trace
+    /// may differ from `check`'s, because parallel traces are not
+    /// necessarily shortest (DESIGN.md §4f).
     ///
     /// # Errors
     ///
-    /// Returns a violated premise with a concrete witness.
+    /// Returns the first violated premise with a concrete witness.
     pub fn check_with(&self, engine: &Engine) -> Result<(IsReport, EngineReport), IsViolation> {
-        let invariant = self.require(self.invariant.as_ref(), "invariant action `I`")?;
-        let replacement = self.require(self.replacement.as_ref(), "replacement action `M'`")?;
+        let explore = Explore::Parallel(engine.threads());
+        let run = self.drive(explore, Executor::Engine(engine), None, &|_| {})?;
+        let run = run.verdict()?;
+        let engine_report = run.engine.expect("the engine executor reports its jobs");
+        Ok((run.incremental.report, engine_report))
+    }
+
+    /// Resolves `I`, `M'` and `f` and checks that the named actions exist
+    /// and fit together: the prelude of every check path.
+    pub(crate) fn artifacts(&self) -> Result<Artifacts<'_>, IsViolation> {
+        let missing = |what: &str| IsViolation::Structural {
+            message: format!("no {what} supplied"),
+        };
+        let invariant = self
+            .invariant
+            .as_ref()
+            .ok_or_else(|| missing("invariant action `I`"))?;
+        let replacement = self
+            .replacement
+            .as_ref()
+            .ok_or_else(|| missing("replacement action `M'`"))?;
         let choice = self
             .choice
             .as_ref()
-            .ok_or_else(|| IsViolation::Structural {
-                message: "no choice function supplied".into(),
-            })?;
-        self.structural_checks()?;
-
-        let prep_slot: std::sync::OnceLock<CheckPrep> = std::sync::OnceLock::new();
-        let mover_stats: std::sync::Mutex<MoverStats> =
-            std::sync::Mutex::new(MoverStats::default());
-        let lm_stats = &mover_stats;
-        let violations: std::sync::Mutex<BTreeMap<usize, IsViolation>> =
-            std::sync::Mutex::new(BTreeMap::new());
-        let record = |idx: usize, outcome: Result<(), IsViolation>| match outcome {
-            Ok(()) => JobResult::pass(),
-            Err(v) => {
-                let message = v.to_string();
-                violations
-                    .lock()
-                    .expect("violation table poisoned")
-                    .insert(idx, v);
-                JobResult::fail(message)
-            }
-        };
-        let prep = || prep_slot.get().expect("obligations run after `explore`");
-
-        let mut jobs: Vec<Job<'_>> = Vec::new();
-        jobs.push(Job::new("explore", || {
-            match self.prepare(engine.threads(), invariant) {
-                Ok(p) => {
-                    let visited = p.report.reachable_configs;
-                    let detail = format!("{} universe stores", p.report.universe_stores);
-                    let _ = prep_slot.set(p);
-                    JobResult::pass().with_visited(visited).with_detail(detail)
-                }
-                Err(v) => record(0, Err(v)),
-            }
-        }));
-
-        let idx = jobs.len();
-        jobs.push(
-            Job::new("(I1) M ≼ I", move || {
-                record(idx, self.check_i1(prep(), invariant))
-            })
-            .after(0),
-        );
-
-        let idx = jobs.len();
-        jobs.push(
-            Job::new("(I2) I∖PA_E ≼ M'", move || {
-                record(idx, self.check_i2(prep(), replacement))
-            })
-            .after(0),
-        );
-
-        let idx = jobs.len();
-        jobs.push(
-            Job::new("(I3) induction", move || {
-                record(idx, self.check_i3(prep(), choice))
-            })
-            .after(0),
-        );
-
-        for action_name in &self.eliminated {
-            let idx = jobs.len();
-            jobs.push(
-                Job::new(format!("{action_name} ≼ α"), move || {
-                    record(idx, self.check_abstraction_sound(prep(), action_name))
-                })
-                .after(0),
-            );
-            let idx = jobs.len();
-            jobs.push(
-                Job::new(format!("(LM) {action_name}"), move || {
-                    let p = prep();
-                    let checker = MoverChecker::new(&self.program, &p.universe);
-                    let outcome = self.alpha(action_name).and_then(|alpha| {
-                        checker
-                            .check_left(&alpha, action_name)
-                            .map_err(|violation| {
-                                let witness = p.trace_for(violation.store());
-                                IsViolation::NotLeftMover {
-                                    action: action_name.clone(),
-                                    violation,
-                                    witness,
-                                }
-                            })
-                    });
-                    let mut agg = lm_stats.lock().expect("mover stats poisoned");
-                    *agg = agg.merged(checker.stats());
-                    drop(agg);
-                    record(idx, outcome)
-                })
-                .after(0),
-            );
-            let idx = jobs.len();
-            jobs.push(
-                Job::new(format!("(CO) {action_name}"), move || {
-                    record(idx, self.check_cooperation(prep(), action_name))
-                })
-                .after(0),
-            );
+            .ok_or_else(|| missing("choice function"))?;
+        if !self.program.defines(&self.target) {
+            return Err(IsViolation::Structural {
+                message: format!("target action `{}` is not in the program", self.target),
+            });
         }
-
-        let engine_report = engine.run(jobs);
-        if let Some((_, violation)) = violations
-            .into_inner()
-            .expect("violation table poisoned")
-            .into_iter()
-            .next()
-        {
-            return Err(violation);
+        for name in &self.eliminated {
+            if !self.program.defines(name) {
+                return Err(IsViolation::Structural {
+                    message: format!("eliminated action `{name}` is not in the program"),
+                });
+            }
         }
-        debug_assert!(engine_report.all_passed());
-        let mut report = prep().report.clone();
-        let lm = mover_stats.into_inner().expect("mover stats poisoned");
-        report.stats.mover_cache = lm.eval_cache;
-        report.stats.pairwise_checks = lm.pairwise_checks;
-        report.stats.exec = self.program.exec_stats();
-        report.stats.premises = engine_report
-            .jobs
-            .iter()
-            .map(|j| PhaseStat::new(j.name.clone(), j.wall, j.configs_visited))
-            .collect();
-        Ok((report, engine_report))
+        for name in self.abstractions.keys() {
+            if !self.eliminated.contains(name) {
+                return Err(IsViolation::Structural {
+                    message: format!("abstraction given for `{name}`, which is not in E"),
+                });
+            }
+        }
+        if self.eliminated.contains(&self.target) {
+            return Err(IsViolation::Structural {
+                message: format!("target `{}` cannot be in the eliminated set", self.target),
+            });
+        }
+        if self.instances.is_empty() {
+            return Err(IsViolation::Structural {
+                message: "no instances supplied (nothing to check against)".into(),
+            });
+        }
+        Ok(Artifacts {
+            invariant,
+            replacement,
+            choice,
+        })
     }
 
-    /// Explores the instances on a [`ParallelExplorer`] and evaluates the
+    /// Explores the instances on the chosen explorer and evaluates the
     /// invariant at every target input: the shared prefix of all Fig. 3
-    /// obligations under [`check_with`](IsApplication::check_with). The
-    /// shared arena records a parent edge per configuration, so the
-    /// retained exploration reconstructs witness traces exactly like the
-    /// sequential one.
-    fn prepare(
-        &self,
-        workers: usize,
-        invariant: &Arc<dyn ActionSemantics>,
-    ) -> Result<CheckPrep, IsViolation> {
-        let mut report = IsReport {
-            eliminated_actions: self.eliminated.len(),
-            ..IsReport::default()
-        };
-        let mut universe = StateUniverse::new();
-        let reducer = Reducer::new(self.reduce);
-        let mut explorer = ParallelExplorer::new(&self.program)
-            .with_workers(workers)
-            .with_budget(self.budget);
-        if self.reduce != ReduceMode::Off {
-            explorer = explorer.with_reduction(&reducer);
-        }
-        let exploration = explorer
-            .explore(self.instances.iter().cloned())
-            .map_err(|e| IsViolation::Exploration {
-                message: e.to_string(),
-            })?;
-        report.reachable_configs = exploration.config_count();
-        report.edges = exploration.edge_count();
-        report.stats.intern = exploration.stats().intern();
-        report.stats.engine = exploration.stats().engine_snapshot();
-        for config in exploration.configs() {
-            universe.absorb_config(&config);
-        }
-        Ok(self.finish_prep(
-            universe,
-            report,
-            invariant,
-            Some(PrepExploration::Parallel(exploration)),
-        ))
-    }
-
-    /// Like [`prepare`](IsApplication::prepare), but on the sequential
-    /// [`Explorer`], whose parent forest is retained so violated premises
-    /// can name concrete firing sequences.
-    pub(crate) fn prepare_sequential(
-        &self,
-        invariant: &Arc<dyn ActionSemantics>,
-    ) -> Result<CheckPrep, IsViolation> {
-        let mut report = IsReport {
-            eliminated_actions: self.eliminated.len(),
-            ..IsReport::default()
-        };
-        let mut universe = StateUniverse::new();
-        let reducer = Reducer::new(self.reduce);
-        let mut explorer = Explorer::new(&self.program).with_budget(self.budget);
-        if self.reduce != ReduceMode::Off {
-            explorer = explorer.with_reduction(&reducer);
-        }
-        let exploration = explorer
-            .explore(self.instances.iter().cloned())
-            .map_err(|e| IsViolation::Exploration {
-                message: e.to_string(),
-            })?;
-        report.reachable_configs = exploration.config_count();
-        report.edges = exploration.edge_count();
-        report.stats.intern = exploration.intern_stats();
-        universe.absorb(&exploration);
-        Ok(self.finish_prep(
-            universe,
-            report,
-            invariant,
-            Some(PrepExploration::Sequential(exploration)),
-        ))
-    }
-
-    /// Evaluates the invariant action at each target input; its transitions
-    /// are the partial sequentializations. The resulting
+    /// obligations. Both explorers keep a parent forest, so every premise
+    /// can attach a concrete firing sequence to its counterexample.
+    ///
+    /// The invariant's transitions are the partial sequentializations. Their
     /// pseudo-configurations are absorbed into the universe *after* the
     /// reachable ones: the (LM) and (CO) conditions must hold at these
     /// sequential-context stores even though `P` itself may never reach
     /// them, while provenance (first-wins) keeps naming a reachable
     /// configuration whenever one produced the same store.
-    fn finish_prep(
+    pub(crate) fn prepare(
         &self,
-        mut universe: StateUniverse,
-        mut report: IsReport,
+        explore: Explore,
         invariant: &Arc<dyn ActionSemantics>,
-        exploration: Option<PrepExploration>,
-    ) -> CheckPrep {
+    ) -> Result<CheckPrep, IsViolation> {
+        let mut report = IsReport {
+            eliminated_actions: self.eliminated.len(),
+            ..IsReport::default()
+        };
+        let mut universe = StateUniverse::new();
+        let reducer = Reducer::new(self.reduce);
+        let exploration_error = |e: inseq_kernel::ExploreError| IsViolation::Exploration {
+            message: e.to_string(),
+        };
+        let exploration = match explore {
+            Explore::Sequential => {
+                let mut explorer = Explorer::new(&self.program).with_budget(self.budget);
+                if self.reduce != ReduceMode::Off {
+                    explorer = explorer.with_reduction(&reducer);
+                }
+                let exploration = explorer
+                    .explore(self.instances.iter().cloned())
+                    .map_err(exploration_error)?;
+                report.reachable_configs = exploration.config_count();
+                report.edges = exploration.edge_count();
+                report.stats.intern = exploration.intern_stats();
+                universe.absorb(&exploration);
+                PrepExploration::Sequential(exploration)
+            }
+            Explore::Parallel(workers) => {
+                let mut explorer = ParallelExplorer::new(&self.program)
+                    .with_workers(workers)
+                    .with_budget(self.budget);
+                if self.reduce != ReduceMode::Off {
+                    explorer = explorer.with_reduction(&reducer);
+                }
+                let exploration = explorer
+                    .explore(self.instances.iter().cloned())
+                    .map_err(exploration_error)?;
+                report.reachable_configs = exploration.config_count();
+                report.edges = exploration.edge_count();
+                report.stats.intern = exploration.stats().intern();
+                report.stats.engine = exploration.stats().engine_snapshot();
+                for config in exploration.configs() {
+                    universe.absorb_config(&config);
+                }
+                PrepExploration::Parallel(exploration)
+            }
+        };
+
         let target_inputs: Vec<(GlobalStore, Vec<Value>)> =
             universe.enabled_at(&self.target).cloned().collect();
         report.target_inputs = target_inputs.len();
@@ -1009,13 +822,13 @@ impl IsApplication {
             }
         }
         report.universe_stores = universe.store_count();
-        CheckPrep {
+        Ok(CheckPrep {
             universe,
             target_inputs,
             inv_transitions,
             report,
             exploration,
-        }
+        })
     }
 
     /// Premise `A ≼ α(A)` for one eliminated action.
@@ -1167,6 +980,26 @@ impl IsApplication {
         Ok(())
     }
 
+    /// Premise (LM) for one eliminated action, on `checker`.
+    pub(crate) fn check_left_mover(
+        &self,
+        prep: &CheckPrep,
+        action_name: &ActionName,
+        checker: &MoverChecker<'_>,
+    ) -> Result<(), IsViolation> {
+        let alpha = self.alpha(action_name)?;
+        checker
+            .check_left(&alpha, action_name)
+            .map_err(|violation| {
+                let witness = prep.trace_for(violation.store());
+                IsViolation::NotLeftMover {
+                    action: action_name.clone(),
+                    violation,
+                    witness,
+                }
+            })
+    }
+
     /// Premise (CO) for one eliminated action.
     pub(crate) fn check_cooperation(
         &self,
@@ -1193,49 +1026,6 @@ impl IsApplication {
                     }
                 }
             }
-        }
-        Ok(())
-    }
-
-    pub(crate) fn require<'s, T>(
-        &self,
-        opt: Option<&'s T>,
-        what: &str,
-    ) -> Result<&'s T, IsViolation> {
-        opt.ok_or_else(|| IsViolation::Structural {
-            message: format!("no {what} supplied"),
-        })
-    }
-
-    pub(crate) fn structural_checks(&self) -> Result<(), IsViolation> {
-        if !self.program.defines(&self.target) {
-            return Err(IsViolation::Structural {
-                message: format!("target action `{}` is not in the program", self.target),
-            });
-        }
-        for name in &self.eliminated {
-            if !self.program.defines(name) {
-                return Err(IsViolation::Structural {
-                    message: format!("eliminated action `{name}` is not in the program"),
-                });
-            }
-        }
-        for name in self.abstractions.keys() {
-            if !self.eliminated.contains(name) {
-                return Err(IsViolation::Structural {
-                    message: format!("abstraction given for `{name}`, which is not in E"),
-                });
-            }
-        }
-        if self.eliminated.contains(&self.target) {
-            return Err(IsViolation::Structural {
-                message: format!("target `{}` cannot be in the eliminated set", self.target),
-            });
-        }
-        if self.instances.is_empty() {
-            return Err(IsViolation::Structural {
-                message: "no instances supplied (nothing to check against)".into(),
-            });
         }
         Ok(())
     }
@@ -1276,25 +1066,38 @@ pub(crate) enum InvOutcome {
     Transitions(BTreeSet<Transition>),
 }
 
+/// The artifacts every premise reads, resolved once per check by
+/// [`IsApplication::artifacts`].
+pub(crate) struct Artifacts<'a> {
+    pub(crate) invariant: &'a Arc<dyn ActionSemantics>,
+    pub(crate) replacement: &'a Arc<dyn ActionSemantics>,
+    pub(crate) choice: &'a ChoiceFn,
+}
+
+/// Which explorer builds the universe the premises quantify over.
+pub(crate) enum Explore {
+    /// The sequential kernel [`Explorer`].
+    Sequential,
+    /// The sharded [`ParallelExplorer`] with this many workers.
+    Parallel(usize),
+}
+
 /// The shared prefix of all Fig. 3 obligations: the explored universe, the
 /// target inputs, and the invariant's outcome at each of them. Produced
-/// once — by the root `explore` job of [`IsApplication::check_with`] or at
-/// the top of [`IsApplication::check`] — and read by every obligation.
+/// once per check by [`IsApplication::prepare`] and read by every
+/// obligation.
 pub(crate) struct CheckPrep {
     pub(crate) universe: StateUniverse,
     pub(crate) target_inputs: Vec<(GlobalStore, Vec<Value>)>,
     pub(crate) inv_transitions: Vec<(GlobalStore, Vec<Value>, InvOutcome)>,
     pub(crate) report: IsReport,
     /// The instance exploration, retained for witness-trace
-    /// reconstruction. Both drivers keep a parent forest — the sequential
-    /// explorer in its interner, the sharded one in the shared arena — so
-    /// `check` and `check_with` counterexamples alike carry firing
-    /// sequences.
-    pub(crate) exploration: Option<PrepExploration>,
+    /// reconstruction.
+    exploration: PrepExploration,
 }
 
-/// The exploration backing a [`CheckPrep`], from either driver.
-pub(crate) enum PrepExploration {
+/// The exploration backing a [`CheckPrep`], from either explorer.
+enum PrepExploration {
     /// From the sequential kernel [`Explorer`].
     Sequential(Exploration),
     /// From the sharded [`ParallelExplorer`].
@@ -1314,10 +1117,9 @@ impl PrepExploration {
 impl CheckPrep {
     /// A firing sequence of `P` reaching `store`, when the store's
     /// provenance names a reachable configuration (rather than an invariant
-    /// pseudo-configuration) and the exploration was retained.
+    /// pseudo-configuration).
     pub(crate) fn trace_for(&self, store: &GlobalStore) -> Option<Trace> {
-        let exploration = self.exploration.as_ref()?;
         let config = self.universe.provenance(store)?;
-        exploration.trace_to(config)
+        self.exploration.trace_to(config)
     }
 }

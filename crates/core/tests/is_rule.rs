@@ -1,9 +1,10 @@
 //! Integration tests for the IS proof rule on small programs, including the
 //! paper's §4 cooperation counterexample.
 
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use inseq_core::{IsApplication, IsViolation, Measure};
+use inseq_core::{ArtifactKeys, IsApplication, IsViolation, Measure, ObligationCache};
 use inseq_engine::Engine;
 use inseq_kernel::demo::cooperation_counterexample;
 use inseq_kernel::ReduceMode;
@@ -300,4 +301,74 @@ fn violations_display_readably() {
     let err = adders_application(&a).choice(|_| None).check().unwrap_err();
     let text = err.to_string();
     assert!(text.contains("choice"), "got: {text}");
+}
+
+/// When several premises fail at once, every check path names the first
+/// failure in the canonical premise order. This application breaks both
+/// `Add ≼ α(Add)` (an abstraction that drops the update) and (I1) (an
+/// invariant that spawns nothing); abstraction soundness comes first.
+#[test]
+fn several_failing_premises_name_the_same_first_failure_on_every_path() {
+    let a = adders();
+    let mut decls = GlobalDecls::new();
+    decls.declare("x", Sort::Int);
+    let g = Arc::new(decls);
+    let lossy_alpha = DslAction::build("AddAbs", &g)
+        .param("i", Sort::Int)
+        .body(vec![skip()])
+        .finish()
+        .unwrap();
+    let bad_inv = DslAction::build("Inv", &g)
+        .body(vec![skip()])
+        .finish()
+        .unwrap();
+    let app = adders_application(&a)
+        .abstraction("Add", lossy_alpha as Arc<dyn ActionSemantics>)
+        .invariant(bad_inv as Arc<dyn ActionSemantics>);
+
+    let sequential = app.check().unwrap_err();
+    assert!(
+        matches!(sequential, IsViolation::AbstractionNotSound { .. }),
+        "got: {sequential}"
+    );
+    for threads in [1, 2, 4, 8] {
+        let parallel = app
+            .check_with(&Engine::new().with_threads(threads))
+            .unwrap_err();
+        assert_eq!(
+            std::mem::discriminant(&parallel),
+            std::mem::discriminant(&sequential),
+            "check_with({threads} threads) reported {parallel}, check() {sequential}"
+        );
+        assert_eq!(parallel.premise(), sequential.premise());
+    }
+    let keys = ArtifactKeys {
+        program: 0,
+        actions: BTreeMap::new(),
+        invariant: 0,
+        replacement: 0,
+        choice: 0,
+    };
+    let incremental = app
+        .check_incremental(
+            &Engine::new().with_threads(2),
+            &ObligationCache::new(),
+            &keys,
+            &|_| {},
+        )
+        .expect("the shared prefix succeeds");
+    let failure = incremental.failure.expect("two premises fail");
+    assert_eq!(failure.premise.as_deref(), Some(sequential.premise()));
+    assert_eq!(failure.message, Some(sequential.to_string()));
+}
+
+/// An engine that has shut down runs no obligation, so there is no verdict
+/// to report: the check fails instead of passing or panicking.
+#[test]
+fn a_shut_down_engine_yields_no_verdict() {
+    let a = adders();
+    let engine = Engine::new().with_threads(2);
+    engine.shutdown();
+    let err = adders_application(&a).check_with(&engine).unwrap_err();
+    assert!(matches!(err, IsViolation::Exploration { .. }), "got: {err}");
 }

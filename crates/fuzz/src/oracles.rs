@@ -309,26 +309,24 @@ fn check_paths(built: &BuiltSpec, budget: usize) -> Result<OracleOutcome, Disagr
                 }
             }
         }
-        Err(_) => {
-            // The two paths visit premises in different orders, so when
-            // several premises fail independently the *sequential* and
-            // *parallel* first-violations may legitimately name different
-            // premises. What must hold: the job-DAG path is deterministic —
-            // every engine width reports the same violated premise.
-            let premises: Vec<&'static str> = parallel_runs
-                .iter()
-                .map(|(_, run)| match run {
+        Err(seq_violation) => {
+            // Both paths discharge the same canonical obligation list and
+            // report its first failure, so every width names `check()`'s
+            // premise.
+            for (threads, run) in &parallel_runs {
+                let premise = match run {
                     Err(v) => v.premise(),
                     Ok(_) => unreachable!("ok-ness agreement checked above"),
-                })
-                .collect();
-            if premises.windows(2).any(|w| w[0] != w[1]) {
-                return Err(Disagreement {
-                    oracle: Oracle::CheckPaths,
-                    detail: format!(
-                        "check_with premise differs across engine widths 1/2/4: {premises:?}"
-                    ),
-                });
+                };
+                if premise != seq_violation.premise() {
+                    return Err(Disagreement {
+                        oracle: Oracle::CheckPaths,
+                        detail: format!(
+                            "check() fails {} but check_with({threads} threads) fails {premise}",
+                            seq_violation.premise()
+                        ),
+                    });
+                }
             }
         }
     }

@@ -366,6 +366,35 @@ fn identical_resubmission_is_served_entirely_from_cache() {
     for key in ["reachable_configs", "edges", "universe_stores"] {
         assert_eq!(field_u64(&first.last, key), field_u64(&second.last, key));
     }
+
+    // Statistics belong to the run that produced them: the cold run
+    // explored and ran the mover, the warm run ran nothing.
+    let lookups = |line: &str, prefix: &str| {
+        field_u64(line, &format!("{prefix}_hits")).expect("hits")
+            + field_u64(line, &format!("{prefix}_misses")).expect("misses")
+    };
+    assert!(lookups(&first.last, "mover_cache") > 0, "{}", first.last);
+    assert!(lookups(&first.last, "intern") > 0, "{}", first.last);
+    assert_eq!(lookups(&second.last, "mover_cache"), 0, "{}", second.last);
+    assert_eq!(lookups(&second.last, "intern"), 0, "{}", second.last);
+    assert_eq!(field_u64(&second.last, "pairwise_checks"), Some(0));
+    let premises = &second.last[second.last.find("\"premises\": ").expect("premises")..];
+    let walls: Vec<&str> = premises
+        .split("\"wall_seconds\": ")
+        .skip(1)
+        .map(|rest| rest.split(',').next().expect("wall value"))
+        .collect();
+    assert_eq!(
+        walls.len(),
+        second.obligations.len() + 1,
+        "explore plus one phase per obligation: {}",
+        second.last
+    );
+    assert!(
+        walls.iter().all(|w| *w == "0.000000"),
+        "a full cache hit reports zero premise walls: {}",
+        second.last
+    );
     daemon.shutdown_and_join();
 }
 

@@ -95,10 +95,10 @@ fn check_with_agrees_with_sequential_check() {
             .expect("broadcast IS premises hold in parallel");
         assert_eq!(report, sequential, "threads = {threads}");
         assert!(engine_report.all_passed());
-        // explore + (I1)(I2)(I3) + 3 obligations per eliminated action.
+        // (I1)(I2)(I3) + 3 obligations per eliminated action.
         assert_eq!(
             engine_report.jobs.len(),
-            4 + 3 * report.eliminated_actions,
+            3 + 3 * report.eliminated_actions,
             "threads = {threads}"
         );
     }
