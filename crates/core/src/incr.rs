@@ -389,7 +389,7 @@ impl<'a> KeyDeriver<'a> {
     fn enabled_slice(&self, prep: &CheckPrep, name: &ActionName, indices: &BTreeSet<usize>) -> u64 {
         combine_unordered(
             prep.universe
-                .enabled_at(name)
+                .enabled_inputs(name)
                 .map(|(g, args)| mix(project_store(g, indices), fx_hash(args)))
                 .collect(),
         )
@@ -398,8 +398,7 @@ impl<'a> KeyDeriver<'a> {
     /// Hash of the target inputs projected onto `indices`.
     fn target_slice(&self, prep: &CheckPrep, indices: &BTreeSet<usize>) -> u64 {
         combine_unordered(
-            prep.target_inputs
-                .iter()
+            prep.target_inputs()
                 .map(|(g, args)| mix(project_store(g, indices), fx_hash(args)))
                 .collect(),
         )
@@ -469,10 +468,12 @@ impl<'a> KeyDeriver<'a> {
                 // it regardless of their content, so only overlapping
                 // partners contribute their content hash. The co-enabled
                 // stores are projected per pair onto both footprints.
+                let interner = prep.universe.interner();
                 let mut partner: BTreeMap<&ActionName, (u64, Footprint)> = BTreeMap::new();
-                for (_, pa_x, _) in prep.universe.coenabled_with_first(a) {
-                    if !partner.contains_key(&pa_x.action) {
-                        partner.insert(&pa_x.action, self.action(&pa_x.action)?);
+                for (_, x, _) in prep.universe.coenabled_with_first(a) {
+                    let x = &interner.pa(x).action;
+                    if !partner.contains_key(x) {
+                        partner.insert(x, self.action(x)?);
                     }
                 }
                 let mut deps = alpha_key;
@@ -482,11 +483,16 @@ impl<'a> KeyDeriver<'a> {
                     }
                 }
                 let mut pair_hashes = Vec::new();
-                for (pa_l, pa_x, stores) in prep.universe.coenabled_with_first(a) {
+                for (l, x, stores) in prep.universe.coenabled_with_first(a) {
+                    let (pa_l, pa_x) = (interner.pa(l), interner.pa(x));
                     let (_, x_fp) = &partner[&pa_x.action];
                     let idx = indices_of(&[&alpha_fp, x_fp]);
-                    let stores_hash =
-                        combine_unordered(stores.iter().map(|g| project_store(g, &idx)).collect());
+                    let stores_hash = combine_unordered(
+                        stores
+                            .iter()
+                            .map(|&g| project_store(interner.store(g), &idx))
+                            .collect(),
+                    );
                     pair_hashes.push(mix(mix(fx_hash(&pa_l.args), fx_hash(&pa_x)), stores_hash));
                 }
                 mix(deps, combine_unordered(pair_hashes))

@@ -192,17 +192,16 @@ impl LayeredProof {
                         .explore(self.instances.iter().cloned())
                         .map_err(|e| err(e.to_string()))?;
                     let universe = StateUniverse::from_exploration(&exploration);
-                    let inputs: Vec<_> = universe.enabled_at(&name).cloned().collect();
                     check_action_refinement(
                         &concrete,
                         &replacement,
-                        inputs.iter().map(|(g, a)| (g, a.as_slice())),
+                        universe.enabled_inputs(&name),
                     )
                     .map_err(|e| err(e.to_string()))?;
                     current = current.with_action(name.clone(), replacement);
                     log.push(format!(
                         "layer {idx}: action abstraction `{name}` over {} invocation store(s)",
-                        inputs.len()
+                        universe.enabled_at(&name).len()
                     ));
                 }
                 LayerStep::ProgramRefinement { to, label } => {

@@ -6,11 +6,10 @@ use std::error::Error;
 use std::fmt;
 use std::sync::Arc;
 
-use inseq_engine::{Engine, EngineReport, ParallelExploration, ParallelExplorer, Reducer};
+use inseq_engine::{Engine, EngineReport, ParallelExplorer, Reducer};
 use inseq_kernel::{
-    ActionName, ActionOutcome, ActionSemantics, Config, ExecStats, Exploration, Explorer,
-    GlobalStore, Multiset, PendingAsync, Program, ReduceMode, StateUniverse, Trace, Transition,
-    Value,
+    ActionName, ActionOutcome, ActionSemantics, Config, ExecStats, Explorer, GlobalStore, Multiset,
+    PaId, PendingAsync, Program, ReduceMode, StateUniverse, StoreId, Trace, Transition, Value,
 };
 use inseq_mover::{MoverChecker, MoverViolation};
 use inseq_obs::{EngineSnapshot, HitMissSnapshot, PhaseStat};
@@ -739,12 +738,14 @@ impl IsApplication {
     /// obligations. Both explorers keep a parent forest, so every premise
     /// can attach a concrete firing sequence to its counterexample.
     ///
-    /// The invariant's transitions are the partial sequentializations. Their
-    /// pseudo-configurations are absorbed into the universe *after* the
-    /// reachable ones: the (LM) and (CO) conditions must hold at these
+    /// The universe indexes the exploration's own interner. The invariant's
+    /// transitions are the partial sequentializations: their
+    /// pseudo-configurations are interned into that interner (store and
+    /// bag only, never as configurations) and added to the universe *after*
+    /// the reachable ones. The (LM) and (CO) conditions must hold at these
     /// sequential-context stores even though `P` itself may never reach
-    /// them, while provenance (first-wins) keeps naming a reachable
-    /// configuration whenever one produced the same store.
+    /// them, while provenance keeps naming a reachable configuration
+    /// whenever one has the same store.
     pub(crate) fn prepare(
         &self,
         explore: Explore,
@@ -754,12 +755,11 @@ impl IsApplication {
             eliminated_actions: self.eliminated.len(),
             ..IsReport::default()
         };
-        let mut universe = StateUniverse::new();
         let reducer = Reducer::new(self.reduce);
         let exploration_error = |e: inseq_kernel::ExploreError| IsViolation::Exploration {
             message: e.to_string(),
         };
-        let exploration = match explore {
+        let mut universe = match explore {
             Explore::Sequential => {
                 let mut explorer = Explorer::new(&self.program).with_budget(self.budget);
                 if self.reduce != ReduceMode::Off {
@@ -771,8 +771,7 @@ impl IsApplication {
                 report.reachable_configs = exploration.config_count();
                 report.edges = exploration.edge_count();
                 report.stats.intern = exploration.intern_stats();
-                universe.absorb(&exploration);
-                PrepExploration::Sequential(exploration)
+                StateUniverse::from_exploration(&exploration)
             }
             Explore::Parallel(workers) => {
                 let mut explorer = ParallelExplorer::new(&self.program)
@@ -788,46 +787,47 @@ impl IsApplication {
                 report.edges = exploration.edge_count();
                 report.stats.intern = exploration.stats().intern();
                 report.stats.engine = exploration.stats().engine_snapshot();
-                for config in exploration.configs() {
-                    universe.absorb_config(&config);
-                }
-                PrepExploration::Parallel(exploration)
+                StateUniverse::new(Arc::clone(exploration.interner()))
             }
         };
 
-        let target_inputs: Vec<(GlobalStore, Vec<Value>)> =
-            universe.enabled_at(&self.target).cloned().collect();
+        let target_inputs: Vec<(StoreId, PaId)> = universe.enabled_at(&self.target).to_vec();
         report.target_inputs = target_inputs.len();
 
-        let mut inv_transitions: Vec<(GlobalStore, Vec<Value>, InvOutcome)> = Vec::new();
-        for (g, args) in &target_inputs {
-            match invariant.eval(g, args) {
+        let interner = Arc::clone(universe.interner());
+        let mut pseudo = Vec::new();
+        let mut inv_transitions: Vec<(StoreId, PaId, InvOutcome)> = Vec::new();
+        for &(g, pa) in &target_inputs {
+            match invariant.eval(interner.store(g), &interner.pa(pa).args) {
                 ActionOutcome::Failure { reason } => {
                     // ρ_I may be narrower than ρ_M only where M' also fails;
                     // checked by (I2), which replays the recorded reason.
-                    inv_transitions.push((g.clone(), args.clone(), InvOutcome::Failure(reason)));
+                    inv_transitions.push((g, pa, InvOutcome::Failure(reason)));
                 }
                 ActionOutcome::Transitions(ts) => {
                     let set: BTreeSet<Transition> = ts.into_iter().collect();
                     for t in &set {
-                        universe.absorb_config(&Config::new(t.globals.clone(), t.created.clone()));
+                        pseudo.push((
+                            interner.intern_store(&t.globals),
+                            interner.intern_bag(&t.created),
+                        ));
                     }
                     report.invariant_transitions += set.len();
                     report.induction_steps += set
                         .iter()
                         .filter(|t| !self.pa_e(&t.created).is_empty())
                         .count();
-                    inv_transitions.push((g.clone(), args.clone(), InvOutcome::Transitions(set)));
+                    inv_transitions.push((g, pa, InvOutcome::Transitions(set)));
                 }
             }
         }
+        universe.extend(pseudo);
         report.universe_stores = universe.store_count();
         Ok(CheckPrep {
             universe,
             target_inputs,
             inv_transitions,
             report,
-            exploration,
         })
     }
 
@@ -844,17 +844,11 @@ impl IsApplication {
                 message: e.to_string(),
             })?;
         let alpha = self.alpha(action_name)?;
-        let inputs: Vec<(GlobalStore, Vec<Value>)> =
-            prep.universe.enabled_at(action_name).cloned().collect();
-        check_action_refinement(
-            concrete,
-            &alpha,
-            inputs.iter().map(|(g, a)| (g, a.as_slice())),
-        )
-        .map_err(|violation| IsViolation::AbstractionNotSound {
-            action: action_name.clone(),
-            violation,
-        })
+        check_action_refinement(concrete, &alpha, prep.universe.enabled_inputs(action_name))
+            .map_err(|violation| IsViolation::AbstractionNotSound {
+                action: action_name.clone(),
+                violation,
+            })
     }
 
     /// Premise (I1): `M ≼ I` at every target input.
@@ -869,12 +863,8 @@ impl IsApplication {
                 .map_err(|e| IsViolation::Structural {
                     message: e.to_string(),
                 })?;
-        check_action_refinement(
-            target_action,
-            invariant,
-            prep.target_inputs.iter().map(|(g, a)| (g, a.as_slice())),
-        )
-        .map_err(|violation| IsViolation::NotInvariantBase { violation })
+        check_action_refinement(target_action, invariant, prep.target_inputs())
+            .map_err(|violation| IsViolation::NotInvariantBase { violation })
     }
 
     /// Premise (I2): `I` restricted to PA_E-free transitions refines `M'`.
@@ -883,7 +873,8 @@ impl IsApplication {
         prep: &CheckPrep,
         replacement: &Arc<dyn ActionSemantics>,
     ) -> Result<(), IsViolation> {
-        for (g, args, outcome) in &prep.inv_transitions {
+        for &(g_id, pa, ref outcome) in &prep.inv_transitions {
+            let (g, args) = prep.input(g_id, pa);
             let m_ts = match replacement.eval(g, args) {
                 ActionOutcome::Failure { .. } => continue, // M' fails: vacuous
                 ActionOutcome::Transitions(ts) => ts,
@@ -894,9 +885,9 @@ impl IsApplication {
                 InvOutcome::Failure(reason) => {
                     return Err(IsViolation::ReplacementGateTooWeak {
                         store: g.clone(),
-                        args: args.clone(),
+                        args: args.to_vec(),
                         reason: reason.clone(),
-                        witness: prep.trace_for(g),
+                        witness: prep.trace_for(g_id),
                     });
                 }
                 InvOutcome::Transitions(ts) => ts,
@@ -905,9 +896,9 @@ impl IsApplication {
                 if self.pa_e(&t.created).is_empty() && !m_ts.contains(t) {
                     return Err(IsViolation::ReplacementMissesTransition {
                         store: g.clone(),
-                        args: args.clone(),
+                        args: args.to_vec(),
                         target: t.globals.clone(),
-                        witness: prep.trace_for(g),
+                        witness: prep.trace_for(g_id),
                     });
                 }
             }
@@ -917,10 +908,11 @@ impl IsApplication {
 
     /// Premise (I3): absorbing the chosen PA into the invariant is inductive.
     pub(crate) fn check_i3(&self, prep: &CheckPrep, choice: &ChoiceFn) -> Result<(), IsViolation> {
-        for (g, args, outcome) in &prep.inv_transitions {
+        for &(g_id, pa, ref outcome) in &prep.inv_transitions {
             let InvOutcome::Transitions(i_ts) = outcome else {
                 continue; // a failed gate records no transitions to extend
             };
+            let (g, args) = prep.input(g_id, pa);
             for t in i_ts {
                 if self.pa_e(&t.created).is_empty() {
                     continue;
@@ -953,7 +945,7 @@ impl IsApplication {
                             store: t.globals.clone(),
                             args: chosen.args.clone(),
                             reason,
-                            witness: prep.trace_for(&t.globals),
+                            witness: prep.trace_for_store(&t.globals),
                         });
                     }
                     ActionOutcome::Transitions(ts) => ts,
@@ -969,9 +961,9 @@ impl IsApplication {
                         return Err(IsViolation::NotInductive {
                             action: chosen.action.clone(),
                             store: g.clone(),
-                            args: args.clone(),
+                            args: args.to_vec(),
                             target: ta.globals.clone(),
-                            witness: prep.trace_for(g),
+                            witness: prep.trace_for(g_id),
                         });
                     }
                 }
@@ -991,7 +983,7 @@ impl IsApplication {
         checker
             .check_left(&alpha, action_name)
             .map_err(|violation| {
-                let witness = prep.trace_for(violation.store());
+                let witness = prep.trace_for_store(violation.store());
                 IsViolation::NotLeftMover {
                     action: action_name.clone(),
                     violation,
@@ -1007,21 +999,22 @@ impl IsApplication {
         action_name: &ActionName,
     ) -> Result<(), IsViolation> {
         let alpha = self.alpha(action_name)?;
-        for (g, args) in prep.universe.enabled_at(action_name) {
-            match alpha.eval(g, args) {
+        let interner = prep.universe.interner();
+        for &(g_id, pa_id) in prep.universe.enabled_at(action_name) {
+            let (g, pa) = (interner.store(g_id), interner.pa(pa_id));
+            match alpha.eval(g, &pa.args) {
                 ActionOutcome::Failure { .. } => {} // outside the gate
                 ActionOutcome::Transitions(ts) => {
-                    let pa = PendingAsync::new(action_name.clone(), args.clone());
                     let decreases = ts
                         .iter()
-                        .any(|t| self.measure.decreases(g, &pa, &t.globals, &t.created));
+                        .any(|t| self.measure.decreases(g, pa, &t.globals, &t.created));
                     if !decreases {
                         return Err(IsViolation::CooperationViolated {
                             action: action_name.clone(),
                             store: g.clone(),
-                            args: args.clone(),
+                            args: pa.args.clone(),
                             measure: self.measure.label().to_owned(),
-                            witness: prep.trace_for(g),
+                            witness: prep.trace_for(g_id),
                         });
                     }
                 }
@@ -1085,41 +1078,38 @@ pub(crate) enum Explore {
 /// The shared prefix of all Fig. 3 obligations: the explored universe, the
 /// target inputs, and the invariant's outcome at each of them. Produced
 /// once per check by [`IsApplication::prepare`] and read by every
-/// obligation.
+/// obligation. Stores and pending asyncs are ids into the universe's
+/// interner, which also holds the exploration's parent edges for witness
+/// traces.
 pub(crate) struct CheckPrep {
     pub(crate) universe: StateUniverse,
-    pub(crate) target_inputs: Vec<(GlobalStore, Vec<Value>)>,
-    pub(crate) inv_transitions: Vec<(GlobalStore, Vec<Value>, InvOutcome)>,
+    pub(crate) target_inputs: Vec<(StoreId, PaId)>,
+    pub(crate) inv_transitions: Vec<(StoreId, PaId, InvOutcome)>,
     pub(crate) report: IsReport,
-    /// The instance exploration, retained for witness-trace
-    /// reconstruction.
-    exploration: PrepExploration,
-}
-
-/// The exploration backing a [`CheckPrep`], from either explorer.
-enum PrepExploration {
-    /// From the sequential kernel [`Explorer`].
-    Sequential(Exploration),
-    /// From the sharded [`ParallelExplorer`].
-    Parallel(ParallelExploration),
-}
-
-impl PrepExploration {
-    /// A firing sequence reaching `target`, when it was visited.
-    fn trace_to(&self, target: &Config) -> Option<Trace> {
-        match self {
-            PrepExploration::Sequential(e) => e.trace_to(target),
-            PrepExploration::Parallel(e) => e.trace_to(target),
-        }
-    }
 }
 
 impl CheckPrep {
-    /// A firing sequence of `P` reaching `store`, when the store's
-    /// provenance names a reachable configuration (rather than an invariant
+    /// The input store and arguments of a pending async at a store.
+    pub(crate) fn input(&self, store: StoreId, pa: PaId) -> (&GlobalStore, &[Value]) {
+        let interner = self.universe.interner();
+        (interner.store(store), &interner.pa(pa).args)
+    }
+
+    /// The target inputs, resolved.
+    pub(crate) fn target_inputs(&self) -> impl Iterator<Item = (&GlobalStore, &[Value])> {
+        self.target_inputs.iter().map(|&(g, pa)| self.input(g, pa))
+    }
+
+    /// A firing sequence of `P` reaching `store`, when a reachable
+    /// configuration has it (rather than only an invariant
     /// pseudo-configuration).
-    pub(crate) fn trace_for(&self, store: &GlobalStore) -> Option<Trace> {
+    pub(crate) fn trace_for(&self, store: StoreId) -> Option<Trace> {
         let config = self.universe.provenance(store)?;
-        self.exploration.trace_to(config)
+        Some(self.universe.interner().trace_from(config))
+    }
+
+    /// [`trace_for`](Self::trace_for) a store given by value.
+    pub(crate) fn trace_for_store(&self, store: &GlobalStore) -> Option<Trace> {
+        self.trace_for(self.universe.interner().find_store(store)?)
     }
 }

@@ -109,7 +109,7 @@
 use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 use crate::memo::{build_plans, MemoPlan, Resolved, SharedMemo, View};
 use crate::stats::{ExploreStats, ShardStats};
@@ -405,7 +405,7 @@ impl<'p> ParallelExplorer<'p> {
             .collect();
         (
             Ok(ParallelExploration {
-                interner,
+                interner: Arc::new(interner),
                 failures,
                 deadlocks,
                 terminal,
@@ -1072,7 +1072,7 @@ impl Worker<'_, '_> {
 /// globally shortest.
 #[derive(Debug)]
 pub struct ParallelExploration {
-    interner: ConcurrentInterner,
+    interner: Arc<ConcurrentInterner>,
     failures: Vec<(ConfigId, Config, PendingAsync, String)>,
     deadlocks: Vec<(ConfigId, Config)>,
     terminal: BTreeSet<GlobalStore>,
@@ -1083,7 +1083,7 @@ pub struct ParallelExploration {
 impl ParallelExploration {
     fn empty(interner: ConcurrentInterner, stats: ExploreStats) -> Self {
         ParallelExploration {
-            interner,
+            interner: Arc::new(interner),
             failures: Vec::new(),
             deadlocks: Vec::new(),
             terminal: BTreeSet::new(),
@@ -1099,6 +1099,14 @@ impl ParallelExploration {
     #[must_use]
     pub fn stats(&self) -> &ExploreStats {
         &self.stats
+    }
+
+    /// The shared interner holding the reachable configurations and their
+    /// parent edges. A [`StateUniverse`](inseq_kernel::StateUniverse) built
+    /// on it indexes this exploration without copying it.
+    #[must_use]
+    pub fn interner(&self) -> &Arc<ConcurrentInterner> {
+        &self.interner
     }
 
     /// Number of distinct reachable configurations.

@@ -17,9 +17,11 @@
 //! [`Reducer::ample`] returns `Some(i)` only when every obligation of the
 //! explorer-side ample contract holds:
 //!
-//! * pending `i` has at least one enabled transition at the store (so
-//!   progress, and with it deadlock detection, is preserved), and does not
-//!   fail;
+//! * pending `i` has at least one enabled transition at the store (so the
+//!   configuration itself progresses), and does not fail. This does not
+//!   preserve deadlock detection: a deferred sibling that the chosen
+//!   pending disables can leave a stuck configuration unvisited (DESIGN.md
+//!   §4g);
 //! * pending `i` commutes — including gate preservation both ways, and
 //!   closed under what the partner *creates* down to
 //!   [`inseq_kernel::PAIR_CLOSURE_DEPTH`] — with every *other* distinct

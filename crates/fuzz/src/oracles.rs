@@ -456,11 +456,13 @@ impl BruteForce<'_> {
     }
 
     fn left_verdict(&self, name: &ActionName) -> bool {
-        for (pa_l, pa_x, stores) in self.universe.coenabled_with_first(name) {
+        let interner = self.universe.interner();
+        for (l, x, stores) in self.universe.coenabled_with_first(name) {
+            let (pa_l, pa_x) = (interner.pa(l), interner.pa(x));
             if self.program.action(&pa_x.action).is_err() {
                 continue;
             }
-            for g in stores {
+            for g in stores.iter().map(|&g| interner.store(g)) {
                 let Some(l_out) = self.eval(pa_l, g) else {
                     continue;
                 };
@@ -514,9 +516,10 @@ impl BruteForce<'_> {
             }
         }
         // (4) non-blocking wherever the gate holds.
-        for (g, args) in self.universe.enabled_at(name) {
-            let pa = PendingAsync::new(name.clone(), args.clone());
-            if let Some(ActionOutcome::Transitions(ts)) = self.eval(&pa, g) {
+        for &(g, pa) in self.universe.enabled_at(name) {
+            if let Some(ActionOutcome::Transitions(ts)) =
+                self.eval(interner.pa(pa), interner.store(g))
+            {
                 if ts.is_empty() {
                     return false;
                 }
@@ -526,11 +529,13 @@ impl BruteForce<'_> {
     }
 
     fn right_verdict(&self, name: &ActionName) -> bool {
-        for (pa_r, pa_x, stores) in self.universe.coenabled_with_first(name) {
+        let interner = self.universe.interner();
+        for (r, x, stores) in self.universe.coenabled_with_first(name) {
+            let (pa_r, pa_x) = (interner.pa(r), interner.pa(x));
             if self.program.action(&pa_x.action).is_err() {
                 continue;
             }
-            for g in stores {
+            for g in stores.iter().map(|&g| interner.store(g)) {
                 let Some(r_out) = self.eval(pa_r, g) else {
                     continue;
                 };

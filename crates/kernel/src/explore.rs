@@ -23,6 +23,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
 use crate::action::{ActionName, ActionOutcome, PendingAsync};
 use crate::cintern::{ConcurrentInterner, ConfigReq};
@@ -74,9 +75,10 @@ impl<'p> Explorer<'p> {
     /// Explores under a reduction policy: configurations whose pending
     /// asyncs the policy proves commuting expand only an ample singleton,
     /// and successors are canonicalized under the policy's symmetry
-    /// quotient (if any) before interning. Verdicts (failure-freedom,
-    /// deadlock-freedom, orbit-expanded terminal stores) are preserved;
-    /// visited/edge counts refer to the *reduced* graph.
+    /// quotient (if any) before interning. A reduced run is a real run, so
+    /// every failure, deadlock and terminal store it reports is genuine,
+    /// but partial-order reduction can miss deadlocks and terminal stores
+    /// (DESIGN.md §4g). Visited/edge counts refer to the *reduced* graph.
     #[must_use]
     pub fn with_reduction(mut self, policy: &'p dyn ReductionPolicy) -> Self {
         self.reduction = Some(policy);
@@ -267,7 +269,7 @@ impl<'p> Explorer<'p> {
             .map(|cid| interner.resolve_config(cid))
             .collect();
         Ok(Exploration {
-            interner,
+            interner: Arc::new(interner),
             configs,
             initial: initial_ids,
             edges,
@@ -477,7 +479,7 @@ impl fmt::Display for FailureWitness {
 /// `configs()` can hand out `&Config` without rebuilding).
 #[derive(Debug)]
 pub struct Exploration {
-    interner: ConcurrentInterner,
+    interner: Arc<ConcurrentInterner>,
     configs: Vec<Config>,
     initial: Vec<usize>,
     edges: Vec<Edge>,
@@ -490,6 +492,14 @@ pub struct Exploration {
 impl Exploration {
     fn resolve_pa(&self, id: PaId) -> PendingAsync {
         self.interner.pa(id).clone()
+    }
+
+    /// The interner holding this exploration's configurations, in
+    /// discovery order, and their parent edges. A
+    /// [`StateUniverse`](crate::StateUniverse) built from the exploration
+    /// shares it.
+    pub(crate) fn interner(&self) -> &Arc<ConcurrentInterner> {
+        &self.interner
     }
 
     /// Number of distinct reachable configurations.

@@ -3,136 +3,191 @@
 //!
 //! The paper's CIVL implementation discharges conditions like "action `l`
 //! commutes to the left of action `x`" as SMT validity queries quantified
-//! over *all* stores. Our explicit-state substitute collects, from one or
-//! more exhaustive explorations, every global store, every pending async,
-//! and every co-enabled pair of pending asyncs (with the stores at which
-//! they co-occur), and checks the conditions over those. This is complete
-//! for the explored instances (see DESIGN.md §2 and §4).
+//! over *all* stores. Our explicit-state substitute collects, from an
+//! exhaustive exploration, every global store, every pending async, and
+//! every co-enabled pair of pending asyncs (with the stores at which they
+//! co-occur), and checks the conditions over those. This is complete for
+//! the explored instances (see DESIGN.md §2 and §4).
+//!
+//! A universe is an **index of interned ids** over the exploration's own
+//! [`ConcurrentInterner`], which it shares through an `Arc`: stores are
+//! [`StoreId`]s, pending asyncs [`PaId`]s, and provenance names a
+//! [`ConfigId`]. It never clones a store, a pending async or a
+//! configuration; callers resolve ids through [`StateUniverse::interner`],
+//! and the mover checker evaluates on that same interner instead of
+//! re-interning every store into one of its own.
+//!
+//! Iteration order is the structural order of the resolved objects — stores
+//! by `GlobalStore` order, pairs by `(PendingAsync, PendingAsync)` order,
+//! inputs by `(GlobalStore, args)` — not id (discovery) order. That order
+//! decides which violation, and which witness, a premise reports first, so
+//! it is kept exactly: the stores are sorted once, and every per-pair and
+//! per-action list is ordered by the resulting rank.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::cmp::Ordering;
+use std::collections::BTreeMap;
+use std::sync::Arc;
 
-use crate::action::{ActionName, PendingAsync};
+use crate::action::ActionName;
+use crate::cintern::ConcurrentInterner;
 use crate::explore::Exploration;
+use crate::hash::FxHashMap;
+use crate::intern::{BagId, ConfigId, PaId, StoreId};
 use crate::store::GlobalStore;
 use crate::value::Value;
 
 /// The quantification domain for semantic side conditions: global stores,
-/// pending asyncs, and co-enabled pairs observed in one or more explorations.
-#[derive(Debug, Clone, Default)]
+/// enabled pending asyncs, and co-enabled pairs of an exploration, as ids
+/// into its interner.
+#[derive(Debug, Clone)]
 pub struct StateUniverse {
-    stores: BTreeSet<GlobalStore>,
-    pending: BTreeSet<PendingAsync>,
+    interner: Arc<ConcurrentInterner>,
+    /// Every store, in `GlobalStore` order.
+    stores: Vec<StoreId>,
     /// For each ordered pair of pending asyncs simultaneously present in
-    /// some reachable configuration, the stores at which they co-occur.
-    coenabled: BTreeMap<(PendingAsync, PendingAsync), BTreeSet<GlobalStore>>,
-    /// Stores at which a PA of a given action is present in some reachable
-    /// configuration, together with its argument values.
-    enabled_at: BTreeMap<ActionName, BTreeSet<(GlobalStore, Vec<Value>)>>,
-    /// For each store, the first absorbed configuration exhibiting it.
-    /// Because explorations are absorbed before synthetic (invariant-
-    /// produced) configurations, a provenance entry names a *reachable*
-    /// configuration whenever one exists, which is what lets a violated
-    /// premise over a store be turned into a concrete witness run.
-    provenance: BTreeMap<GlobalStore, crate::config::Config>,
+    /// some absorbed configuration, the stores at which they co-occur, in
+    /// store order. The pairs are in `(PendingAsync, PendingAsync)` order.
+    coenabled: Vec<((PaId, PaId), Vec<StoreId>)>,
+    /// Per action, the `(store, pending async)` pairs at which a PA of it is
+    /// present, in `(store, args)` order.
+    enabled_at: BTreeMap<ActionName, Vec<(StoreId, PaId)>>,
+    /// By store index: the first configuration (in id order) exhibiting the
+    /// store. Only reachable configurations are recorded, so an entry is
+    /// what lets a violated premise over a store be turned into a concrete
+    /// witness run.
+    provenance: Vec<Option<ConfigId>>,
 }
 
 impl StateUniverse {
-    /// Creates an empty universe.
+    /// Indexes every configuration interned in `interner` so far. Both
+    /// explorers intern reachable configurations only, so each of them is
+    /// the provenance of its store unless an earlier one (by id) is.
     #[must_use]
-    pub fn new() -> Self {
-        StateUniverse::default()
+    pub fn new(interner: Arc<ConcurrentInterner>) -> Self {
+        let mut provenance = vec![None; interner.store_count()];
+        let parts: Vec<(StoreId, BagId)> = interner
+            .config_ids()
+            .map(|id| {
+                let (store, bag) = interner.config_parts(id);
+                provenance[store.index()].get_or_insert(id);
+                (store, bag)
+            })
+            .collect();
+        let mut universe = StateUniverse {
+            interner,
+            stores: Vec::new(),
+            coenabled: Vec::new(),
+            enabled_at: BTreeMap::new(),
+            provenance,
+        };
+        universe.extend(parts);
+        universe
     }
 
-    /// Builds a universe from a single exploration.
+    /// Builds the universe of a sequential exploration, sharing its
+    /// interner.
     #[must_use]
     pub fn from_exploration(exp: &Exploration) -> Self {
-        let mut u = StateUniverse::new();
-        u.absorb(exp);
-        u
+        StateUniverse::new(Arc::clone(exp.interner()))
     }
 
-    /// Adds all stores, pending asyncs and co-enabled pairs of `exp`.
-    pub fn absorb(&mut self, exp: &Exploration) {
-        for config in exp.configs() {
-            self.absorb_config(config);
+    /// Adds the store, pending asyncs and co-enabled pairs of each
+    /// `(store, bag)`, interned into [`interner`](Self::interner). Used for
+    /// the pseudo-configurations produced by invariant-action transitions
+    /// during inductive sequentialization, which need not be reachable in
+    /// the original program: they get no provenance, so a store only they
+    /// contribute has no witness run.
+    pub fn extend(&mut self, parts: impl IntoIterator<Item = (StoreId, BagId)>) {
+        let parts: Vec<(StoreId, BagId)> = parts.into_iter().collect();
+        let interner = Arc::clone(&self.interner);
+        let mut seen = vec![false; interner.store_count()];
+        for store in &self.stores {
+            seen[store.index()] = true;
         }
-    }
-
-    /// Adds the store, pending asyncs, and co-enabled pairs of one
-    /// configuration. Used to extend the universe with configurations
-    /// produced by invariant-action transitions during inductive
-    /// sequentialization, which need not be reachable in the original
-    /// program.
-    pub fn absorb_config(&mut self, config: &crate::config::Config) {
-        self.provenance
-            .entry(config.globals.clone())
-            .or_insert_with(|| config.clone());
-        self.add_store(config.globals.clone());
-        let pas: Vec<&PendingAsync> = config.pending.distinct().collect();
-        for pa in &pas {
-            self.add_pending((*pa).clone(), &config.globals);
-        }
-        for (i, a) in pas.iter().enumerate() {
-            for (j, b) in pas.iter().enumerate() {
-                // A PA co-occurs with another instance of itself only if
-                // its multiplicity is at least two.
-                if i == j && config.pending.count(a) < 2 {
-                    continue;
+        let mut pair_at: FxHashMap<(PaId, PaId), usize> = self
+            .coenabled
+            .iter()
+            .enumerate()
+            .map(|(i, (pair, _))| (*pair, i))
+            .collect();
+        for (store, bag) in parts {
+            if !std::mem::replace(&mut seen[store.index()], true) {
+                self.stores.push(store);
+            }
+            let entries = interner.bag_entries(bag);
+            for &(pa, _) in entries {
+                let action = &interner.pa(pa).action;
+                match self.enabled_at.get_mut(action) {
+                    Some(list) => list.push((store, pa)),
+                    None => {
+                        self.enabled_at.insert(action.clone(), vec![(store, pa)]);
+                    }
                 }
-                self.coenabled
-                    .entry(((*a).clone(), (*b).clone()))
-                    .or_default()
-                    .insert(config.globals.clone());
+            }
+            for &(a, count) in entries {
+                for &(b, _) in entries {
+                    // A PA co-occurs with another instance of itself only if
+                    // its multiplicity is at least two.
+                    if a == b && count < 2 {
+                        continue;
+                    }
+                    let coenabled = &mut self.coenabled;
+                    let i = *pair_at.entry((a, b)).or_insert_with(|| {
+                        coenabled.push(((a, b), Vec::new()));
+                        coenabled.len() - 1
+                    });
+                    coenabled[i].1.push(store);
+                }
             }
         }
+        self.sort();
     }
 
-    /// Adds a single store to the universe.
-    pub fn add_store(&mut self, store: GlobalStore) {
-        self.stores.insert(store);
+    /// Restores structural order after an [`extend`](Self::extend): sorts
+    /// the stores once, then orders (and dedups) every list by store rank.
+    /// Already-sorted prefixes make a re-sort after a small extension
+    /// cheap.
+    fn sort(&mut self) {
+        let interner = &*self.interner;
+        self.stores.sort_by(|&a, &b| store_order(interner, a, b));
+        let mut rank = vec![u32::MAX; interner.store_count()];
+        for (r, store) in self.stores.iter().enumerate() {
+            rank[store.index()] = u32::try_from(r).expect("store ids fit in u32");
+        }
+        for (_, stores) in &mut self.coenabled {
+            stores.sort_by_key(|s| rank[s.index()]);
+            stores.dedup();
+        }
+        self.coenabled.sort_by(|((a1, b1), _), ((a2, b2), _)| {
+            (interner.pa(*a1), interner.pa(*b1)).cmp(&(interner.pa(*a2), interner.pa(*b2)))
+        });
+        for list in self.enabled_at.values_mut() {
+            list.sort_by(|&(s1, p1), &(s2, p2)| {
+                rank[s1.index()]
+                    .cmp(&rank[s2.index()])
+                    .then_with(|| interner.pa(p1).cmp(interner.pa(p2)))
+            });
+            list.dedup();
+        }
     }
 
-    /// Adds a pending async, recording the store at which it was enabled.
-    pub fn add_pending(&mut self, pa: PendingAsync, at: &GlobalStore) {
-        self.enabled_at
-            .entry(pa.action.clone())
-            .or_default()
-            .insert((at.clone(), pa.args.clone()));
-        self.pending.insert(pa);
+    /// The interner every id of this universe resolves in.
+    #[must_use]
+    pub fn interner(&self) -> &Arc<ConcurrentInterner> {
+        &self.interner
     }
 
-    /// Declares two pending asyncs co-enabled at `store` (both orders), used
-    /// to extend the universe with synthetic cases beyond the explored
-    /// instance.
-    pub fn add_coenabled(&mut self, a: PendingAsync, b: PendingAsync, store: GlobalStore) {
-        self.coenabled
-            .entry((a.clone(), b.clone()))
-            .or_default()
-            .insert(store.clone());
-        self.coenabled.entry((b, a)).or_default().insert(store);
-    }
-
-    /// All global stores in the universe.
-    pub fn stores(&self) -> impl Iterator<Item = &GlobalStore> {
-        self.stores.iter()
-    }
-
-    /// All pending asyncs in the universe.
-    pub fn pending(&self) -> impl Iterator<Item = &PendingAsync> {
-        self.pending.iter()
-    }
-
-    /// Pending asyncs of a particular action.
-    pub fn pending_of(&self, action: &ActionName) -> impl Iterator<Item = &PendingAsync> + '_ {
-        let action = action.clone();
-        self.pending.iter().filter(move |pa| pa.action == action)
+    /// All global stores in the universe, in `GlobalStore` order.
+    #[must_use]
+    pub fn stores(&self) -> &[StoreId] {
+        &self.stores
     }
 
     /// All ordered co-enabled pairs with the stores at which they co-occur.
-    pub fn coenabled(
-        &self,
-    ) -> impl Iterator<Item = (&PendingAsync, &PendingAsync, &BTreeSet<GlobalStore>)> {
-        self.coenabled.iter().map(|((a, b), s)| (a, b, s))
+    pub fn coenabled(&self) -> impl Iterator<Item = (PaId, PaId, &[StoreId])> {
+        self.coenabled
+            .iter()
+            .map(|((a, b), stores)| (*a, *b, stores.as_slice()))
     }
 
     /// Ordered co-enabled pairs where the *first* component is a PA of
@@ -140,36 +195,41 @@ impl StateUniverse {
     pub fn coenabled_with_first(
         &self,
         action: &ActionName,
-    ) -> impl Iterator<Item = (&PendingAsync, &PendingAsync, &BTreeSet<GlobalStore>)> + '_ {
+    ) -> impl Iterator<Item = (PaId, PaId, &[StoreId])> + '_ {
         let action = action.clone();
-        self.coenabled
-            .iter()
-            .filter(move |((a, _), _)| a.action == action)
-            .map(|((a, b), s)| (a, b, s))
+        self.coenabled()
+            .filter(move |(a, _, _)| self.interner.pa(*a).action == action)
     }
 
-    /// Whether `a` and `b` are ever simultaneously pending.
+    /// The `(store, pending async)` pairs at which a PA of `action` is
+    /// present.
     #[must_use]
-    pub fn are_coenabled(&self, a: &PendingAsync, b: &PendingAsync) -> bool {
-        self.coenabled.contains_key(&(a.clone(), b.clone()))
+    pub fn enabled_at(&self, action: &ActionName) -> &[(StoreId, PaId)] {
+        self.enabled_at.get(action).map_or(&[], Vec::as_slice)
     }
 
-    /// The `(store, args)` pairs at which a PA of `action` is present.
-    pub fn enabled_at(
+    /// [`enabled_at`](Self::enabled_at), resolved: the input store and
+    /// arguments of each PA of `action`.
+    pub fn enabled_inputs(
         &self,
         action: &ActionName,
-    ) -> impl Iterator<Item = &(GlobalStore, Vec<Value>)> + '_ {
-        self.enabled_at.get(action).into_iter().flatten()
+    ) -> impl Iterator<Item = (&GlobalStore, &[Value])> {
+        self.enabled_at(action).iter().map(|&(store, pa)| {
+            (
+                self.interner.store(store),
+                self.interner.pa(pa).args.as_slice(),
+            )
+        })
     }
 
-    /// The configuration that first contributed `store` to the universe, if
-    /// `store` entered via [`absorb`](Self::absorb) /
-    /// [`absorb_config`](Self::absorb_config) rather than
-    /// [`add_store`](Self::add_store). Ask the originating exploration for a
-    /// trace to it to obtain a concrete witness run.
+    /// The reachable configuration that first contributed `store` to the
+    /// universe, or `None` when only an [`extend`](Self::extend)ed
+    /// pseudo-configuration (or nothing) did. The interner's
+    /// [`trace_from`](ConcurrentInterner::trace_from) turns it into a
+    /// concrete witness run.
     #[must_use]
-    pub fn provenance(&self, store: &GlobalStore) -> Option<&crate::config::Config> {
-        self.provenance.get(store)
+    pub fn provenance(&self, store: StoreId) -> Option<ConfigId> {
+        self.provenance.get(store.index()).copied().flatten()
     }
 
     /// Number of stores in the universe.
@@ -177,19 +237,28 @@ impl StateUniverse {
     pub fn store_count(&self) -> usize {
         self.stores.len()
     }
+}
 
-    /// Number of distinct pending asyncs in the universe.
-    #[must_use]
-    pub fn pending_count(&self) -> usize {
-        self.pending.len()
+/// `GlobalStore` order on interned stores: slot by slot, comparing values
+/// only where the slot ids differ (equal ids are equal values), then by
+/// length — exactly the derived order of the resolved stores.
+fn store_order(interner: &ConcurrentInterner, a: StoreId, b: StoreId) -> Ordering {
+    let (a, b) = (interner.store_slots(a), interner.store_slots(b));
+    for (&x, &y) in a.iter().zip(b) {
+        if x != y {
+            return interner.value(x).cmp(interner.value(y));
+        }
     }
+    a.len().cmp(&b.len())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::action::PendingAsync;
     use crate::demo::counter_program;
     use crate::explore::Explorer;
+    use crate::multiset::Multiset;
 
     #[test]
     fn universe_collects_stores_and_pas() {
@@ -199,47 +268,42 @@ mod tests {
         let u = StateUniverse::from_exploration(&exp);
         // The uninitialised store plus counter values 0, 1, 2.
         assert_eq!(u.store_count(), 4);
-        // Main() plus two Inc() PAs (Inc is parameterless so dedups to one).
-        assert!(u.pending_count() >= 2);
+        // The stores come out in `GlobalStore` order.
+        let stores: Vec<&GlobalStore> = u.stores().iter().map(|&s| u.interner().store(s)).collect();
+        assert!(stores.windows(2).all(|w| w[0] < w[1]));
         // The two Inc PAs co-exist (multiplicity 2), so Inc is co-enabled
-        // with itself.
+        // with itself, at a recorded store.
         let inc = PendingAsync::new("Inc", vec![]);
-        assert!(u.are_coenabled(&inc, &inc));
-        // And the store at which they co-occur is recorded.
-        let (_, _, stores) = u
+        let (a, b, at) = u
             .coenabled_with_first(&"Inc".into())
             .next()
             .expect("Inc pair present");
-        assert!(!stores.is_empty());
+        assert_eq!((u.interner().pa(a), u.interner().pa(b)), (&inc, &inc));
+        assert!(!at.is_empty());
+        assert!(!u.enabled_at(&"Inc".into()).is_empty());
     }
 
     #[test]
-    fn provenance_names_first_contributing_config() {
+    fn provenance_names_first_reachable_config() {
         let p = counter_program();
         let init = p.initial_config(vec![]).unwrap();
         let exp = Explorer::new(&p).explore([init]).unwrap();
-        let u = StateUniverse::from_exploration(&exp);
-        for store in u.stores() {
+        let mut u = StateUniverse::from_exploration(&exp);
+        for &store in u.stores() {
             let config = u
                 .provenance(store)
-                .expect("absorbed stores have provenance");
-            assert_eq!(&config.globals, store);
-            // The provenance config is reachable, so a witness exists.
-            assert!(exp.trace_to(config).is_some());
+                .expect("reachable stores have provenance");
+            assert_eq!(u.interner().config_parts(config).0, store);
         }
-        // Stores added directly (synthetic cases) carry no provenance.
-        let mut u = StateUniverse::new();
-        u.add_store(GlobalStore::default());
-        assert!(u.provenance(&GlobalStore::default()).is_none());
-    }
-
-    #[test]
-    fn synthetic_extension() {
-        let mut u = StateUniverse::new();
-        let a = PendingAsync::new("A", vec![]);
-        let b = PendingAsync::new("B", vec![]);
-        u.add_coenabled(a.clone(), b.clone(), GlobalStore::default());
-        assert!(u.are_coenabled(&a, &b));
-        assert!(u.are_coenabled(&b, &a));
+        // A pseudo-configuration's fresh store joins the universe without
+        // provenance.
+        let ghost = GlobalStore::new(vec![Value::Int(99)]);
+        let interner = Arc::clone(u.interner());
+        let store = interner.intern_store(&ghost);
+        let bag = interner.intern_bag(&Multiset::singleton(PendingAsync::new("Inc", vec![])));
+        u.extend([(store, bag)]);
+        assert_eq!(u.store_count(), 5);
+        assert!(u.provenance(store).is_none());
+        assert!(u.enabled_at(&"Inc".into()).iter().any(|&(s, _)| s == store));
     }
 }

@@ -108,7 +108,7 @@ proptest! {
         let exp = Explorer::new(&p).explore([init]).unwrap();
         let u = StateUniverse::from_exploration(&exp);
         for c in exp.configs() {
-            prop_assert!(u.stores().any(|s| s == &c.globals));
+            prop_assert!(u.stores().iter().any(|&s| u.interner().store(s) == &c.globals));
         }
         prop_assert_eq!(
             u.store_count(),

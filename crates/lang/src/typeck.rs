@@ -388,8 +388,16 @@ fn infer(ctx: &Ctx<'_>, e: &Expr) -> Result<Ty, TypeError> {
                 Ty::Unknown => Ty::Unknown,
                 other => return Err(ctx.err(format!("add/remove on non-collection {other:?}"))),
             };
-            expect(ctx, a, &el)?;
-            Ok(ct)
+            // The element refines the collection's element type: adding an
+            // `Opt(Int)` to an empty bag makes a bag of `Opt(Int)`, not one
+            // of `Unknown` that any later `choose` would accept.
+            let el = Box::new(expect(ctx, a, &el)?);
+            Ok(match ct {
+                Ty::Set(_) => Ty::Set(el),
+                Ty::Bag(_) => Ty::Bag(el),
+                Ty::Seq(_) => Ty::Seq(el),
+                _ => Ty::Unknown,
+            })
         }
         Expr::UnionOf(a, b) => {
             let ta = infer(ctx, a)?;

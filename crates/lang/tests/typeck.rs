@@ -208,3 +208,42 @@ fn option_and_tuple_sorts() {
         .finish()
         .unwrap();
 }
+
+/// Adding an element to an empty collection literal gives the collection
+/// the element's type. A `choose` from `{} + g0` with `g0 : (opt int)` into
+/// an `int` local used to type-check as a choice from a bag of `Unknown`,
+/// and the VM then panicked reading an option as an integer.
+#[test]
+fn adding_to_an_empty_collection_fixes_its_element_type() {
+    let mut d = GlobalDecls::new();
+    d.declare("g0", Sort::opt(Sort::Int));
+    d.declare("x", Sort::Int);
+    let gg = Arc::new(d);
+    let empty_bag = || lit(inseq_kernel::Value::empty_bag());
+    let build = |name: &str, body: Vec<Stmt>| {
+        DslAction::build(name, &gg)
+            .local("t0", Sort::Int)
+            .body(body)
+            .finish()
+    };
+    let err: inseq_lang::TypeError =
+        build("J1", vec![choose("t0", with_elem(empty_bag(), var("g0")))])
+            .expect_err("an option is not an int");
+    assert_eq!(err.action(), "J1");
+    let err = build(
+        "J2",
+        vec![choose(
+            "t0",
+            without_elem(with_elem(empty_bag(), var("g0")), none()),
+        )],
+    )
+    .expect_err("removing an element keeps the element type");
+    assert_eq!(err.action(), "J2");
+    // Well-typed additions to an empty bag still build.
+    build("J3", vec![choose("t0", with_elem(empty_bag(), var("x")))]).unwrap();
+    build(
+        "J4",
+        vec![choose("t0", with_elem(empty_bag(), unwrap(var("g0"))))],
+    )
+    .unwrap();
+}

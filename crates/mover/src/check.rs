@@ -63,10 +63,9 @@ pub enum MoverViolation {
 
 impl MoverViolation {
     /// The store at which the violated condition was observed. Every
-    /// variant carries one; when the store entered the universe from an
-    /// exploration, [`inseq_kernel::StateUniverse::provenance`] names a
-    /// reachable configuration exhibiting it, from which the originating
-    /// exploration can reconstruct a concrete witness run.
+    /// variant carries one; when a reachable configuration exhibits it,
+    /// [`inseq_kernel::StateUniverse::provenance`] names one, from which the
+    /// universe's interner reconstructs a concrete witness run.
     #[must_use]
     pub fn store(&self) -> &GlobalStore {
         match self {
@@ -166,12 +165,14 @@ impl MoverStats {
 }
 
 /// A mover-condition checker bound to a program and a quantification
-/// universe. Action evaluations are memoized for the checker's lifetime.
+/// universe. It evaluates on the universe's interner — universe stores are
+/// already interned there, and successor stores join them — and memoizes
+/// action evaluations for its lifetime.
 #[derive(Debug)]
 pub struct MoverChecker<'a> {
     program: &'a Program,
     universe: &'a StateUniverse,
-    interner: ConcurrentInterner,
+    interner: &'a ConcurrentInterner,
     cache: RefCell<EvalCache>,
     /// Stats live in `Cell`s (the checker is single-threaded by
     /// construction — the memo is a `RefCell`) so read-only checking
@@ -191,7 +192,7 @@ impl<'a> MoverChecker<'a> {
         MoverChecker {
             program,
             universe,
-            interner: ConcurrentInterner::new(),
+            interner: universe.interner(),
             cache: RefCell::new(EvalCache::default()),
             eval_hits: Cell::new(0),
             eval_misses: Cell::new(0),
@@ -221,7 +222,7 @@ impl<'a> MoverChecker<'a> {
             return Rc::clone(hit);
         }
         self.eval_misses.set(self.eval_misses.get() + 1);
-        let interner = &self.interner;
+        let interner = self.interner;
         let out = action.eval(interner.store(store), &interner.pa(pa).args);
         let cached = Rc::new(match out {
             ActionOutcome::Failure { reason } => CachedOutcome::Failure(reason),
@@ -236,6 +237,16 @@ impl<'a> MoverChecker<'a> {
         });
         self.cache.borrow_mut().insert(key, Rc::clone(&cached));
         cached
+    }
+
+    /// Resolves a pending async for a violation report.
+    fn pa(&self, id: PaId) -> PendingAsync {
+        self.interner.pa(id).clone()
+    }
+
+    /// Resolves a store for a violation report.
+    fn store(&self, id: StoreId) -> GlobalStore {
+        self.interner.store(id).clone()
     }
 
     /// Checks that `mover` (which executes wherever PAs named `mover_name`
@@ -257,29 +268,24 @@ impl<'a> MoverChecker<'a> {
         // so it gets its own setup call.
         mover.prepare();
         // Conditions (1)-(3): pairwise against every co-enabled partner.
-        for (pa_l, pa_x, stores) in self.universe.coenabled_with_first(mover_name) {
-            let x = match self.program.action(&pa_x.action) {
+        for (l, x_id, stores) in self.universe.coenabled_with_first(mover_name) {
+            let x = match self.program.action(&self.interner.pa(x_id).action) {
                 Ok(x) => x,
                 Err(_) => continue, // partner no longer in the pool
             };
-            let l_id = self.interner.intern_pa(pa_l);
-            let x_id = self.interner.intern_pa(pa_x);
-            for g in stores {
-                self.check_pair_left(mover, (pa_l, l_id), x, (pa_x, x_id), g)?;
+            for &g in stores {
+                self.check_pair_left(mover, l, x, x_id, g)?;
             }
         }
         // Condition (4): non-blocking from every store where the gate holds.
-        for (g, args) in self.universe.enabled_at(mover_name) {
-            let pa = PendingAsync::new(mover_name.clone(), args.clone());
-            let g_id = self.interner.intern_store(g);
-            let pa_id = self.interner.intern_pa(&pa);
-            match &*self.outcome_at(mover, g_id, pa_id) {
+        for &(g, pa) in self.universe.enabled_at(mover_name) {
+            match &*self.outcome_at(mover, g, pa) {
                 CachedOutcome::Failure(_) => {} // outside the gate: vacuous
                 CachedOutcome::Transitions(ts) => {
                     if ts.is_empty() {
                         return Err(MoverViolation::Blocking {
-                            mover: pa,
-                            store: g.clone(),
+                            mover: self.pa(pa),
+                            store: self.store(g),
                         });
                     }
                 }
@@ -291,15 +297,14 @@ impl<'a> MoverChecker<'a> {
     fn check_pair_left(
         &self,
         l: &Arc<dyn ActionSemantics>,
-        (pa_l, l_id): (&PendingAsync, PaId),
+        l_id: PaId,
         x: &Arc<dyn ActionSemantics>,
-        (pa_x, x_id): (&PendingAsync, PaId),
-        g: &GlobalStore,
+        x_id: PaId,
+        g: StoreId,
     ) -> Result<(), MoverViolation> {
         self.pairwise.set(self.pairwise.get() + 1);
-        let g_id = self.interner.intern_store(g);
-        let l_out = self.outcome_at(l, g_id, l_id);
-        let x_out = self.outcome_at(x, g_id, x_id);
+        let l_out = self.outcome_at(l, g, l_id);
+        let x_out = self.outcome_at(x, g, x_id);
         let l_fails = matches!(*l_out, CachedOutcome::Failure(_));
 
         // (1) Forward preservation of ρ_l by x: if ρ_l holds at g and x steps
@@ -309,9 +314,9 @@ impl<'a> MoverChecker<'a> {
                 for t in x_ts {
                     if let CachedOutcome::Failure(reason) = &*self.outcome_at(l, t.globals, l_id) {
                         return Err(MoverViolation::GateNotForwardPreserved {
-                            mover: pa_l.clone(),
-                            other: pa_x.clone(),
-                            store: g.clone(),
+                            mover: self.pa(l_id),
+                            other: self.pa(x_id),
+                            store: self.store(g),
                             reason: reason.clone(),
                         });
                     }
@@ -329,9 +334,9 @@ impl<'a> MoverChecker<'a> {
                         CachedOutcome::Failure(_)
                     ) {
                         return Err(MoverViolation::GateNotBackwardPreserved {
-                            mover: pa_l.clone(),
-                            other: pa_x.clone(),
-                            store: g.clone(),
+                            mover: self.pa(l_id),
+                            other: self.pa(x_id),
+                            store: self.store(g),
                         });
                     }
                 }
@@ -348,13 +353,13 @@ impl<'a> MoverChecker<'a> {
                     if let CachedOutcome::Transitions(l_after) = &*l_after {
                         for tl in l_after {
                             if !self.commuted_order_reaches(
-                                l, l_id, x, x_id, g_id, tl.globals, tl.created, tx.created,
+                                l, l_id, x, x_id, g, tl.globals, tl.created, tx.created,
                             ) {
                                 return Err(MoverViolation::DoesNotCommute {
-                                    mover: pa_l.clone(),
-                                    other: pa_x.clone(),
-                                    store: g.clone(),
-                                    target: self.interner.store(tl.globals).clone(),
+                                    mover: self.pa(l_id),
+                                    other: self.pa(x_id),
+                                    store: self.store(g),
+                                    target: self.store(tl.globals),
                                 });
                             }
                         }
@@ -415,15 +420,13 @@ impl<'a> MoverChecker<'a> {
         mover_name: &ActionName,
     ) -> Result<(), MoverViolation> {
         mover.prepare();
-        for (pa_r, pa_x, stores) in self.universe.coenabled_with_first(mover_name) {
-            let x = match self.program.action(&pa_x.action) {
+        for (r, x_id, stores) in self.universe.coenabled_with_first(mover_name) {
+            let x = match self.program.action(&self.interner.pa(x_id).action) {
                 Ok(x) => x,
                 Err(_) => continue,
             };
-            let r_id = self.interner.intern_pa(pa_r);
-            let x_id = self.interner.intern_pa(pa_x);
-            for g in stores {
-                self.check_pair_right(mover, (pa_r, r_id), x, (pa_x, x_id), g)?;
+            for &g in stores {
+                self.check_pair_right(mover, r, x, x_id, g)?;
             }
         }
         Ok(())
@@ -432,25 +435,24 @@ impl<'a> MoverChecker<'a> {
     fn check_pair_right(
         &self,
         r: &Arc<dyn ActionSemantics>,
-        (pa_r, r_id): (&PendingAsync, PaId),
+        r_id: PaId,
         x: &Arc<dyn ActionSemantics>,
-        (pa_x, x_id): (&PendingAsync, PaId),
-        g: &GlobalStore,
+        x_id: PaId,
+        g: StoreId,
     ) -> Result<(), MoverViolation> {
         self.pairwise.set(self.pairwise.get() + 1);
-        let g_id = self.interner.intern_store(g);
-        let r_out = self.outcome_at(r, g_id, r_id);
+        let r_out = self.outcome_at(r, g, r_id);
         // Dual of (1): ρ_x forward-preserved by r — if ρ_x holds at g and r
         // steps g → g1, ρ_x must hold at g1 (else x's failure is lost when x
         // moves before r).
         if let CachedOutcome::Transitions(r_ts) = &*r_out {
-            if !matches!(*self.outcome_at(x, g_id, x_id), CachedOutcome::Failure(_)) {
+            if !matches!(*self.outcome_at(x, g, x_id), CachedOutcome::Failure(_)) {
                 for t in r_ts {
                     if let CachedOutcome::Failure(reason) = &*self.outcome_at(x, t.globals, x_id) {
                         return Err(MoverViolation::GateNotForwardPreserved {
-                            mover: pa_r.clone(),
-                            other: pa_x.clone(),
-                            store: g.clone(),
+                            mover: self.pa(r_id),
+                            other: self.pa(x_id),
+                            store: self.store(g),
                             reason: reason.clone(),
                         });
                     }
@@ -462,13 +464,13 @@ impl<'a> MoverChecker<'a> {
                 if let CachedOutcome::Transitions(x_ts) = &*x_after {
                     for tx in x_ts {
                         if !self.commuted_order_reaches(
-                            x, x_id, r, r_id, g_id, tx.globals, tx.created, tr.created,
+                            x, x_id, r, r_id, g, tx.globals, tx.created, tr.created,
                         ) {
                             return Err(MoverViolation::DoesNotCommute {
-                                mover: pa_r.clone(),
-                                other: pa_x.clone(),
-                                store: g.clone(),
-                                target: self.interner.store(tx.globals).clone(),
+                                mover: self.pa(r_id),
+                                other: self.pa(x_id),
+                                store: self.store(g),
+                                target: self.store(tx.globals),
                             });
                         }
                     }

@@ -26,7 +26,7 @@
 
 pub use inseq_kernel::{pair_commutes_at, pair_commutes_within, PAIR_CLOSURE_DEPTH};
 
-use inseq_kernel::{GlobalStore, PendingAsync, Program, StateUniverse};
+use inseq_kernel::{PendingAsync, Program, StateUniverse, StoreId};
 
 /// Whether `p` and `q` commute — including creation closure to
 /// [`PAIR_CLOSURE_DEPTH`] — at **every** store of the universe where both
@@ -44,32 +44,36 @@ pub fn commutes_over(
     p: &PendingAsync,
     q: &PendingAsync,
 ) -> bool {
+    let interner = universe.interner();
     let mut saw_coenabled = false;
     for store in coenabled_stores(universe, p, q) {
         saw_coenabled = true;
-        if !pair_commutes_within(program, p, q, store, PAIR_CLOSURE_DEPTH) {
+        if !pair_commutes_within(program, p, q, interner.store(store), PAIR_CLOSURE_DEPTH) {
             return false;
         }
     }
     if saw_coenabled {
         return true;
     }
-    universe
-        .stores()
-        .all(|store| pair_commutes_within(program, p, q, store, PAIR_CLOSURE_DEPTH))
+    universe.stores().iter().all(|&store| {
+        pair_commutes_within(program, p, q, interner.store(store), PAIR_CLOSURE_DEPTH)
+    })
 }
 
 /// Stores at which the universe records `p` and `q` as co-enabled.
 fn coenabled_stores<'u>(
     universe: &'u StateUniverse,
-    p: &PendingAsync,
-    q: &PendingAsync,
-) -> impl Iterator<Item = &'u GlobalStore> {
-    let (p, q) = (p.clone(), q.clone());
+    p: &'u PendingAsync,
+    q: &'u PendingAsync,
+) -> impl Iterator<Item = StoreId> + 'u {
+    let interner = universe.interner();
     universe
         .coenabled()
-        .filter(move |(a, b, _)| (**a == p && **b == q) || (**a == q && **b == p))
-        .flat_map(|(_, _, stores)| stores.iter())
+        .filter(move |&(a, b, _)| {
+            let (a, b) = (interner.pa(a), interner.pa(b));
+            (a == p && b == q) || (a == q && b == p)
+        })
+        .flat_map(|(_, _, stores)| stores.iter().copied())
 }
 
 #[cfg(test)]
@@ -77,7 +81,9 @@ mod tests {
     use super::*;
     use crate::infer_mover_type;
     use crate::MoverType;
-    use inseq_kernel::{ActionOutcome, Explorer, GlobalSchema, NativeAction, Transition, Value};
+    use inseq_kernel::{
+        ActionOutcome, Explorer, GlobalSchema, GlobalStore, NativeAction, Transition, Value,
+    };
 
     /// Two slot-writers: disjoint slots commute, the same slot conflicts.
     fn program(other_slot: usize) -> Program {

@@ -210,12 +210,11 @@ fn paxos_without_value_propagation_passes_is_but_fails_the_spec_sequentially() {
     use inductive_sequentialization::kernel::StateUniverse;
     use inductive_sequentialization::refine::check_action_refinement;
     let universe = StateUniverse::from_exploration(&exp);
-    let inputs: Vec<_> = universe.enabled_at(&"Propose".into()).cloned().collect();
     let concrete: Arc<dyn ActionSemantics> = buggy_propose;
     check_action_refinement(
         &concrete,
         &concrete,
-        inputs.iter().map(|(s, a)| (s, a.as_slice())),
+        universe.enabled_inputs(&"Propose".into()),
     )
     .unwrap();
 

@@ -52,7 +52,7 @@ fn summarized_broadcast_chain_equals_the_atomic_action() {
     let universe = StateUniverse::from_exploration(&exp);
     let atomic = artifacts.p2.action(&"Broadcast".into()).unwrap().clone();
 
-    for (store, args) in universe.enabled_at(&"Broadcast".into()) {
+    for (store, args) in universe.enabled_inputs(&"Broadcast".into()) {
         // The P2 Broadcast consumes its ghost entry; the P1 chain does not
         // touch the ghost variable, so compare the channel effects by
         // running the summary and the atomic action and checking the
