@@ -17,7 +17,8 @@
 //! bench smoke over the fastest cases.
 //!
 //! `--stats` appends an observability section to the rendered table:
-//! per-protocol interner and mover-cache hit rates, pairwise-check counts,
+//! per-protocol interner, successor-cache and mover-cache hit rates,
+//! pairwise-check counts,
 //! and the slowest premises. The JSON rows always carry these counters.
 //!
 //! `--large` switches to the exploration-throughput tier: the parametric
@@ -68,6 +69,7 @@ use inseq_protocols::common::CaseReport;
 /// applications.
 struct RowStats {
     intern: HitMissSnapshot,
+    succ: HitMissSnapshot,
     engine: EngineSnapshot,
     mover: HitMissSnapshot,
     pairwise: u64,
@@ -77,6 +79,7 @@ struct RowStats {
 fn row_stats(r: &CaseReport) -> RowStats {
     let mut stats = RowStats {
         intern: HitMissSnapshot::default(),
+        succ: HitMissSnapshot::default(),
         engine: EngineSnapshot::default(),
         mover: HitMissSnapshot::default(),
         pairwise: 0,
@@ -84,6 +87,7 @@ fn row_stats(r: &CaseReport) -> RowStats {
     };
     for p in &r.reports {
         stats.intern = stats.intern.merged(p.stats.intern);
+        stats.succ = stats.succ.merged(p.stats.succ_cache);
         stats.engine = stats.engine.merged(&p.stats.engine);
         stats.mover = stats.mover.merged(p.stats.mover_cache);
         stats.pairwise += p.stats.pairwise_checks;
@@ -109,7 +113,7 @@ fn rows_as_json(rows: &[CaseReport]) -> String {
         out.push_str(&format!(
             "  {{\"example\": \"{}\", \"instance\": \"{}\", \"is_applications\": {}, \
              \"loc_total\": {}, \"loc_is\": {}, \"loc_impl\": {}, \"time_seconds\": {:.6}, \
-             \"visited_configs\": {}, \"edges\": {}, {}, {}, {}, \
+             \"visited_configs\": {}, \"edges\": {}, {}, {}, {}, {}, \
              \"pairwise_checks\": {}, {}, \"premises\": {}}}",
             json::escape(&r.name),
             json::escape(&r.instance),
@@ -121,6 +125,7 @@ fn rows_as_json(rows: &[CaseReport]) -> String {
             visited,
             edges,
             json::hit_miss_fields("intern", &stats.intern),
+            json::hit_miss_fields("succ_cache", &stats.succ),
             json::engine_fields(&stats.engine),
             json::hit_miss_fields("mover_cache", &stats.mover),
             stats.pairwise,
@@ -139,13 +144,15 @@ fn render_stats(rows: &[CaseReport]) -> String {
     for r in rows {
         let RowStats {
             intern,
+            succ,
             engine,
             mover,
             pairwise,
             exec,
         } = row_stats(r);
         out.push_str(&format!(
-            "  {:<22} interner {intern}; mover cache {mover} over {pairwise} pairwise checks\n",
+            "  {:<22} interner {intern}; successor cache {succ}; \
+             mover cache {mover} over {pairwise} pairwise checks\n",
             r.name
         ));
         if engine.ran() {

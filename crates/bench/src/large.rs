@@ -198,6 +198,8 @@ fn explore_once(
             let snapshot = EngineSnapshot {
                 pruned: exp.pruned(),
                 orbit_collapses: exp.orbit_collapses(),
+                succ_cache: exp.succ_cache_stats(),
+                succ_bypass: exp.succ_bypass(),
                 ..EngineSnapshot::default()
             };
             (
@@ -344,21 +346,31 @@ pub fn render_large(rows: &[LargeRow]) -> String {
     out
 }
 
-/// The `--stats` section for large rows: engine shape per parallel row.
+/// The `--stats` section for large rows: engine shape per parallel row,
+/// successor-cache traffic per sequential row.
 #[must_use]
 pub fn render_large_stats(rows: &[LargeRow]) -> String {
-    let mut out = String::from("\nEngine shape (per parallel row):\n");
+    let mut out = String::from("\nEngine shape (per row):\n");
     for r in rows {
-        if r.stats.ran() {
-            out.push_str(&format!(
-                "  {:<22} {:<14} {:>5} w={}: {}\n",
-                r.name,
-                r.instance,
-                r.engine.name(),
-                r.workers,
-                r.stats
-            ));
-        }
+        let shape = if r.stats.ran() {
+            r.stats.to_string()
+        } else if r.stats.succ_cache.lookups() > 0 {
+            let bypass = if r.stats.succ_bypass {
+                " (bypassed)"
+            } else {
+                ""
+            };
+            format!("successor cache {}{bypass}", r.stats.succ_cache)
+        } else {
+            continue;
+        };
+        out.push_str(&format!(
+            "  {:<22} {:<14} {:>5} w={}: {shape}\n",
+            r.name,
+            r.instance,
+            r.engine.name(),
+            r.workers,
+        ));
     }
     out
 }

@@ -88,7 +88,7 @@ pub fn engine_fields(e: &EngineSnapshot) -> String {
          \"engine_stolen\": {}, \"engine_pruned\": {}, \"engine_orbit_collapses\": {}, \
          \"engine_lock_waits\": {}, \"engine_lock_wait_nanos\": {}, \
          \"engine_intern_batches\": {}, \"engine_intern_batch_hist\": [{}], \
-         \"engine_shard_inserts\": [{}]",
+         \"engine_shard_inserts\": [{}], {}, \"engine_succ_bypass\": {}",
         e.workers,
         expanded.join(", "),
         e.steals,
@@ -99,7 +99,9 @@ pub fn engine_fields(e: &EngineSnapshot) -> String {
         e.lock_wait_nanos,
         e.intern_batches,
         batch_hist.join(", "),
-        shard_inserts.join(", ")
+        shard_inserts.join(", "),
+        hit_miss_fields("engine_succ_cache", &e.succ_cache),
+        e.succ_bypass
     )
 }
 
@@ -110,7 +112,7 @@ pub fn is_report(r: &IsReport) -> String {
     format!(
         "{{\"reachable_configs\": {}, \"edges\": {}, \"target_inputs\": {}, \
          \"invariant_transitions\": {}, \"induction_steps\": {}, \
-         \"eliminated_actions\": {}, \"universe_stores\": {}, {}, {}, {}, \
+         \"eliminated_actions\": {}, \"universe_stores\": {}, {}, {}, {}, {}, \
          \"pairwise_checks\": {}, {}, \"premises\": {}}}",
         r.reachable_configs,
         r.edges,
@@ -120,6 +122,7 @@ pub fn is_report(r: &IsReport) -> String {
         r.eliminated_actions,
         r.universe_stores,
         hit_miss_fields("intern", &r.stats.intern),
+        hit_miss_fields("succ_cache", &r.stats.succ_cache),
         engine_fields(&r.stats.engine),
         hit_miss_fields("mover_cache", &r.stats.mover_cache),
         r.stats.pairwise_checks,
@@ -161,6 +164,7 @@ mod tests {
             ..IsReport::default()
         };
         r.stats.intern = HitMissSnapshot::new(5, 6);
+        r.stats.succ_cache = HitMissSnapshot::new(3, 4);
         r.stats.engine = EngineSnapshot {
             workers: 2,
             expanded: vec![4, 6],
@@ -171,6 +175,8 @@ mod tests {
             intern_batches: 5,
             intern_batch_hist: vec![1, 2, 2, 0, 0, 0, 0],
             shard_inserts: vec![7, 3],
+            succ_cache: HitMissSnapshot::new(1, 2),
+            succ_bypass: true,
             ..EngineSnapshot::default()
         };
         r.stats.mover_cache = HitMissSnapshot::new(7, 8);
@@ -182,11 +188,14 @@ mod tests {
              \"invariant_transitions\": 4, \"induction_steps\": 2, \
              \"eliminated_actions\": 1, \"universe_stores\": 12, \
              \"intern_hits\": 5, \"intern_misses\": 6, \
+             \"succ_cache_hits\": 3, \"succ_cache_misses\": 4, \
              \"engine_workers\": 2, \"engine_expanded\": [4, 6], \"engine_steals\": 1, \
              \"engine_stolen\": 2, \"engine_pruned\": 0, \"engine_orbit_collapses\": 0, \
              \"engine_lock_waits\": 3, \"engine_lock_wait_nanos\": 1500, \
              \"engine_intern_batches\": 5, \"engine_intern_batch_hist\": [1, 2, 2, 0, 0, 0, 0], \
              \"engine_shard_inserts\": [7, 3], \
+             \"engine_succ_cache_hits\": 1, \"engine_succ_cache_misses\": 2, \
+             \"engine_succ_bypass\": true, \
              \"mover_cache_hits\": 7, \"mover_cache_misses\": 8, \
              \"pairwise_checks\": 9, \
              \"compiled_actions\": 0, \"compile_nanos\": 0, \"vm_evals\": 0, \"interp_evals\": 0, \

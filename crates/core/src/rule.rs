@@ -300,6 +300,10 @@ pub struct IsStats {
     /// Configuration-interner traffic during instance exploration (merged
     /// across shards under [`IsApplication::check_with`]).
     pub intern: HitMissSnapshot,
+    /// Successor-cache traffic during instance exploration: hits skipped
+    /// an evaluation (summed across shards under
+    /// [`IsApplication::check_with`]).
+    pub succ_cache: HitMissSnapshot,
     /// Parallel-exploration shape: worker count, per-shard occupancy, and
     /// steal traffic. Default (zero workers) on sequential checks.
     pub engine: EngineSnapshot,
@@ -370,6 +374,9 @@ impl fmt::Display for IsReport {
         )?;
         if self.stats.intern.lookups() > 0 {
             write!(f, "; interner {}", self.stats.intern)?;
+        }
+        if self.stats.succ_cache.lookups() > 0 {
+            write!(f, "; successor cache {}", self.stats.succ_cache)?;
         }
         if self.stats.engine.ran() {
             write!(f, "; engine {}", self.stats.engine)?;
@@ -771,6 +778,7 @@ impl IsApplication {
                 report.reachable_configs = exploration.config_count();
                 report.edges = exploration.edge_count();
                 report.stats.intern = exploration.intern_stats();
+                report.stats.succ_cache = exploration.succ_cache_stats();
                 StateUniverse::from_exploration(&exploration)
             }
             Explore::Parallel(workers) => {
@@ -786,6 +794,7 @@ impl IsApplication {
                 report.reachable_configs = exploration.config_count();
                 report.edges = exploration.edge_count();
                 report.stats.intern = exploration.stats().intern();
+                report.stats.succ_cache = exploration.stats().succ_cache();
                 report.stats.engine = exploration.stats().engine_snapshot();
                 StateUniverse::new(Arc::clone(exploration.interner()))
             }

@@ -73,14 +73,15 @@
 //!
 //! A worker expands one configuration in three phases: (1) borrow the
 //! parent's store, slot ids, and bag entries from the interner — lock-free,
-//! the references stay valid for the interner's lifetime; (2) evaluate
-//! every selected pending async, consulting the shared footprint memo
-//! ([`crate::memo`]) exactly like the sequential path; (3) stage every
-//! successor as a small diff against the parent's ids (changed slots
-//! compared value-by-value against the footprint's write set, bag entries
-//! rebuilt by a sorted merge) and intern the whole batch — values, stores,
-//! created pendings, bags, then configs with their parent edges — through
-//! one shard-grouped pass per kind. Fresh successors are pushed onto the
+//! the references stay valid for the interner's lifetime; (2) probe the
+//! worker's [`SuccessorCache`] — the sequential explorer's type — for
+//! every selected pending async and evaluate the misses, consulting the
+//! shared footprint memo ([`crate::memo`]) on those only; (3) fill the
+//! cache with the misses, staged as small diffs against the parent's ids
+//! (changed slots compared against the footprint's write set, or the
+//! memo's write-deltas replayed), and apply the round: bags rebuilt by a
+//! sorted merge, then configs with their parent edges, each kind interned
+//! through one shard-grouped pass. Fresh successors are pushed onto the
 //! worker's own deque in one batch.
 //!
 //! # Termination
@@ -111,7 +112,7 @@ use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
-use crate::memo::{build_plans, MemoPlan, Resolved, SharedMemo, View};
+use crate::memo::{build_plans, MemoPlan, Resolved, SharedMemo};
 use crate::stats::{ExploreStats, ShardStats};
 
 use inseq_obs::HitMissSnapshot;
@@ -120,7 +121,7 @@ use inseq_kernel::hash::FxHashMap;
 use inseq_kernel::{
     canonical_parts, ActionName, BagId, ConcurrentInterner, Config, ConfigId, ConfigReq,
     ExploreError, FailureWitness, GlobalStore, Multiset, PaId, PendingAsync, Program,
-    ReductionPolicy, StoreId, Summary, Trace, Value, DEFAULT_CONFIG_BUDGET,
+    ReductionPolicy, StoreId, SuccessorCache, Summary, Trace, DEFAULT_CONFIG_BUDGET,
 };
 
 /// Upper bound on the configurations moved by one steal. Half the victim's
@@ -136,27 +137,6 @@ const STEAL_BATCH: usize = 64;
 /// re-warming reads the lock-free arena. The high-water mark is reported
 /// per worker via `ShardStats::pa_cache_peak`.
 const PA_CACHE_CAP: usize = 8192;
-
-/// Capacity of the per-worker successor cache (`(store, pending async)` →
-/// interned firing outcome). Epoch-evicted like the pending-async cache:
-/// cleared wholesale before an expansion that could overflow it, never
-/// mid-expansion, so every selected pending async of the round in progress
-/// stays resident.
-const SUCC_CACHE_CAP: usize = 1 << 18;
-
-/// Probes a worker observes before judging whether its successor cache
-/// earns its keep on this program.
-const SUCC_WARMUP_PROBES: u64 = 8192;
-
-/// Minimum hit percentage after warmup. Below it the worker flips the
-/// cache to *bypass*: probing stops and the map is cleared after every
-/// expansion, so entries only ever span the expansion that needs them and
-/// the map stays small and cache-hot. Protocols whose stores never repeat
-/// across configurations (each `(store, pending)` pair is seen once —
-/// Paxos is the extreme) would otherwise grow a hundreds-of-thousands-
-/// entry map per worker whose cold inserts cost more than the evaluations
-/// they can never save.
-const SUCC_MIN_HIT_PCT: u64 = 10;
 
 /// A unit of work: an interned configuration and its parts. Ids are global
 /// (one shared interner), so handing this to another worker is a copy of
@@ -340,10 +320,7 @@ impl<'p> ParallelExplorer<'p> {
                         pa_buf: Vec::new(),
                         counts: Vec::new(),
                         outcomes: Vec::new(),
-                        succ_cache: FxHashMap::default(),
-                        succ_probes: 0,
-                        succ_hits: 0,
-                        succ_bypass: false,
+                        cache: SuccessorCache::new(self.program),
                         fresh: Vec::new(),
                         canon_cache: FxHashMap::default(),
                         out: WorkerOutput::default(),
@@ -460,25 +437,6 @@ struct WorkerOutput {
     stats: ShardStats,
 }
 
-/// The interned outcome of firing one pending async on one store — the
-/// payload of the per-worker successor cache. Firing is a pure function of
-/// the `(store, pending async)` pair, both already canonical ids, and ids
-/// are append-only, so an entry stays sound for the whole run and across
-/// every configuration that shares the store.
-enum CachedSucc {
-    /// The firing violates its gate. Cached so repeat encounters skip
-    /// re-evaluation; the failure is *reported* (with a witness) at every
-    /// configuration that can fire it, exactly like the uncached path.
-    Failure(String),
-    /// Per nondeterministic transition: the interned successor store and
-    /// the interned created pendings in the bag's canonical (resolved)
-    /// order, ready for the per-configuration bag merge.
-    Steps {
-        stores: Vec<StoreId>,
-        created: Vec<Box<[(PaId, u32)]>>,
-    },
-}
-
 struct Worker<'p, 'sh> {
     me: usize,
     program: &'p Program,
@@ -505,20 +463,11 @@ struct Worker<'p, 'sh> {
     /// Reusable buffer of evaluated outcomes, staged and batch-interned in
     /// phase 3.
     outcomes: Vec<(PaId, Resolved)>,
-    /// Successor cache: `(store, pending async)` → the interned result of
-    /// firing that pending async on that store. Many configurations share
-    /// a store, so hits skip evaluation, write-diffing, and value/store
-    /// interning entirely — only the per-configuration stages (bag merge,
-    /// config interning, parent edge) remain. Capacity
-    /// [`SUCC_CACHE_CAP`], epoch-evicted between expansions.
-    succ_cache: FxHashMap<(StoreId, PaId), CachedSucc>,
-    /// Lifetime probe/hit counts of the successor cache, driving the
-    /// post-warmup bypass decision.
-    succ_probes: u64,
-    succ_hits: u64,
-    /// Set once the warmup showed the cache cannot pay for itself on this
-    /// program; see [`SUCC_MIN_HIT_PCT`].
-    succ_bypass: bool,
+    /// This worker's `(store, pending async)` successor cache. Hits skip
+    /// evaluation, write-diffing and value/store interning; only the
+    /// per-configuration stages (bag merge, config interning, parent edge)
+    /// remain.
+    cache: SuccessorCache,
     /// Fresh successors of the current expansion, queued in one batch.
     fresh: Vec<WorkItem>,
     /// Raw successor parts → canonical orbit parts, per worker. Sound to
@@ -556,6 +505,8 @@ impl Worker<'_, '_> {
                 }
             }
         }
+        self.out.stats.succ_cache = self.cache.stats();
+        self.out.stats.succ_bypass = self.cache.bypassed();
         self.out
     }
 
@@ -614,17 +565,6 @@ impl Worker<'_, '_> {
         pa
     }
 
-    /// The pending bag of the configuration under expansion, rebuilt from
-    /// the lock-free arena.
-    fn snapshot_bag(&self) -> Multiset<PendingAsync> {
-        let interner = &self.shared.interner;
-        let mut bag = Multiset::new();
-        for (&paid, &count) in self.pa_buf.iter().zip(&self.counts) {
-            bag.insert_n(interner.pa(paid).clone(), count as usize);
-        }
-        bag
-    }
-
     /// Expands one configuration: borrow the parent's parts (lock-free) →
     /// choose an ample set → evaluate → stage and batch-intern successors
     /// with their parent edges → queue fresh work. With a reduction policy
@@ -650,20 +590,9 @@ impl Worker<'_, '_> {
             self.out.terminal.insert(sid);
         }
 
-        // Post-warmup verdict on the successor cache, then epoch eviction —
-        // both decided before anything of this expansion is cached, and at
-        // most one entry per distinct pending is inserted below, so a clear
-        // here (and only here) keeps the whole round resident.
-        if !self.succ_bypass
-            && self.succ_probes >= SUCC_WARMUP_PROBES
-            && self.succ_hits * 100 < self.succ_probes * SUCC_MIN_HIT_PCT
-        {
-            self.succ_bypass = true;
-            self.succ_cache.clear();
-        }
-        if self.succ_cache.len() + self.pa_buf.len() > SUCC_CACHE_CAP {
-            self.succ_cache.clear();
-        }
+        // Bypass verdict and eviction, before anything of this expansion
+        // is cached.
+        self.cache.begin(self.pa_buf.len());
 
         // Ample decision: the policy sees the full bag (owned values via
         // the bounded cache + multiplicities).
@@ -698,12 +627,8 @@ impl Worker<'_, '_> {
             // cached pair skips evaluation altogether.
             self.outcomes.clear();
             for &paid in &selected {
-                if !self.succ_bypass {
-                    self.succ_probes += 1;
-                    if self.succ_cache.contains_key(&(sid, paid)) {
-                        self.succ_hits += 1;
-                        continue;
-                    }
+                if self.cache.probe(sid, paid).is_some() {
+                    continue;
                 }
                 let pa = interner.pa(paid);
                 let plan = self.plans.get(&pa.action);
@@ -741,17 +666,17 @@ impl Worker<'_, '_> {
             }
 
             // Phase 3: fill the successor cache from the freshly evaluated
-            // outcomes (staging store diffs and batch-interning values,
-            // stores, and created pendings once per `(store, pending)`
-            // pair), then apply the cached successors of *every* selected
-            // pending to this configuration. On a phase-2 fault nothing is
-            // staged and nothing is interned — the expansion leaves no
-            // partial successors behind.
+            // outcomes, then apply the cached successors of *every*
+            // selected pending to this configuration. On a phase-2 fault
+            // nothing is staged and nothing is interned — the expansion
+            // leaves no partial successors behind.
             let fresh_before = self.fresh.len();
             if fault.is_none() {
-                let outcomes = std::mem::take(&mut self.outcomes);
-                self.fill_succ_cache(sid, &outcomes);
-                self.outcomes = outcomes;
+                self.cache.fill(
+                    interner,
+                    sid,
+                    self.outcomes.iter().map(|(p, o)| (*p, o.view())),
+                );
                 self.outcomes.clear();
                 if let Err(f) = self.apply_round(cid, sid, bagid, &selected, &mut progressed) {
                     fault = Some(f);
@@ -784,7 +709,10 @@ impl Worker<'_, '_> {
         }
 
         if fault.is_none() && !progressed {
-            let witness = Config::new(store.clone(), self.snapshot_bag());
+            let witness = Config::new(
+                store.clone(),
+                snapshot_bag(interner, &self.pa_buf, &self.counts),
+            );
             self.out.deadlocks.push((cid, witness));
         }
 
@@ -812,125 +740,16 @@ impl Worker<'_, '_> {
                 self.cancel();
             }
         }
-
-        // In bypass the successor cache is a per-expansion scratch map:
-        // entries outlive only the rounds that needed them, and the map
-        // stays small enough to live in cache.
-        if self.succ_bypass {
-            self.succ_cache.clear();
-        }
-    }
-
-    /// Evaluation → cache: stages each freshly evaluated outcome's
-    /// transitions as strict diffs against the parent store (bounded by
-    /// the action's footprint write set when one exists), batch-interns
-    /// the changed values, the successor stores, and the created pending
-    /// asyncs — one pass over each kind's dedup shards — and records the
-    /// resulting ids in the per-worker successor cache. Failure outcomes
-    /// are cached immediately (they intern nothing); they are *reported*,
-    /// with a per-configuration witness, by [`Worker::apply_round`].
-    fn fill_succ_cache(&mut self, sid: StoreId, outcomes: &[(PaId, Resolved)]) {
-        if outcomes.is_empty() {
-            return;
-        }
-        let interner = &self.shared.interner;
-        let parent_slots = interner.store_slots(sid);
-
-        // Stage A: reduce every transition to its strictly-changed slots
-        // (borrowed post-values) and created pendings, comparing candidate
-        // values against the parent's resolved slots. The footprint's write
-        // set bounds which slots can differ, letting the stage skip the
-        // rest. Nothing is interned until the whole round is staged.
-        let mut changed: Vec<(usize, &Value)> = Vec::new();
-        let mut changed_spans: Vec<(usize, usize)> = Vec::new();
-        let mut created: Vec<&Multiset<PendingAsync>> = Vec::new();
-        let mut spans: Vec<(PaId, usize)> = Vec::with_capacity(outcomes.len());
-        for (paid, outcome) in outcomes {
-            let paid = *paid;
-            let plan = self.plans.get(&interner.pa(paid).action);
-            let fp_writes: Option<&[usize]> = plan.map(|p| p.writes.as_slice());
-            match outcome.view() {
-                View::Failure(reason) => {
-                    self.succ_cache
-                        .insert((sid, paid), CachedSucc::Failure(reason.to_owned()));
-                }
-                View::Full(transitions) => {
-                    spans.push((paid, transitions.len()));
-                    for t in transitions {
-                        let start = changed.len();
-                        interner.changed_slots(sid, &t.globals, fp_writes, &mut changed);
-                        changed_spans.push((start, changed.len()));
-                        created.push(&t.created);
-                    }
-                }
-                View::Delta(transitions) => {
-                    spans.push((paid, transitions.len()));
-                    for t in transitions {
-                        // Replay the memoized write-delta; by the footprint
-                        // contract the result is exactly what `eval` would
-                        // have produced here.
-                        let start = changed.len();
-                        for (i, v) in &t.writes {
-                            if interner.value(parent_slots[*i]) != v {
-                                changed.push((*i, v));
-                            }
-                        }
-                        changed_spans.push((start, changed.len()));
-                        created.push(&t.created);
-                    }
-                }
-            }
-        }
-        if spans.is_empty() {
-            return;
-        }
-
-        // Stage B: intern the changed values and the changed successors'
-        // stores as diffs against the parent — O(writes) per request, one
-        // pass over each kind's shards; a write-free transition reuses the
-        // parent's id outright.
-        let mut store_ids: Vec<StoreId> = Vec::new();
-        interner.intern_successor_stores(sid, &changed, &changed_spans, &mut store_ids);
-
-        // Stage C: intern all created pending asyncs, one pass over their
-        // shards, as canonical entries in the bag's (resolved) order, which
-        // the per-configuration bag merge consumes.
-        let mut entries: Vec<(PaId, u32)> = Vec::new();
-        interner.intern_created(&created, &mut entries);
-
-        // Stage D: assemble one cache entry per evaluated pending.
-        let mut ti = 0;
-        let mut at = 0;
-        for &(paid, ntrans) in &spans {
-            let mut stores = Vec::with_capacity(ntrans);
-            let mut created_entries: Vec<Box<[(PaId, u32)]>> = Vec::with_capacity(ntrans);
-            for _ in 0..ntrans {
-                stores.push(store_ids[ti]);
-                let next = at + created[ti].distinct_len();
-                created_entries.push(entries[at..next].into());
-                at = next;
-                ti += 1;
-            }
-            self.succ_cache.insert(
-                (sid, paid),
-                CachedSucc::Steps {
-                    stores,
-                    created: created_entries,
-                },
-            );
-        }
     }
 
     /// Cache → configuration: applies the cached firing outcome of every
-    /// selected pending async to the configuration under expansion. Only
-    /// the configuration-dependent stages run here — failure reports with
-    /// their witnesses, the bag merge (remove one occurrence of the fired
-    /// pending, splice the created ones into the canonical order),
-    /// symmetry canonicalization, and one batched config intern carrying
-    /// the discovering parent edges. Fresh configs are budget-checked
-    /// against the exact shared count and staged for the own deque;
-    /// duplicates cost one id-pair probe plus a possible parent-edge
-    /// relaxation inside the interner.
+    /// selected pending async to the configuration under expansion —
+    /// failure reports with their witnesses and the bag merge — then
+    /// canonicalizes under the symmetry quotient and interns the configs
+    /// with their discovering parent edges in one batch. Fresh configs are
+    /// budget-checked against the exact shared count and staged for the
+    /// own deque; duplicates cost one id-pair probe plus a possible
+    /// parent-edge relaxation inside the interner.
     fn apply_round(
         &mut self,
         cid: ConfigId,
@@ -940,61 +759,37 @@ impl Worker<'_, '_> {
         progressed: &mut bool,
     ) -> Result<(), StepFault> {
         let interner = &self.shared.interner;
-
-        let mut fired: Vec<PaId> = Vec::new();
-        let mut store_ids: Vec<StoreId> = Vec::new();
-        let mut bag_data: Vec<(PaId, u32)> = Vec::new();
-        let mut bag_spans: Vec<(usize, usize)> = Vec::new();
-        for &paid in selected {
-            let entry = self
-                .succ_cache
-                .get(&(sid, paid))
-                .expect("selected pending async must have a cached outcome");
-            match entry {
-                CachedSucc::Failure(reason) => {
-                    *progressed = true;
-                    let witness = Config::new(interner.store(sid).clone(), self.snapshot_bag());
-                    self.out.failures.push((
-                        cid,
-                        witness,
-                        interner.pa(paid).clone(),
-                        reason.clone(),
-                    ));
-                    if self.stop_on_failure {
-                        // No configuration of this round has been interned
-                        // yet; the round is dropped wholesale.
-                        return Err(StepFault::StopOnFailure);
-                    }
+        let stop_on_failure = self.stop_on_failure;
+        let (pa_buf, counts, failures) = (&self.pa_buf, &self.counts, &mut self.out.failures);
+        *progressed |= self
+            .cache
+            .apply(interner, bagid, selected, |paid, reason| {
+                let witness = Config::new(
+                    interner.store(sid).clone(),
+                    snapshot_bag(interner, pa_buf, counts),
+                );
+                failures.push((cid, witness, interner.pa(paid).clone(), reason.to_owned()));
+                if stop_on_failure {
+                    // No configuration of this round has been interned
+                    // yet; the round is dropped wholesale.
+                    Err(StepFault::StopOnFailure)
+                } else {
+                    Ok(())
                 }
-                CachedSucc::Steps { stores, created } => {
-                    if !stores.is_empty() {
-                        *progressed = true;
-                    }
-                    for (k, &succ) in stores.iter().enumerate() {
-                        self.out.edges += 1;
-                        let start = bag_data.len();
-                        interner.bag_after(bagid, paid, &created[k], &mut bag_data);
-                        bag_spans.push((start, bag_data.len()));
-                        fired.push(paid);
-                        store_ids.push(succ);
-                    }
-                }
-            }
-        }
-        if fired.is_empty() {
+            })?;
+        let successors = self.cache.successors();
+        if successors.len() == 0 {
             return Ok(());
         }
-
-        // Intern the merged bags, one pass over their shards.
-        let mut bag_ids: Vec<BagId> = Vec::new();
-        interner.intern_bags(&bag_data, &bag_spans, &mut bag_ids);
+        self.out.edges += successors.len();
+        let mut fired: Vec<PaId> = Vec::with_capacity(successors.len());
+        let mut parts: Vec<(StoreId, BagId)> = Vec::with_capacity(successors.len());
+        for (paid, part) in successors {
+            fired.push(paid);
+            parts.push(part);
+        }
 
         // Canonicalize under the symmetry quotient, when active.
-        let mut parts: Vec<(StoreId, BagId)> = store_ids
-            .iter()
-            .zip(&bag_ids)
-            .map(|(&s, &b)| (s, b))
-            .collect();
         if let Some(spec) = self.reduction.and_then(ReductionPolicy::symmetry) {
             for part in &mut parts {
                 let canon = canonical_parts(interner, &mut self.canon_cache, spec, *part);
@@ -1054,6 +849,21 @@ impl Worker<'_, '_> {
     fn cancel(&mut self) {
         self.shared.cancelled.store(true, Ordering::Release);
     }
+}
+
+/// The pending bag of the configuration under expansion — its distinct
+/// pending asyncs and their multiplicities — rebuilt from the lock-free
+/// arena.
+fn snapshot_bag(
+    interner: &ConcurrentInterner,
+    pa_buf: &[PaId],
+    counts: &[u32],
+) -> Multiset<PendingAsync> {
+    let mut bag = Multiset::new();
+    for (&paid, &count) in pa_buf.iter().zip(counts) {
+        bag.insert_n(interner.pa(paid).clone(), count as usize);
+    }
+    bag
 }
 
 /// The result of a parallel exploration: the concurrent interner (from

@@ -18,9 +18,9 @@ use std::sync::{Arc, Mutex};
 use inseq_obs::HitMissSnapshot;
 
 use inseq_kernel::hash::{FxHashMap, FxHasher};
+use inseq_kernel::succ::{DeltaTransition, Firing};
 use inseq_kernel::{
-    ActionName, ActionOutcome, Footprint, GlobalStore, Multiset, PendingAsync, Program, Transition,
-    Value,
+    ActionName, ActionOutcome, Footprint, GlobalStore, PendingAsync, Program, Value,
 };
 
 /// Evaluation-memo probation: after this many lookups a worker keeps the
@@ -62,20 +62,11 @@ pub(crate) fn build_plans(program: &Program) -> HashMap<ActionName, MemoPlan> {
         .collect()
 }
 
-/// One memoized transition: the post-values of the action's written globals
-/// plus the created pending asyncs. Applying the writes to *any* store that
-/// agrees with the memo key on the footprint reproduces `eval` exactly.
-#[derive(Debug)]
-pub(crate) struct CachedTransition {
-    pub(crate) writes: Vec<(usize, Value)>,
-    pub(crate) created: Multiset<PendingAsync>,
-}
-
 /// A memoized evaluation outcome.
 #[derive(Debug)]
 pub(crate) enum CachedOutcome {
     Failure(String),
-    Transitions(Vec<CachedTransition>),
+    Transitions(Vec<DeltaTransition>),
 }
 
 impl CachedOutcome {
@@ -84,7 +75,7 @@ impl CachedOutcome {
             ActionOutcome::Failure { reason } => CachedOutcome::Failure(reason.clone()),
             ActionOutcome::Transitions(ts) => CachedOutcome::Transitions(
                 ts.iter()
-                    .map(|t| CachedTransition {
+                    .map(|t| DeltaTransition {
                         writes: plan
                             .writes
                             .iter()
@@ -233,23 +224,15 @@ pub(crate) enum Resolved {
     Cached(Arc<CachedOutcome>),
 }
 
-/// A borrowed view over either resolution, so failure and transition
-/// handling are written once.
-pub(crate) enum View<'a> {
-    Failure(&'a str),
-    Full(&'a [Transition]),
-    Delta(&'a [CachedTransition]),
-}
-
 impl Resolved {
-    /// The uniform borrowed view of this outcome.
-    pub(crate) fn view(&self) -> View<'_> {
+    /// The firing as the successor cache stages it: memo hits replay
+    /// their write-deltas.
+    pub(crate) fn view(&self) -> Firing<'_> {
         match self {
-            Resolved::Owned(ActionOutcome::Failure { reason }) => View::Failure(reason),
-            Resolved::Owned(ActionOutcome::Transitions(ts)) => View::Full(ts),
+            Resolved::Owned(out) => out.into(),
             Resolved::Cached(cached) => match cached.as_ref() {
-                CachedOutcome::Failure(reason) => View::Failure(reason),
-                CachedOutcome::Transitions(ts) => View::Delta(ts),
+                CachedOutcome::Failure(reason) => Firing::Failure(reason),
+                CachedOutcome::Transitions(ts) => Firing::Delta(ts),
             },
         }
     }

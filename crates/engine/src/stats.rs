@@ -45,6 +45,12 @@ pub struct ShardStats {
     /// High-water mark of this worker's bounded pending-async cache (the
     /// reduction path's value cache; zero on unreduced runs).
     pub pa_cache_peak: u64,
+    /// This worker's successor-cache probes: hits skipped evaluation,
+    /// misses evaluated (bypassed expansions are not counted).
+    pub succ_cache: HitMissSnapshot,
+    /// Whether this worker's successor cache went to bypass after its
+    /// warmup.
+    pub succ_bypass: bool,
 }
 
 impl ShardStats {
@@ -133,6 +139,22 @@ impl ExploreStats {
         hist
     }
 
+    /// Successor-cache probes summed over all workers.
+    #[must_use]
+    pub fn succ_cache(&self) -> HitMissSnapshot {
+        self.shards
+            .iter()
+            .fold(HitMissSnapshot::default(), |acc, s| {
+                acc.merged(s.succ_cache)
+            })
+    }
+
+    /// Whether any worker's successor cache went to bypass.
+    #[must_use]
+    pub fn succ_bypass(&self) -> bool {
+        self.shards.iter().any(|s| s.succ_bypass)
+    }
+
     /// Largest pending-async cache any worker held (reduction path only).
     #[must_use]
     pub fn pa_cache_peak(&self) -> u64 {
@@ -165,6 +187,8 @@ impl ExploreStats {
                 self.intern_batch_hist().to_vec()
             },
             shard_inserts: self.contention.shard_inserts.clone(),
+            succ_cache: self.succ_cache(),
+            succ_bypass: self.succ_bypass(),
         }
     }
 }

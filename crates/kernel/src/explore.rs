@@ -11,21 +11,26 @@
 //!
 //! Exploration runs over *interned* state (see [`crate::intern`]) in a
 //! [`ConcurrentInterner`] used from one thread: the visited set is the
-//! configuration arena itself, successor stores are interned as diffs
-//! against the parent (bounded by the firing action's write footprint) so
-//! unchanged slots are shared, and successor pending bags are small-diff
-//! rebuilds of the parent's interned entry vector. Duplicate detection — the
-//! hot operation of explicit-state search — therefore hashes two `u32` ids
-//! instead of a full configuration tree. Each configuration is interned
-//! with the edge that discovered it; breadth-first order makes that
-//! parent-edge log a shortest-path forest, from which every witness trace
-//! is read ([`ConcurrentInterner::trace_from`]).
+//! configuration arena itself, so duplicate detection — the hot operation
+//! of explicit-state search — hashes two `u32` ids instead of a full
+//! configuration tree. Each configuration is expanded through a
+//! [`SuccessorCache`], the same type every worker of the parallel engine
+//! expands through: firing a pending async depends only on the
+//! `(store, pending async)` pair, so a pair fired before, under any bag,
+//! skips evaluation and store interning, and only its bag merge and
+//! config intern rerun. Successor stores are interned as diffs against the
+//! parent (bounded by the firing action's write footprint) and successor
+//! bags as small-diff rebuilds of the parent's entries. Each configuration
+//! is interned with the edge that discovered it; breadth-first order makes
+//! that parent-edge log a shortest-path forest, from which every witness
+//! trace is read ([`ConcurrentInterner::trace_from`]).
 
 use std::collections::HashMap;
+use std::convert::Infallible;
 use std::fmt;
 use std::sync::Arc;
 
-use crate::action::{ActionName, ActionOutcome, PendingAsync};
+use crate::action::{ActionOutcome, PendingAsync};
 use crate::cintern::{ConcurrentInterner, ConfigReq};
 use crate::config::{Config, Step};
 use crate::error::ExploreError;
@@ -33,6 +38,7 @@ use crate::intern::{BagId, ConfigId, PaId, StoreId};
 use crate::program::Program;
 use crate::reduce::{canonical_parts, ReductionPolicy};
 use crate::store::GlobalStore;
+use crate::succ::SuccessorCache;
 
 /// Default bound on the number of distinct configurations explored.
 pub const DEFAULT_CONFIG_BUDGET: usize = 4_000_000;
@@ -111,13 +117,6 @@ impl<'p> Explorer<'p> {
             initial_ids.push(id.index());
             frontier.push(id);
         }
-        // Write footprints per action, fetched once so successor stores are
-        // diffed against the parent over the footprint's write set only.
-        let footprints: HashMap<ActionName, Vec<usize>> = self
-            .program
-            .actions()
-            .filter_map(|(name, a)| a.footprint().map(|f| (name.clone(), f.writes)))
-            .collect();
         // Reused across configurations: the distinct pending asyncs of the
         // configuration under expansion. Bag entries are canonically sorted
         // in `Multiset` iteration order, so firing order (and hence edge and
@@ -127,8 +126,8 @@ impl<'p> Explorer<'p> {
         // Raw successor parts → canonical parts, so each orbit is
         // canonicalized once (ids are append-only, keys never go stale).
         let mut canon_cache: HashMap<(StoreId, BagId), (StoreId, BagId)> = HashMap::new();
+        let mut cache = SuccessorCache::new(self.program);
         let mut outcomes: Vec<(PaId, ActionOutcome)> = Vec::new();
-        let mut round = Round::default();
         let mut pruned: u64 = 0;
         let mut orbit_collapses: u64 = 0;
         let mut cursor = 0;
@@ -138,6 +137,7 @@ impl<'p> Explorer<'p> {
             let (sid, bagid) = interner.config_parts(id);
             pa_buf.clear();
             pa_buf.extend(interner.bag_entries(bagid).iter().map(|&(p, _)| p));
+            cache.begin(pa_buf.len());
             // An ample singleton, when the policy proves one sound here.
             let ample: Option<PaId> = match self.reduction {
                 Some(policy) if pa_buf.len() >= 2 => {
@@ -162,50 +162,54 @@ impl<'p> Explorer<'p> {
                 let mut any_fresh = false;
                 let mut at = 0;
                 while at < to_expand.len() {
-                    // Evaluate a chunk of the round, then intern its
-                    // successors as one batch. The chunk ends at an
-                    // evaluation error, or once interning its successors
-                    // could cross the budget: nothing is evaluated past a
-                    // point where a one-at-a-time run would already have
-                    // stopped, so errors and budget exhaustion surface
-                    // exactly as they would firing one pending at a time.
+                    // Probe or evaluate a chunk of the round, then apply it
+                    // as one batch. The chunk ends at an evaluation error,
+                    // or once its successors could cross the budget (a
+                    // cache hit knows its count without evaluating):
+                    // nothing is evaluated past a point where a
+                    // one-at-a-time run would already have stopped, so
+                    // errors and budget exhaustion surface exactly as they
+                    // would firing one pending at a time.
                     outcomes.clear();
+                    let start = at;
                     let mut successors = 0;
                     let mut error = None;
                     while at < to_expand.len()
                         && interner.config_count() + successors <= self.budget
                     {
                         let paid = to_expand[at];
-                        at += 1;
-                        let outcome =
+                        if let Some(n) = cache.probe(sid, paid) {
+                            successors += n;
+                        } else {
                             match self.program.eval_pa(interner.store(sid), interner.pa(paid)) {
-                                Ok(outcome) => outcome,
+                                Ok(outcome) => {
+                                    if let ActionOutcome::Transitions(ts) = &outcome {
+                                        successors += ts.len();
+                                    }
+                                    outcomes.push((paid, outcome));
+                                }
                                 Err(err) => {
                                     error = Some(err);
                                     break;
                                 }
-                            };
-                        match &outcome {
-                            ActionOutcome::Failure { reason } => {
-                                progressed = true;
-                                failures.push(Failure {
-                                    config: id,
-                                    fired: paid,
-                                    reason: reason.clone(),
-                                });
-                            }
-                            ActionOutcome::Transitions(ts) => {
-                                progressed |= !ts.is_empty();
-                                successors += ts.len();
                             }
                         }
-                        outcomes.push((paid, outcome));
+                        at += 1;
                     }
-                    round.intern_successors(&interner, (sid, bagid), &outcomes, &footprints);
+                    cache.fill(&interner, sid, outcomes.iter().map(|(p, o)| (*p, o.into())));
+                    let Ok(stepped) =
+                        cache.apply(&interner, bagid, &to_expand[start..at], |fired, reason| {
+                            failures.push(Failure {
+                                config: id,
+                                fired,
+                                reason: reason.to_owned(),
+                            });
+                            Ok::<(), Infallible>(())
+                        });
+                    progressed |= stepped;
                     // Configs go in one at a time, in firing order, so
                     // config ids stay in discovery order.
-                    for k in 0..round.fired.len() {
-                        let mut next = (round.stores[k], round.bags[k]);
+                    for (fired, mut next) in cache.successors() {
                         if let Some(spec) = sym {
                             let canon = canonical_parts(&interner, &mut canon_cache, spec, next);
                             if canon != next {
@@ -213,7 +217,6 @@ impl<'p> Explorer<'p> {
                                 next = canon;
                             }
                         }
-                        let fired = round.fired[k];
                         let (next_id, fresh) = interner.intern_config_parts(ConfigReq {
                             store: next.0,
                             bag: next.1,
@@ -277,6 +280,8 @@ impl<'p> Explorer<'p> {
             deadlocks,
             pruned,
             orbit_collapses,
+            succ_cache: cache.stats(),
+            succ_bypass: cache.bypassed(),
         })
     }
 
@@ -302,69 +307,6 @@ struct Edge {
     from: usize,
     fired: PaId,
     to: usize,
-}
-
-/// The interned successors of one batch of evaluated pendings, one entry
-/// per transition, aligned by index; the buffers are reused across batches.
-#[derive(Default)]
-struct Round {
-    /// The pending async each transition fired.
-    fired: Vec<PaId>,
-    /// The successor stores.
-    stores: Vec<StoreId>,
-    /// The successor bags.
-    bags: Vec<BagId>,
-    /// Per transition: its span of changed slots, then of `bag_data`.
-    spans: Vec<(usize, usize)>,
-    /// Every transition's created entries, back to back.
-    created: Vec<(PaId, u32)>,
-    /// Every successor bag's merged entries, back to back.
-    bag_data: Vec<(PaId, u32)>,
-}
-
-impl Round {
-    /// Interns the successors of the configuration `(sid, bagid)` under
-    /// the batch's evaluated `outcomes`, one batch per kind: the changed
-    /// values and stores (diffed over each action's footprint write set),
-    /// the created pendings, and the merged bags.
-    fn intern_successors(
-        &mut self,
-        interner: &ConcurrentInterner,
-        (sid, bagid): (StoreId, BagId),
-        outcomes: &[(PaId, ActionOutcome)],
-        footprints: &HashMap<ActionName, Vec<usize>>,
-    ) {
-        self.fired.clear();
-        self.spans.clear();
-        let mut changed = Vec::new();
-        let mut created = Vec::new();
-        for (paid, outcome) in outcomes {
-            let ActionOutcome::Transitions(transitions) = outcome else {
-                continue;
-            };
-            let hint = footprints.get(&interner.pa(*paid).action);
-            for t in transitions {
-                let start = changed.len();
-                interner.changed_slots(sid, &t.globals, hint.map(Vec::as_slice), &mut changed);
-                self.spans.push((start, changed.len()));
-                self.fired.push(*paid);
-                created.push(&t.created);
-            }
-        }
-        interner.intern_successor_stores(sid, &changed, &self.spans, &mut self.stores);
-        interner.intern_created(&created, &mut self.created);
-        self.spans.clear();
-        self.bag_data.clear();
-        let mut at = 0;
-        for (&fired, bag) in self.fired.iter().zip(&created) {
-            let next = at + bag.distinct_len();
-            let start = self.bag_data.len();
-            interner.bag_after(bagid, fired, &self.created[at..next], &mut self.bag_data);
-            self.spans.push((start, self.bag_data.len()));
-            at = next;
-        }
-        interner.intern_bags(&self.bag_data, &self.spans, &mut self.bags);
-    }
 }
 
 /// A recorded gate violation.
@@ -487,6 +429,8 @@ pub struct Exploration {
     deadlocks: Vec<ConfigId>,
     pruned: u64,
     orbit_collapses: u64,
+    succ_cache: inseq_obs::HitMissSnapshot,
+    succ_bypass: bool,
 }
 
 impl Exploration {
@@ -615,6 +559,19 @@ impl Exploration {
     #[must_use]
     pub fn intern_stats(&self) -> inseq_obs::HitMissSnapshot {
         self.interner.intern_stats()
+    }
+
+    /// Successor-cache probes answered without evaluation (hits) and
+    /// probes that evaluated (misses); see [`crate::succ`].
+    #[must_use]
+    pub fn succ_cache_stats(&self) -> inseq_obs::HitMissSnapshot {
+        self.succ_cache
+    }
+
+    /// Whether the successor cache went to bypass after its warmup.
+    #[must_use]
+    pub fn succ_bypass(&self) -> bool {
+        self.succ_bypass
     }
 
     /// Pending asyncs left unexpanded by partial-order reduction (0 for

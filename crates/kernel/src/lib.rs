@@ -53,6 +53,7 @@ mod program;
 pub mod reduce;
 pub mod render;
 mod store;
+pub mod succ;
 mod universe;
 mod value;
 
@@ -75,5 +76,6 @@ pub use reduce::{
     ReductionPolicy, SymmetrySpec, PAIR_CLOSURE_DEPTH,
 };
 pub use store::GlobalStore;
+pub use succ::SuccessorCache;
 pub use universe::StateUniverse;
 pub use value::{Map, Value};

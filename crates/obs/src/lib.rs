@@ -247,6 +247,10 @@ pub struct EngineSnapshot {
     /// Fresh-id inserts per interner dedup shard (all arenas summed); empty
     /// when no concurrent interner ran.
     pub shard_inserts: Vec<u64>,
+    /// Successor-cache probes: hits skipped evaluation, misses evaluated.
+    pub succ_cache: HitMissSnapshot,
+    /// Whether a successor cache went to bypass after its warmup.
+    pub succ_bypass: bool,
 }
 
 impl EngineSnapshot {
@@ -314,6 +318,8 @@ impl EngineSnapshot {
         for (slot, more) in self.shard_inserts.iter_mut().zip(&other.shard_inserts) {
             *slot += more;
         }
+        self.succ_cache = self.succ_cache.merged(other.succ_cache);
+        self.succ_bypass |= other.succ_bypass;
         self
     }
 }
@@ -346,6 +352,12 @@ impl fmt::Display for EngineSnapshot {
                 self.lock_waits,
                 self.lock_wait_nanos as f64 / 1e6
             )?;
+        }
+        if self.succ_cache.lookups() > 0 {
+            write!(f, ", successor cache {}", self.succ_cache)?;
+        }
+        if self.succ_bypass {
+            write!(f, " (bypassed)")?;
         }
         Ok(())
     }
