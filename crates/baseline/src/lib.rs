@@ -194,7 +194,7 @@ pub fn check_flat_invariant(
     // Consecution along every explored step, and safety everywhere the
     // invariant holds.
     let mut steps_checked = 0;
-    for step in exp.steps() {
+    for step in exp.steps(program) {
         if holds(&step.before)? && !holds(&step.after)? {
             return Err(BaselineError::Consecution {
                 from: step.before,
@@ -205,15 +205,13 @@ pub fn check_flat_invariant(
         steps_checked += 1;
     }
     for config in exp.configs() {
-        if holds(config)? {
+        if holds(&config)? {
             let safe = inv
                 .safety
-                .eval(&schema, config)
+                .eval(&schema, &config)
                 .map_err(|e| BaselineError::Internal(e.to_string()))?;
             if !safe {
-                return Err(BaselineError::Safety {
-                    config: config.clone(),
-                });
+                return Err(BaselineError::Safety { config });
             }
         }
     }
@@ -224,7 +222,7 @@ pub fn check_flat_invariant(
     let mut perturbations_checked = 0;
     if options.perturbations > 0 {
         let mut rng = StdRng::seed_from_u64(options.seed);
-        let configs: Vec<&Config> = exp.configs().collect();
+        let configs: Vec<Config> = exp.configs().collect();
         let pa_pool: Vec<PendingAsync> = {
             let mut pool: Vec<PendingAsync> = Vec::new();
             for c in &configs {
@@ -240,7 +238,7 @@ pub fn check_flat_invariant(
             let Some(base) = configs.choose(&mut rng) else {
                 break;
             };
-            let mut mutant = (*base).clone();
+            let mut mutant = base.clone();
             if rng.gen_bool(0.5) {
                 if let Some(pa) = pa_pool.choose(&mut rng) {
                     mutant.pending.insert(pa.clone());

@@ -19,7 +19,7 @@ fn assert_engines_agree(case: &ExplorationCase, worker_counts: &[usize]) {
     let seq = Explorer::new(&case.program)
         .explore([case.init.clone()])
         .unwrap_or_else(|e| panic!("{case}: sequential exploration failed: {e}"));
-    let seq_set: BTreeSet<Config> = seq.configs().cloned().collect();
+    let seq_set: BTreeSet<Config> = seq.configs().collect();
     let seq_terminal: BTreeSet<GlobalStore> = seq.terminal_stores().cloned().collect();
     assert_eq!(
         seq_set.len(),
@@ -103,8 +103,8 @@ fn exploration_is_deterministic_across_runs() {
         let b = Explorer::new(&case.program)
             .explore([case.init.clone()])
             .unwrap();
-        let ca: Vec<&Config> = a.configs().collect();
-        let cb: Vec<&Config> = b.configs().collect();
+        let ca: Vec<Config> = a.configs().collect();
+        let cb: Vec<Config> = b.configs().collect();
         assert_eq!(ca, cb, "{case}: visit order must be deterministic");
         assert_eq!(a.edge_count(), b.edge_count(), "{case}");
     }

@@ -63,7 +63,8 @@ fn every_visited_config_has_a_witness_trace_at_1_2_4_8_workers() {
 /// The sequential kernel's witness traces are BFS-shortest: on every
 /// Table 1 P2 program, the trace to each visited configuration has exactly
 /// as many firings as that configuration's breadth-first distance from the
-/// seed, computed here independently from the explored graph's `steps()`.
+/// seed, computed here independently from the explored graph's
+/// `steps(&program)`.
 #[test]
 fn kernel_traces_are_bfs_shortest() {
     for case in exploration_cases() {
@@ -71,7 +72,7 @@ fn kernel_traces_are_bfs_shortest() {
             .explore([case.init.clone()])
             .unwrap_or_else(|e| panic!("{case}: exploration failed: {e}"));
         let mut successors: HashMap<Config, Vec<Config>> = HashMap::new();
-        for step in exploration.steps() {
+        for step in exploration.steps(&case.program) {
             successors.entry(step.before).or_default().push(step.after);
         }
         let mut distance: HashMap<Config, usize> = HashMap::from([(case.init.clone(), 0)]);
@@ -92,11 +93,11 @@ fn kernel_traces_are_bfs_shortest() {
         );
         for config in exploration.configs() {
             let trace = exploration
-                .trace_to(config)
+                .trace_to(&config)
                 .unwrap_or_else(|| panic!("{case}: visited config {config} has no trace"));
             assert_eq!(
                 trace.len(),
-                distance[config],
+                distance[&config],
                 "{case}: the trace to {config} is not BFS-shortest"
             );
         }

@@ -8,8 +8,9 @@ use std::sync::Arc;
 
 use inseq_engine::{Engine, EngineReport, ParallelExplorer, Reducer};
 use inseq_kernel::{
-    ActionName, ActionOutcome, ActionSemantics, Config, ExecStats, Explorer, GlobalStore, Multiset,
-    PaId, PendingAsync, Program, ReduceMode, StateUniverse, StoreId, Trace, Transition, Value,
+    ActionName, ActionOutcome, ActionSemantics, Config, ExecStats, Exploration, Explorer,
+    GlobalStore, Multiset, PaId, PendingAsync, Program, ReduceMode, StateUniverse, StoreId, Trace,
+    Transition, Value,
 };
 use inseq_mover::{MoverChecker, MoverViolation};
 use inseq_obs::{EngineSnapshot, HitMissSnapshot, PhaseStat};
@@ -766,20 +767,19 @@ impl IsApplication {
         let exploration_error = |e: inseq_kernel::ExploreError| IsViolation::Exploration {
             message: e.to_string(),
         };
-        let mut universe = match explore {
+        // Either explorer's result reads as one `Exploration`; only the
+        // engine's own counters are parallel-only.
+        let (sequential, parallel);
+        let exploration: &Exploration = match explore {
             Explore::Sequential => {
                 let mut explorer = Explorer::new(&self.program).with_budget(self.budget);
                 if self.reduce != ReduceMode::Off {
                     explorer = explorer.with_reduction(&reducer);
                 }
-                let exploration = explorer
+                sequential = explorer
                     .explore(self.instances.iter().cloned())
                     .map_err(exploration_error)?;
-                report.reachable_configs = exploration.config_count();
-                report.edges = exploration.edge_count();
-                report.stats.intern = exploration.intern_stats();
-                report.stats.succ_cache = exploration.succ_cache_stats();
-                StateUniverse::from_exploration(&exploration)
+                &sequential
             }
             Explore::Parallel(workers) => {
                 let mut explorer = ParallelExplorer::new(&self.program)
@@ -788,17 +788,18 @@ impl IsApplication {
                 if self.reduce != ReduceMode::Off {
                     explorer = explorer.with_reduction(&reducer);
                 }
-                let exploration = explorer
+                parallel = explorer
                     .explore(self.instances.iter().cloned())
                     .map_err(exploration_error)?;
-                report.reachable_configs = exploration.config_count();
-                report.edges = exploration.edge_count();
-                report.stats.intern = exploration.stats().intern();
-                report.stats.succ_cache = exploration.stats().succ_cache();
-                report.stats.engine = exploration.stats().engine_snapshot();
-                StateUniverse::new(Arc::clone(exploration.interner()))
+                report.stats.engine = parallel.stats().engine_snapshot();
+                &parallel
             }
         };
+        report.reachable_configs = exploration.config_count();
+        report.edges = exploration.edge_count();
+        report.stats.intern = exploration.intern_stats();
+        report.stats.succ_cache = exploration.succ_cache_stats();
+        let mut universe = StateUniverse::from_exploration(exploration);
 
         let target_inputs: Vec<(StoreId, PaId)> = universe.enabled_at(&self.target).to_vec();
         report.target_inputs = target_inputs.len();

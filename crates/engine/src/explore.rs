@@ -3,9 +3,10 @@
 //!
 //! [`ParallelExplorer`] is a drop-in alternative to
 //! [`inseq_kernel::Explorer`]: it enumerates exactly the same reachable
-//! configuration set and produces the same `Good`/`Trans` summary, but
-//! expands configurations on `N` worker threads. Three structural decisions
-//! shape it:
+//! configuration set and produces the same `Good`/`Trans` summary, in the
+//! same result type ([`Exploration`], wrapped with the engine's counters in
+//! [`ParallelExploration`]), but expands configurations on `N` worker
+//! threads. Three structural decisions shape it:
 //!
 //! 1. **One shared [`ConcurrentInterner`]** for all workers. Ids are
 //!    meaningful to every worker, so a successor is deduplicated *before*
@@ -48,10 +49,10 @@
 //! acyclic and terminates at a seed even while other workers relax edges
 //! mid-walk — walking it lock-free yields a concrete, replayable firing
 //! sequence for any configuration of interest: gate failures
-//! ([`ParallelExploration::failure_witnesses`]), deadlocks
-//! ([`ParallelExploration::deadlock_witnesses`]), budget exhaustion (the
+//! ([`Exploration::failure_witnesses`]), deadlocks
+//! ([`Exploration::deadlock_witnesses`]), budget exhaustion (the
 //! `trace` inside [`ExploreError::BudgetExceeded`]), or any reachable
-//! configuration ([`ParallelExploration::trace_to`]). Traces are valid
+//! configuration ([`Exploration::trace_to`]). Traces are valid
 //! paths but not guaranteed globally shortest: a relaxation does not
 //! propagate to already-recorded descendants.
 //!
@@ -107,10 +108,11 @@
 //! [`ParallelExplorer::explore_with_stats`] aggregates them after the join
 //! even when the run is cut short mid-steal.
 
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::fmt;
+use std::ops::Deref;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 use crate::memo::{build_plans, MemoPlan, Resolved, SharedMemo};
 use crate::stats::{ExploreStats, ShardStats};
@@ -120,8 +122,8 @@ use inseq_obs::HitMissSnapshot;
 use inseq_kernel::hash::FxHashMap;
 use inseq_kernel::{
     canonical_parts, ActionName, BagId, ConcurrentInterner, Config, ConfigId, ConfigReq,
-    ExploreError, FailureWitness, GlobalStore, Multiset, PaId, PendingAsync, Program,
-    ReductionPolicy, StoreId, SuccessorCache, Summary, Trace, DEFAULT_CONFIG_BUDGET,
+    Exploration, ExploreError, ExploreRecord, GlobalStore, PaId, PendingAsync, Program,
+    ReductionPolicy, StoreId, SuccessorCache, Summary, DEFAULT_CONFIG_BUDGET,
 };
 
 /// Upper bound on the configurations moved by one steal. Half the victim's
@@ -263,6 +265,7 @@ impl<'p> ParallelExplorer<'p> {
         // the budget check, like the sequential explorer's — and dealt
         // round-robin across the deques. Seeds carry no parent edge.
         let interner = ConcurrentInterner::new();
+        let mut record = ExploreRecord::default();
         let mut seed_items: Vec<WorkItem> = Vec::new();
         let mut seed_hits = 0u64;
         for config in initial {
@@ -280,8 +283,12 @@ impl<'p> ParallelExplorer<'p> {
                 memo: HitMissSnapshot::default(),
                 contention: interner.contention(),
             };
+            let exploration = Exploration::new(interner, record);
             return (
-                Ok(ParallelExploration::empty(interner, stats.clone())),
+                Ok(ParallelExploration {
+                    exploration,
+                    stats: stats.clone(),
+                }),
                 stats,
             );
         }
@@ -343,10 +350,6 @@ impl<'p> ParallelExplorer<'p> {
                 .map_or_else(HitMissSnapshot::default, SharedMemo::snapshot),
             contention: shared.interner.contention(),
         };
-        let mut failures = Vec::new();
-        let mut deadlocks = Vec::new();
-        let mut terminal_ids: BTreeSet<StoreId> = BTreeSet::new();
-        let mut edges = 0usize;
         for (i, out) in outputs.into_iter().enumerate() {
             let mut shard = out.stats;
             if i == 0 {
@@ -357,10 +360,10 @@ impl<'p> ParallelExplorer<'p> {
                     .merged(HitMissSnapshot::new(seed_hits, seed_count as u64));
             }
             stats.shards.push(shard);
-            failures.extend(out.failures);
-            deadlocks.extend(out.deadlocks);
-            terminal_ids.extend(out.terminal);
-            edges += out.edges;
+            record.failures.extend(out.failures);
+            record.deadlocks.extend(out.deadlocks);
+            record.terminal.extend(out.terminal);
+            record.edges += out.edges;
         }
 
         let Shared {
@@ -374,19 +377,20 @@ impl<'p> ParallelExplorer<'p> {
             }
             return (Err(err), stats);
         }
-        // Terminal stores were recorded as ids only — no store was ever
-        // cloned inside the hot loop; materialize them once, after the join.
-        let terminal: BTreeSet<GlobalStore> = terminal_ids
-            .iter()
-            .map(|&sid| interner.store(sid).clone())
-            .collect();
+        // Terminal stores were recorded as ids only; ordering them by store
+        // once, after the join, makes their order schedule-independent.
+        // (Each terminal configuration is expanded once and has its own
+        // store, so there are no duplicates.)
+        record
+            .terminal
+            .sort_unstable_by(|&a, &b| interner.store(a).cmp(interner.store(b)));
+        record.pruned = stats.pruned();
+        record.orbit_collapses = stats.orbit_collapses();
+        record.succ_cache = stats.succ_cache();
+        record.succ_bypass = stats.succ_bypass();
         (
             Ok(ParallelExploration {
-                interner: Arc::new(interner),
-                failures,
-                deadlocks,
-                terminal,
-                edges,
+                exploration: Exploration::new(interner, record),
                 stats: stats.clone(),
             }),
             stats,
@@ -424,15 +428,14 @@ struct Shared {
     error: Mutex<Option<ExploreError>>,
 }
 
-/// Per-worker results, moved out of the worker when it exits. Failures and
-/// deadlocks carry the [`ConfigId`] at which they occurred, so witness
-/// traces resolve against the parent-edge log after the join; terminals
-/// carry the [`StoreId`] only and are materialized after the join.
+/// Per-worker results, moved out of the worker when it exits, in the ids
+/// of [`ExploreRecord`]: configurations, witnesses and stores are resolved
+/// from the shared interner only when the exploration is read.
 #[derive(Debug, Default)]
 struct WorkerOutput {
-    failures: Vec<(ConfigId, Config, PendingAsync, String)>,
-    deadlocks: Vec<(ConfigId, Config)>,
-    terminal: BTreeSet<StoreId>,
+    failures: Vec<(ConfigId, PaId, String)>,
+    deadlocks: Vec<ConfigId>,
+    terminal: Vec<StoreId>,
     edges: usize,
     stats: ShardStats,
 }
@@ -586,8 +589,7 @@ impl Worker<'_, '_> {
             self.counts.push(count);
         }
         if self.pa_buf.is_empty() {
-            // Terminal: record the id only; stores materialize post-join.
-            self.out.terminal.insert(sid);
+            self.out.terminal.push(sid);
         }
 
         // Bypass verdict and eviction, before anything of this expansion
@@ -678,7 +680,7 @@ impl Worker<'_, '_> {
                     self.outcomes.iter().map(|(p, o)| (*p, o.view())),
                 );
                 self.outcomes.clear();
-                if let Err(f) = self.apply_round(cid, sid, bagid, &selected, &mut progressed) {
+                if let Err(f) = self.apply_round(cid, bagid, &selected, &mut progressed) {
                     fault = Some(f);
                 }
             }
@@ -709,11 +711,7 @@ impl Worker<'_, '_> {
         }
 
         if fault.is_none() && !progressed {
-            let witness = Config::new(
-                store.clone(),
-                snapshot_bag(interner, &self.pa_buf, &self.counts),
-            );
-            self.out.deadlocks.push((cid, witness));
+            self.out.deadlocks.push(cid);
         }
 
         match fault {
@@ -744,7 +742,7 @@ impl Worker<'_, '_> {
 
     /// Cache → configuration: applies the cached firing outcome of every
     /// selected pending async to the configuration under expansion —
-    /// failure reports with their witnesses and the bag merge — then
+    /// failures recorded by id, and the bag merge — then
     /// canonicalizes under the symmetry quotient and interns the configs
     /// with their discovering parent edges in one batch. Fresh configs are
     /// budget-checked against the exact shared count and staged for the
@@ -753,22 +751,17 @@ impl Worker<'_, '_> {
     fn apply_round(
         &mut self,
         cid: ConfigId,
-        sid: StoreId,
         bagid: BagId,
         selected: &[PaId],
         progressed: &mut bool,
     ) -> Result<(), StepFault> {
         let interner = &self.shared.interner;
         let stop_on_failure = self.stop_on_failure;
-        let (pa_buf, counts, failures) = (&self.pa_buf, &self.counts, &mut self.out.failures);
+        let failures = &mut self.out.failures;
         *progressed |= self
             .cache
             .apply(interner, bagid, selected, |paid, reason| {
-                let witness = Config::new(
-                    interner.store(sid).clone(),
-                    snapshot_bag(interner, pa_buf, counts),
-                );
-                failures.push((cid, witness, interner.pa(paid).clone(), reason.to_owned()));
+                failures.push((cid, paid, reason.to_owned()));
                 if stop_on_failure {
                     // No configuration of this round has been interned
                     // yet; the round is dropped wholesale.
@@ -851,57 +844,24 @@ impl Worker<'_, '_> {
     }
 }
 
-/// The pending bag of the configuration under expansion — its distinct
-/// pending asyncs and their multiplicities — rebuilt from the lock-free
-/// arena.
-fn snapshot_bag(
-    interner: &ConcurrentInterner,
-    pa_buf: &[PaId],
-    counts: &[u32],
-) -> Multiset<PendingAsync> {
-    let mut bag = Multiset::new();
-    for (&paid, &count) in pa_buf.iter().zip(counts) {
-        bag.insert_n(interner.pa(paid).clone(), count as usize);
-    }
-    bag
-}
-
-/// The result of a parallel exploration: the concurrent interner (from
-/// which the reachable set is resolved on demand and witness traces are
-/// rebuilt out of the embedded parent-edge log), plus all gate violations
-/// and deadlocks encountered.
+/// The result of a parallel exploration: the kernel [`Exploration`] the
+/// workers built on their shared interner, plus the engine's own counters.
 ///
-/// Unlike [`inseq_kernel::Exploration`] this does not record the full
-/// transition graph — one parent edge per configuration suffices for
-/// witness reconstruction — and it does not materialize the visited set at
-/// all: [`configs`](ParallelExploration::configs) resolves configurations
-/// lazily from the arenas, so a multi-million-config run pays for
-/// materialization only if someone iterates it. Traces are valid firing
+/// Every reading of the exploration goes through `Deref` to
+/// [`Exploration`], so callers of either explorer read one type. Two
+/// things differ from a sequential run: configuration ids (and so
+/// [`configs`](Exploration::configs) order and the order of failures and
+/// deadlocks) depend on the schedule, and witness traces are valid firing
 /// sequences but, unlike the sequential explorer's (whose breadth-first
 /// order makes the same parent-edge walk shortest), not guaranteed
-/// globally shortest.
+/// globally shortest. Terminal stores are sorted by store.
 #[derive(Debug)]
 pub struct ParallelExploration {
-    interner: Arc<ConcurrentInterner>,
-    failures: Vec<(ConfigId, Config, PendingAsync, String)>,
-    deadlocks: Vec<(ConfigId, Config)>,
-    terminal: BTreeSet<GlobalStore>,
-    edges: usize,
+    exploration: Exploration,
     stats: ExploreStats,
 }
 
 impl ParallelExploration {
-    fn empty(interner: ConcurrentInterner, stats: ExploreStats) -> Self {
-        ParallelExploration {
-            interner: Arc::new(interner),
-            failures: Vec::new(),
-            deadlocks: Vec::new(),
-            terminal: BTreeSet::new(),
-            edges: 0,
-            stats,
-        }
-    }
-
     /// Observability counters of this exploration: per-shard interner
     /// hits/misses, expansion occupancy, steal traffic, reduction pruning,
     /// intern batching, shard-lock contention, and footprint-memo
@@ -910,112 +870,13 @@ impl ParallelExploration {
     pub fn stats(&self) -> &ExploreStats {
         &self.stats
     }
+}
 
-    /// The shared interner holding the reachable configurations and their
-    /// parent edges. A [`StateUniverse`](inseq_kernel::StateUniverse) built
-    /// on it indexes this exploration without copying it.
-    #[must_use]
-    pub fn interner(&self) -> &Arc<ConcurrentInterner> {
-        &self.interner
-    }
+impl Deref for ParallelExploration {
+    type Target = Exploration;
 
-    /// Number of distinct reachable configurations.
-    #[must_use]
-    pub fn config_count(&self) -> usize {
-        self.interner.config_count()
-    }
-
-    /// Number of transitions in the explored graph (counted, not stored).
-    #[must_use]
-    pub fn edge_count(&self) -> usize {
-        self.edges
-    }
-
-    /// Iterates over all reachable configurations, resolving each from the
-    /// shared arenas on demand. The order is not meaningful; compare as a
-    /// set.
-    pub fn configs(&self) -> impl Iterator<Item = Config> + '_ {
-        self.interner
-            .config_ids()
-            .map(|id| self.interner.resolve_config(id))
-    }
-
-    /// Whether any reachable configuration can fail.
-    #[must_use]
-    pub fn has_failure(&self) -> bool {
-        !self.failures.is_empty()
-    }
-
-    /// Human-readable descriptions of all gate violations found, in the same
-    /// format as [`inseq_kernel::Exploration::failure_reports`].
-    #[must_use]
-    pub fn failure_reports(&self) -> Vec<String> {
-        self.failures
-            .iter()
-            .map(|(_, config, fired, reason)| {
-                format!("executing {fired} from {config} fails: {reason}")
-            })
-            .collect()
-    }
-
-    /// A concrete firing sequence from a seed to `target`, or `None` when
-    /// `target` was not visited. The trace replays step by step but is not
-    /// guaranteed shortest.
-    #[must_use]
-    pub fn trace_to(&self, target: &Config) -> Option<Trace> {
-        let id = self.interner.find_config(target)?;
-        Some(self.interner.trace_from(id))
-    }
-
-    /// All gate violations, each with a concrete firing sequence reaching
-    /// the configuration at which the gate fails — the parallel analogue of
-    /// [`inseq_kernel::Exploration::failure_witnesses`].
-    #[must_use]
-    pub fn failure_witnesses(&self) -> Vec<FailureWitness> {
-        self.failures
-            .iter()
-            .map(|(cid, _, fired, reason)| FailureWitness {
-                trace: self.interner.trace_from(*cid),
-                fired: fired.clone(),
-                reason: reason.clone(),
-            })
-            .collect()
-    }
-
-    /// A concrete firing sequence reaching each deadlocked configuration.
-    #[must_use]
-    pub fn deadlock_witnesses(&self) -> Vec<Trace> {
-        self.deadlocks
-            .iter()
-            .map(|(cid, _)| self.interner.trace_from(*cid))
-            .collect()
-    }
-
-    /// Whether any reachable configuration is a deadlock.
-    #[must_use]
-    pub fn has_deadlock(&self) -> bool {
-        !self.deadlocks.is_empty()
-    }
-
-    /// Configurations with pending asyncs but no enabled transition and no
-    /// failure.
-    pub fn deadlocked_configs(&self) -> impl Iterator<Item = &Config> {
-        self.deadlocks.iter().map(|(_, c)| c)
-    }
-
-    /// Global stores of terminating configurations (empty `Ω`).
-    pub fn terminal_stores(&self) -> impl Iterator<Item = &GlobalStore> {
-        self.terminal.iter()
-    }
-
-    /// The program summary over the explored set: `good` iff no gate
-    /// violation was found, plus the set of terminating stores.
-    #[must_use]
-    pub fn summary(&self) -> Summary {
-        Summary {
-            good: !self.has_failure(),
-            terminal: self.terminal.clone(),
-        }
+    fn deref(&self) -> &Exploration {
+        &self.exploration
     }
 }
 
@@ -1023,7 +884,8 @@ impl ParallelExploration {
 mod tests {
     use super::*;
     use inseq_kernel::demo::{counter_program, failing_program};
-    use inseq_kernel::Explorer;
+    use inseq_kernel::{Explorer, Multiset, Trace};
+    use std::collections::BTreeSet;
 
     fn reachable_set(program: &Program) -> BTreeSet<Config> {
         let init = program.initial_config(vec![]).unwrap();
@@ -1031,7 +893,6 @@ mod tests {
             .explore([init])
             .unwrap()
             .configs()
-            .cloned()
             .collect()
     }
 
@@ -1312,7 +1173,7 @@ mod tests {
         assert_replays(&p, &witnesses[0]);
         assert_eq!(
             witnesses[0].last().unwrap(),
-            exp.deadlocked_configs().next().unwrap()
+            &exp.deadlocked_configs().next().unwrap()
         );
     }
 }

@@ -86,7 +86,7 @@ proptest! {
         let program = spawner_program(cap, &genome);
         let init = program.initial_config(vec![]).unwrap();
         let sequential = Explorer::new(&program).explore([init.clone()]).unwrap();
-        let seq_set: BTreeSet<Config> = sequential.configs().cloned().collect();
+        let seq_set: BTreeSet<Config> = sequential.configs().collect();
 
         let parallel = ParallelExplorer::new(&program)
             .with_workers(workers)

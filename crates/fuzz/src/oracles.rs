@@ -354,7 +354,7 @@ fn intern(exploration: &Exploration) -> Result<OracleOutcome, Disagreement> {
     // The explorer deduplicates through the same interner this oracle
     // re-interns with, so first check its visited set against plain
     // structural equality: no two visited configs may be equal.
-    let structural: HashSet<&Config> = exploration.configs().collect();
+    let structural: HashSet<Config> = exploration.configs().collect();
     if structural.len() != exploration.config_count() {
         return fail(format!(
             "the explorer visited {} configs but only {} are structurally distinct",
@@ -365,7 +365,7 @@ fn intern(exploration: &Exploration) -> Result<OracleOutcome, Disagreement> {
     let interner = ConcurrentInterner::new();
     let mut ids = Vec::new();
     for config in exploration.configs() {
-        let (id, fresh) = interner.intern_config(config, None);
+        let (id, fresh) = interner.intern_config(&config, None);
         if !fresh {
             // The explorer deduplicates structurally; a non-fresh intern of
             // a distinct exploration config means the interner conflated
@@ -374,19 +374,19 @@ fn intern(exploration: &Exploration) -> Result<OracleOutcome, Disagreement> {
                 "exploration config {config} interned as already-seen id {id:?}"
             ));
         }
-        let (again, fresh_again) = interner.intern_config(config, None);
+        let (again, fresh_again) = interner.intern_config(&config, None);
         if fresh_again || again != id {
             return fail(format!(
                 "re-interning {config} gave ({again:?}, fresh={fresh_again}), expected ({id:?}, fresh=false)"
             ));
         }
-        if interner.find_config(config) != Some(id) {
+        if interner.find_config(&config) != Some(id) {
             return fail(format!(
                 "find_config disagrees with intern_config for {config}"
             ));
         }
         let resolved = interner.resolve_config(id);
-        if resolved != *config {
+        if resolved != config {
             return fail(format!(
                 "resolve_config round-trip changed the config: {config} became {resolved}"
             ));

@@ -24,6 +24,11 @@
 //! is interned with the edge that discovered it; breadth-first order makes
 //! that parent-edge log a shortest-path forest, from which every witness
 //! trace is read ([`ConcurrentInterner::trace_from`]).
+//!
+//! The result, an [`Exploration`], is a view over that interner and owns
+//! no configuration: failures and deadlocks are recorded as config ids,
+//! terminal stores as store ids, and the transition relation only as a
+//! count. The parallel engine returns the same type.
 
 use std::collections::HashMap;
 use std::convert::Infallible;
@@ -107,15 +112,14 @@ impl<'p> Explorer<'p> {
         // loop, so first-evaluation cost never lands mid-exploration.
         self.program.prepare_actions();
         let interner = ConcurrentInterner::new();
-        let mut initial_ids = Vec::new();
-        let mut edges = Vec::new();
-        let mut failures = Vec::new();
-        let mut deadlocks = Vec::new();
+        let mut record = ExploreRecord::default();
+        // Duplicate seeds are expanded once, as in the parallel engine.
         let mut frontier: Vec<ConfigId> = Vec::new();
         for config in initial {
-            let (id, _) = interner.intern_config(&config, None);
-            initial_ids.push(id.index());
-            frontier.push(id);
+            let (id, fresh) = interner.intern_config(&config, None);
+            if fresh {
+                frontier.push(id);
+            }
         }
         // Reused across configurations: the distinct pending asyncs of the
         // configuration under expansion. Bag entries are canonically sorted
@@ -128,8 +132,6 @@ impl<'p> Explorer<'p> {
         let mut canon_cache: HashMap<(StoreId, BagId), (StoreId, BagId)> = HashMap::new();
         let mut cache = SuccessorCache::new(self.program);
         let mut outcomes: Vec<(PaId, ActionOutcome)> = Vec::new();
-        let mut pruned: u64 = 0;
-        let mut orbit_collapses: u64 = 0;
         let mut cursor = 0;
         while cursor < frontier.len() {
             let id = frontier[cursor];
@@ -137,6 +139,9 @@ impl<'p> Explorer<'p> {
             let (sid, bagid) = interner.config_parts(id);
             pa_buf.clear();
             pa_buf.extend(interner.bag_entries(bagid).iter().map(|&(p, _)| p));
+            if pa_buf.is_empty() {
+                record.terminal.push(sid);
+            }
             cache.begin(pa_buf.len());
             // An ample singleton, when the policy proves one sound here.
             let ample: Option<PaId> = match self.reduction {
@@ -199,11 +204,7 @@ impl<'p> Explorer<'p> {
                     cache.fill(&interner, sid, outcomes.iter().map(|(p, o)| (*p, o.into())));
                     let Ok(stepped) =
                         cache.apply(&interner, bagid, &to_expand[start..at], |fired, reason| {
-                            failures.push(Failure {
-                                config: id,
-                                fired,
-                                reason: reason.to_owned(),
-                            });
+                            record.failures.push((id, fired, reason.to_owned()));
                             Ok::<(), Infallible>(())
                         });
                     progressed |= stepped;
@@ -213,7 +214,7 @@ impl<'p> Explorer<'p> {
                         if let Some(spec) = sym {
                             let canon = canonical_parts(&interner, &mut canon_cache, spec, next);
                             if canon != next {
-                                orbit_collapses += 1;
+                                record.orbit_collapses += 1;
                                 next = canon;
                             }
                         }
@@ -222,11 +223,7 @@ impl<'p> Explorer<'p> {
                             bag: next.1,
                             edge: Some((id, fired)),
                         });
-                        edges.push(Edge {
-                            from: id.index(),
-                            fired,
-                            to: next_id.index(),
-                        });
+                        record.edges += 1;
                         if fresh {
                             any_fresh = true;
                             if interner.config_count() > self.budget {
@@ -250,7 +247,7 @@ impl<'p> Explorer<'p> {
                     if any_fresh {
                         // The ample expansion discovered a new configuration;
                         // the pruned pendings fire from there eventually.
-                        pruned += (pa_buf.len() - 1) as u64;
+                        record.pruned += (pa_buf.len() - 1) as u64;
                         break;
                     }
                     // Cycle proviso: every ample successor was already
@@ -264,25 +261,12 @@ impl<'p> Explorer<'p> {
                 }
             }
             if !progressed {
-                deadlocks.push(id);
+                record.deadlocks.push(id);
             }
         }
-        let configs = interner
-            .config_ids()
-            .map(|cid| interner.resolve_config(cid))
-            .collect();
-        Ok(Exploration {
-            interner: Arc::new(interner),
-            configs,
-            initial: initial_ids,
-            edges,
-            failures,
-            deadlocks,
-            pruned,
-            orbit_collapses,
-            succ_cache: cache.stats(),
-            succ_bypass: cache.bypassed(),
-        })
+        record.succ_cache = cache.stats();
+        record.succ_bypass = cache.bypassed();
+        Ok(Exploration::new(interner, record))
     }
 
     /// Computes the program summary (the data of Def. 3.2) for a single
@@ -292,29 +276,8 @@ impl<'p> Explorer<'p> {
     ///
     /// Propagates exploration errors.
     pub fn summarize(&self, initial: Config) -> Result<Summary, ExploreError> {
-        let exp = self.explore([initial])?;
-        Ok(Summary {
-            good: !exp.has_failure(),
-            terminal: exp.terminal_stores().cloned().collect(),
-        })
+        Ok(self.explore([initial])?.summary())
     }
-}
-
-/// An edge of the explored configuration graph. The fired pending async is
-/// stored by interned id; resolve through the exploration's interner.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct Edge {
-    from: usize,
-    fired: PaId,
-    to: usize,
-}
-
-/// A recorded gate violation.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct Failure {
-    config: ConfigId,
-    fired: PaId,
-    reason: String,
 }
 
 /// A **witness**: a concrete firing sequence from an initial configuration
@@ -413,73 +376,107 @@ impl fmt::Display for FailureWitness {
     }
 }
 
-/// The result of exhaustively exploring a program: the reachable
-/// configuration graph plus all gate violations encountered.
+/// What an explorer records while it runs, besides the configurations and
+/// parent edges it interns: everything is an interned id or a count, and
+/// [`Exploration`] resolves it on demand. The parallel engine fills one
+/// from its workers' outputs and hands it to [`Exploration::new`].
+#[derive(Debug, Default)]
+pub struct ExploreRecord {
+    /// Transitions fired: one per successor interned, duplicates included.
+    pub edges: usize,
+    /// Gate violations: the configuration at which the gate fails, the
+    /// fired pending async, and the gate's reason.
+    pub failures: Vec<(ConfigId, PaId, String)>,
+    /// Configurations with pending asyncs but no enabled transition and no
+    /// failure.
+    pub deadlocks: Vec<ConfigId>,
+    /// Stores of the configurations expanded with an empty bag, in the
+    /// order [`Exploration::terminal_stores`] yields them.
+    pub terminal: Vec<StoreId>,
+    /// Pending asyncs left unexpanded by partial-order reduction.
+    pub pruned: u64,
+    /// Successors whose orbit representative differed from the raw
+    /// successor under the symmetry quotient.
+    pub orbit_collapses: u64,
+    /// Successor-cache hits and misses; see [`crate::succ`].
+    pub succ_cache: inseq_obs::HitMissSnapshot,
+    /// Whether a successor cache went to bypass after its warmup.
+    pub succ_bypass: bool,
+}
+
+/// The result of exhaustively exploring a program, from either explorer: a
+/// view over the interner that holds the reachable configurations and
+/// their parent edges, plus the [`ExploreRecord`] of failures, deadlocks
+/// and terminal stores.
 ///
-/// Configurations are kept both interned (for O(1) membership probes and
-/// the parent-edge log behind every witness trace) and materialized (so
-/// `configs()` can hand out `&Config` without rebuilding).
+/// Nothing is materialized: [`configs`](Self::configs),
+/// [`deadlocked_configs`](Self::deadlocked_configs) and
+/// [`failure_reports`](Self::failure_reports) resolve configurations from
+/// the arenas on demand, [`terminal_stores`](Self::terminal_stores) borrows
+/// them, and the transition relation is not kept at all (only its size, in
+/// [`edge_count`](Self::edge_count)); [`steps`](Self::steps) re-derives it.
 #[derive(Debug)]
 pub struct Exploration {
     interner: Arc<ConcurrentInterner>,
-    configs: Vec<Config>,
-    initial: Vec<usize>,
-    edges: Vec<Edge>,
-    failures: Vec<Failure>,
-    deadlocks: Vec<ConfigId>,
-    pruned: u64,
-    orbit_collapses: u64,
-    succ_cache: inseq_obs::HitMissSnapshot,
-    succ_bypass: bool,
+    record: ExploreRecord,
 }
 
 impl Exploration {
-    fn resolve_pa(&self, id: PaId) -> PendingAsync {
-        self.interner.pa(id).clone()
+    /// An exploration over the configurations interned in `interner`.
+    #[must_use]
+    pub fn new(interner: ConcurrentInterner, record: ExploreRecord) -> Self {
+        Exploration {
+            interner: Arc::new(interner),
+            record,
+        }
     }
 
-    /// The interner holding this exploration's configurations, in
-    /// discovery order, and their parent edges. A
-    /// [`StateUniverse`](crate::StateUniverse) built from the exploration
-    /// shares it.
-    pub(crate) fn interner(&self) -> &Arc<ConcurrentInterner> {
+    /// The interner holding this exploration's configurations and their
+    /// parent edges. A [`StateUniverse`](crate::StateUniverse) built from
+    /// the exploration shares it.
+    #[must_use]
+    pub fn interner(&self) -> &Arc<ConcurrentInterner> {
         &self.interner
     }
 
     /// Number of distinct reachable configurations.
     #[must_use]
     pub fn config_count(&self) -> usize {
-        self.configs.len()
+        self.interner.config_count()
     }
 
-    /// Number of transitions in the explored graph.
+    /// Number of transitions in the explored graph (counted, not stored).
     #[must_use]
     pub fn edge_count(&self) -> usize {
-        self.edges.len()
+        self.record.edges
     }
 
-    /// Iterates over all reachable configurations.
-    pub fn configs(&self) -> impl Iterator<Item = &Config> {
-        self.configs.iter()
+    /// Iterates over all reachable configurations in id order, resolving
+    /// each from the arenas. For the sequential explorer that is discovery
+    /// order; for the parallel engine the order is schedule-dependent.
+    pub fn configs(&self) -> impl Iterator<Item = Config> + '_ {
+        self.interner
+            .config_ids()
+            .map(|id| self.interner.resolve_config(id))
     }
 
     /// Whether any reachable configuration can fail.
     #[must_use]
     pub fn has_failure(&self) -> bool {
-        !self.failures.is_empty()
+        !self.record.failures.is_empty()
     }
 
     /// Human-readable descriptions of all gate violations found.
     #[must_use]
     pub fn failure_reports(&self) -> Vec<String> {
-        self.failures
+        self.record
+            .failures
             .iter()
-            .map(|f| {
+            .map(|(config, fired, reason)| {
                 format!(
-                    "executing {} from {} fails: {}",
-                    self.interner.pa(f.fired),
-                    self.configs[f.config.index()],
-                    f.reason
+                    "executing {} from {} fails: {reason}",
+                    self.interner.pa(*fired),
+                    self.interner.resolve_config(*config),
                 )
             })
             .collect()
@@ -489,31 +486,50 @@ impl Exploration {
     /// failure — **deadlocks**: the program can neither proceed nor
     /// terminate from them. (A blocked pending async is not by itself a
     /// deadlock; some other pending async may still run.)
-    pub fn deadlocked_configs(&self) -> impl Iterator<Item = &Config> {
-        self.deadlocks.iter().map(|&id| &self.configs[id.index()])
+    pub fn deadlocked_configs(&self) -> impl Iterator<Item = Config> + '_ {
+        self.record
+            .deadlocks
+            .iter()
+            .map(|&id| self.interner.resolve_config(id))
     }
 
     /// Whether any reachable configuration is a deadlock.
     #[must_use]
     pub fn has_deadlock(&self) -> bool {
-        !self.deadlocks.is_empty()
+        !self.record.deadlocks.is_empty()
     }
 
     /// Global stores of terminating configurations (empty `Ω`).
     pub fn terminal_stores(&self) -> impl Iterator<Item = &GlobalStore> {
-        self.configs
+        self.record
+            .terminal
             .iter()
-            .filter(|c| c.is_terminal())
-            .map(|c| &c.globals)
+            .map(|&sid| self.interner.store(sid))
     }
 
-    /// All steps `(before, fired, after)` of the explored graph.
-    pub fn steps(&self) -> impl Iterator<Item = Step> + '_ {
-        self.edges.iter().map(|e| Step {
-            before: self.configs[e.from].clone(),
-            fired: self.resolve_pa(e.fired),
-            after: self.configs[e.to].clone(),
-        })
+    /// The program summary (the data of Def. 3.2): `good` iff no gate
+    /// violation was found, plus the set of terminating stores.
+    #[must_use]
+    pub fn summary(&self) -> Summary {
+        Summary {
+            good: !self.has_failure(),
+            terminal: self.terminal_stores().cloned().collect(),
+        }
+    }
+
+    /// All steps `(before, fired, after)` of the *unreduced* transition
+    /// relation out of the explored configurations, re-derived by firing
+    /// every distinct pending async of each configuration (in id order)
+    /// under `program`, which must be the explored program. The order is
+    /// that of the explorer's firings, so for an unreduced sequential
+    /// exploration this is its edge list, of length
+    /// [`edge_count`](Self::edge_count). A reduced exploration's steps also
+    /// include the firings it pruned and their raw (uncanonicalized)
+    /// successors; a firing whose evaluation errs, which only a pruned
+    /// firing can, contributes no step.
+    pub fn steps<'a>(&'a self, program: &'a Program) -> impl Iterator<Item = Step> + 'a {
+        self.configs()
+            .flat_map(move |before| fire_all(program, &before))
     }
 
     /// Reconstructs one shortest execution from an initial configuration to
@@ -523,8 +539,10 @@ impl Exploration {
         self.trace_to(target).map(Execution::from)
     }
 
-    /// Reconstructs one shortest witness trace from an initial configuration
-    /// to `target`, or `None` when `target` is unreachable.
+    /// Reconstructs a witness trace from an initial configuration to
+    /// `target`, or `None` when `target` is unreachable. Sequential
+    /// explorations return a shortest one; the parallel engine's traces are
+    /// valid firing sequences but not guaranteed shortest.
     #[must_use]
     pub fn trace_to(&self, target: &Config) -> Option<Trace> {
         let id = self.interner.find_config(target)?;
@@ -535,12 +553,13 @@ impl Exploration {
     /// the configuration at which the gate fails.
     #[must_use]
     pub fn failure_witnesses(&self) -> Vec<FailureWitness> {
-        self.failures
+        self.record
+            .failures
             .iter()
-            .map(|fail| FailureWitness {
-                trace: self.interner.trace_from(fail.config),
-                fired: self.resolve_pa(fail.fired),
-                reason: fail.reason.clone(),
+            .map(|(config, fired, reason)| FailureWitness {
+                trace: self.interner.trace_from(*config),
+                fired: self.interner.pa(*fired).clone(),
+                reason: reason.clone(),
             })
             .collect()
     }
@@ -548,7 +567,8 @@ impl Exploration {
     /// A concrete firing sequence reaching each deadlocked configuration.
     #[must_use]
     pub fn deadlock_witnesses(&self) -> Vec<Trace> {
-        self.deadlocks
+        self.record
+            .deadlocks
             .iter()
             .map(|&id| self.interner.trace_from(id))
             .collect()
@@ -565,71 +585,90 @@ impl Exploration {
     /// probes that evaluated (misses); see [`crate::succ`].
     #[must_use]
     pub fn succ_cache_stats(&self) -> inseq_obs::HitMissSnapshot {
-        self.succ_cache
+        self.record.succ_cache
     }
 
     /// Whether the successor cache went to bypass after its warmup.
     #[must_use]
     pub fn succ_bypass(&self) -> bool {
-        self.succ_bypass
+        self.record.succ_bypass
     }
 
     /// Pending asyncs left unexpanded by partial-order reduction (0 for
     /// unreduced explorations).
     #[must_use]
     pub fn pruned(&self) -> u64 {
-        self.pruned
+        self.record.pruned
     }
 
     /// Successors whose orbit representative differed from the raw
     /// successor under the symmetry quotient (0 without symmetry).
     #[must_use]
     pub fn orbit_collapses(&self) -> u64 {
-        self.orbit_collapses
+        self.record.orbit_collapses
     }
 
     /// Enumerates terminating executions as step sequences, up to `limit`
-    /// executions. Useful for the Fig. 2 rewriting demonstration; the number
-    /// of interleavings explodes, so a limit is mandatory.
+    /// executions, by a depth-first walk of the relation
+    /// [`steps`](Self::steps) lists, from each initial configuration (the
+    /// configurations with no parent edge).
+    /// Useful for the Fig. 2 rewriting demonstration; the number of
+    /// interleavings explodes, so a limit is mandatory.
     #[must_use]
-    pub fn terminating_executions(&self, limit: usize) -> Vec<Execution> {
+    pub fn terminating_executions(&self, program: &Program, limit: usize) -> Vec<Execution> {
         let mut out = Vec::new();
-        let mut adjacency: HashMap<usize, Vec<&Edge>> = HashMap::new();
-        for e in &self.edges {
-            adjacency.entry(e.from).or_default().push(e);
-        }
-        for &start in &self.initial {
-            let mut stack: Vec<(usize, Vec<Step>)> = vec![(start, Vec::new())];
-            while let Some((id, path)) = stack.pop() {
+        // Cycles cannot occur on a terminating path twice with the same
+        // config because each step consumes a PA or changes state; still,
+        // bound the path length.
+        let max_len = self.config_count() * 4;
+        let seeds = self
+            .interner
+            .config_ids()
+            .filter(|&id| self.interner.parent_edge(id).is_none());
+        for start in seeds {
+            let mut stack = vec![(self.interner.resolve_config(start), Vec::new())];
+            while let Some((config, path)) = stack.pop() {
                 if out.len() >= limit {
                     return out;
                 }
-                let config = &self.configs[id];
                 if config.is_terminal() {
                     out.push(Execution { steps: path });
                     continue;
                 }
-                // Cycles cannot occur on a terminating path twice with the
-                // same config because each step consumes a PA or changes
-                // state; still, guard against revisiting within one path.
-                if let Some(edges) = adjacency.get(&id) {
-                    for e in edges {
-                        if path.len() >= self.configs.len() * 4 {
-                            continue;
-                        }
-                        let mut next = path.clone();
-                        next.push(Step {
-                            before: self.configs[e.from].clone(),
-                            fired: self.resolve_pa(e.fired),
-                            after: self.configs[e.to].clone(),
-                        });
-                        stack.push((e.to, next));
-                    }
+                if path.len() >= max_len {
+                    continue;
+                }
+                for step in fire_all(program, &config) {
+                    let after = step.after.clone();
+                    let mut next = path.clone();
+                    next.push(step);
+                    stack.push((after, next));
                 }
             }
         }
         out
     }
+}
+
+/// The steps out of `before` under the plain multiset semantics: each
+/// distinct pending async in bag order, each of its transitions in order.
+fn fire_all(program: &Program, before: &Config) -> Vec<Step> {
+    let mut steps = Vec::new();
+    for fired in before.pending.distinct() {
+        let Ok(ActionOutcome::Transitions(ts)) = program.eval_pa(&before.globals, fired) else {
+            continue;
+        };
+        let mut rest = before.pending.clone();
+        rest.remove_one(fired);
+        for t in ts {
+            steps.push(Step {
+                before: before.clone(),
+                fired: fired.clone(),
+                after: Config::new(t.globals, rest.union(&t.created)),
+            });
+        }
+    }
+    steps
 }
 
 /// A finite execution: a sequence of steps.
@@ -827,7 +866,7 @@ mod tests {
         let exp = Explorer::new(&p).explore([init.clone()]).unwrap();
         // Pick the lexicographically largest reachable config (some
         // non-initial terminal) and reconstruct a path to it.
-        let target = exp.configs().max().unwrap().clone();
+        let target = exp.configs().max().unwrap();
         let trace = exp.trace_to(&target).expect("reachable");
         assert_chains(&p, &trace.steps);
         assert_eq!(trace.last().unwrap_or(&init), &target);
@@ -865,7 +904,7 @@ mod tests {
         let witnesses = exp.deadlock_witnesses();
         assert_eq!(witnesses.len(), 1);
         let deadlocked: Vec<_> = exp.deadlocked_configs().collect();
-        assert_eq!(witnesses[0].last().unwrap(), deadlocked[0]);
+        assert_eq!(witnesses[0].last().unwrap(), &deadlocked[0]);
         assert!(witnesses[0].to_string().contains("Main()"));
     }
 
@@ -948,7 +987,7 @@ mod tests {
         let p = counter_program();
         let init = p.initial_config(vec![]).unwrap();
         let exp = Explorer::new(&p).explore([init.clone()]).unwrap();
-        let execs = exp.terminating_executions(16);
+        let execs = exp.terminating_executions(&p, 16);
         assert!(!execs.is_empty());
         for e in &execs {
             assert_eq!(e.first().unwrap(), &init);

@@ -66,7 +66,8 @@ pub use action::{
 pub use config::{Config, Step};
 pub use error::{ExploreError, KernelError};
 pub use explore::{
-    Execution, Exploration, Explorer, FailureWitness, Summary, Trace, DEFAULT_CONFIG_BUDGET,
+    Execution, Exploration, ExploreRecord, Explorer, FailureWitness, Summary, Trace,
+    DEFAULT_CONFIG_BUDGET,
 };
 pub use intern::{BagId, ConfigId, PaId, StoreId, ValueId};
 pub use multiset::Multiset;

@@ -80,7 +80,7 @@ mod tests {
         let p = counter_program();
         let init = p.initial_config(vec![]).unwrap();
         let exp = Explorer::new(&p).explore([init]).unwrap();
-        let exec = exp.terminating_executions(1).remove(0);
+        let exec = exp.terminating_executions(&p, 1).remove(0);
         let text = render_execution(&exec, p.schema(), RenderOptions::default());
         assert!(text.starts_with("{Main()}"));
         assert!(text.contains("--Main()-->"));
@@ -96,7 +96,7 @@ mod tests {
         let p = counter_program();
         let init = p.initial_config(vec![]).unwrap();
         let exp = Explorer::new(&p).explore([init]).unwrap();
-        let exec = exp.terminating_executions(1).remove(0);
+        let exec = exp.terminating_executions(&p, 1).remove(0);
         let text = render_execution(&exec, p.schema(), RenderOptions { show_stores: true });
         assert!(text.contains("counter ="));
     }
@@ -106,7 +106,7 @@ mod tests {
         let p = counter_program();
         let init = p.initial_config(vec![]).unwrap();
         let exp = Explorer::new(&p).explore([init]).unwrap();
-        let exec = exp.terminating_executions(1).remove(0);
+        let exec = exp.terminating_executions(&p, 1).remove(0);
         let trace: crate::explore::Trace = exec.clone().into();
         assert_eq!(
             render_trace(&trace, p.schema(), RenderOptions::default()),

@@ -84,7 +84,7 @@ impl StateUniverse {
         universe
     }
 
-    /// Builds the universe of a sequential exploration, sharing its
+    /// Builds the universe of an exploration from either explorer, sharing its
     /// interner.
     #[must_use]
     pub fn from_exploration(exp: &Exploration) -> Self {

@@ -3,7 +3,8 @@
 //! through [`Multiset`] operations, no interner and no successor cache.
 //!
 //! The explorer must equal the reference exactly: configurations in id
-//! (discovery) order, every edge in firing order, every gate failure in
+//! (discovery) order, its edge count, every edge in firing order (as
+//! `Exploration::steps` re-derives them), every gate failure in
 //! order with its fired pending async, reason and shortest witness,
 //! deadlocks with their witnesses, terminal stores, and — under a budget —
 //! the same error at the same point. The engine shares the successor cache
@@ -115,10 +116,11 @@ impl Reference {
 }
 
 /// Asserts `exp` equals the reference in every observable, in order.
-fn assert_matches(label: &str, exp: &Exploration, r: &Reference) {
-    let configs: Vec<Config> = exp.configs().cloned().collect();
+fn assert_matches(label: &str, program: &Program, exp: &Exploration, r: &Reference) {
+    let configs: Vec<Config> = exp.configs().collect();
     assert_eq!(configs, r.configs, "{label}: configurations in id order");
-    let steps: Vec<Step> = exp.steps().collect();
+    assert_eq!(exp.edge_count(), r.edges.len(), "{label}: edge count");
+    let steps: Vec<Step> = exp.steps(program).collect();
     let want: Vec<Step> = r
         .edges
         .iter()
@@ -128,7 +130,7 @@ fn assert_matches(label: &str, exp: &Exploration, r: &Reference) {
             after: r.configs[*to].clone(),
         })
         .collect();
-    assert_eq!(steps.len(), want.len(), "{label}: edge count");
+    assert_eq!(steps.len(), want.len(), "{label}: step count");
     assert_eq!(steps, want, "{label}: edges in firing order");
     let want: Vec<FailureWitness> = r
         .failures
@@ -148,8 +150,8 @@ fn assert_matches(label: &str, exp: &Exploration, r: &Reference) {
         })
         .collect();
     assert_eq!(exp.failure_reports(), want, "{label}: failure reports");
-    let deadlocked: Vec<&Config> = exp.deadlocked_configs().collect();
-    let want: Vec<&Config> = r.deadlocks.iter().map(|&d| &r.configs[d]).collect();
+    let deadlocked: Vec<Config> = exp.deadlocked_configs().collect();
+    let want: Vec<Config> = r.deadlocks.iter().map(|&d| r.configs[d].clone()).collect();
     assert_eq!(deadlocked, want, "{label}: deadlocks");
     let want: Vec<Trace> = r.deadlocks.iter().map(|&d| r.trace(d)).collect();
     assert_eq!(
@@ -174,7 +176,7 @@ fn check(label: &str, program: &Program, init: &Config) -> Exploration {
         .unwrap_or_else(|e| panic!("{label}: {e}"));
     let r = Reference::explore(program, std::slice::from_ref(init), DEFAULT_CONFIG_BUDGET)
         .unwrap_or_else(|e| panic!("{label}: reference: {e}"));
-    assert_matches(label, &exp, &r);
+    assert_matches(label, program, &exp, &r);
     exp
 }
 

@@ -124,10 +124,10 @@ proptest! {
         let (p, init) = mixed_program(adders, doublers);
         let exp = Explorer::new(&p).explore([init.clone()]).unwrap();
         for c in exp.configs().filter(|c| c.is_terminal()) {
-            let path = exp.execution_reaching(c).expect("reachable");
+            let path = exp.execution_reaching(&c).expect("reachable");
             if adders + doublers > 0 {
                 prop_assert_eq!(path.first().unwrap(), &init);
-                prop_assert_eq!(path.last().unwrap(), c);
+                prop_assert_eq!(path.last().unwrap(), &c);
                 // Each path fires Main once then every task once.
                 prop_assert_eq!(path.len(), 1 + adders + doublers);
             }

@@ -152,7 +152,7 @@ fn check_case(case: &ExplorationCase) {
     let exp = Explorer::new(&case.program)
         .explore([case.init.clone()])
         .unwrap();
-    let configs: Vec<Config> = exp.configs().cloned().collect();
+    let configs: Vec<Config> = exp.configs().collect();
     let reachable: BTreeSet<&Config> = configs.iter().collect();
     let mut reference = Reference::default();
     for config in &configs {

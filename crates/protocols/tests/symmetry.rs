@@ -17,7 +17,7 @@ fn reachable() -> (inseq_kernel::SymmetrySpec, Vec<Config>) {
     let exploration = Explorer::new(&case.program)
         .explore([case.init])
         .expect("small Paxos explores");
-    let configs: Vec<Config> = exploration.configs().cloned().collect();
+    let configs: Vec<Config> = exploration.configs().collect();
     (spec, configs)
 }
 

@@ -36,4 +36,6 @@
 pub mod proto;
 mod server;
 
-pub use server::{Server, ServerConfig, ServerState, DEFAULT_REQUEST_BUDGET, MAX_REQUEST_LINE};
+pub use server::{
+    Server, ServerConfig, ServerState, DEFAULT_REQUEST_BUDGET, MAX_CONNECTIONS, MAX_REQUEST_LINE,
+};

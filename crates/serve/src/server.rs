@@ -27,6 +27,11 @@ pub const DEFAULT_REQUEST_BUDGET: usize = 4_000;
 /// while bounding what one client can make a connection thread buffer.
 pub const MAX_REQUEST_LINE: usize = 1 << 20;
 
+/// Most connections served at once. Each is served on its own thread, so
+/// this bounds the daemon's threads; a connection beyond it gets one
+/// `over-capacity` error line and is closed.
+pub const MAX_CONNECTIONS: usize = 32;
+
 /// How the daemon is wired up.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
@@ -67,6 +72,7 @@ pub struct ServerState {
     cache: ObligationCache,
     programs: Mutex<HashMap<u64, ProgramSpec>>,
     active_checks: AtomicUsize,
+    open_connections: AtomicUsize,
     shutting_down: AtomicBool,
     checks_served: Counter,
     checks_rejected: Counter,
@@ -81,6 +87,7 @@ impl ServerState {
             cache: ObligationCache::new(),
             programs: Mutex::new(HashMap::new()),
             active_checks: AtomicUsize::new(0),
+            open_connections: AtomicUsize::new(0),
             shutting_down: AtomicBool::new(false),
             checks_served: Counter::new(),
             checks_rejected: Counter::new(),
@@ -137,26 +144,26 @@ impl ServerState {
     }
 }
 
-/// RAII slot in the bounded check-concurrency pool.
-struct CheckSlot<'a>(&'a ServerState);
+/// A claimed slot of a bounded count (running checks, open connections),
+/// released on drop.
+struct Slot<'a>(&'a AtomicUsize);
 
-impl<'a> CheckSlot<'a> {
-    /// Claims a slot, or returns `None` at capacity.
-    fn acquire(state: &'a ServerState) -> Option<Self> {
-        let capacity = state.config.capacity;
-        state
-            .active_checks
+impl<'a> Slot<'a> {
+    /// Claims one of `cap` slots counted by `count`, or returns `None` when
+    /// all are taken.
+    fn acquire(count: &'a AtomicUsize, cap: usize) -> Option<Self> {
+        count
             .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| {
-                (n < capacity).then_some(n + 1)
+                (n < cap).then_some(n + 1)
             })
             .ok()
-            .map(|_| CheckSlot(state))
+            .map(|_| Slot(count))
     }
 }
 
-impl Drop for CheckSlot<'_> {
+impl Drop for Slot<'_> {
     fn drop(&mut self) {
-        self.0.active_checks.fetch_sub(1, Ordering::SeqCst);
+        self.0.fetch_sub(1, Ordering::SeqCst);
     }
 }
 
@@ -199,23 +206,36 @@ impl Server {
     /// Accepts connections until a `(shutdown)` request arrives, then
     /// drains in-flight obligations through [`Engine::shutdown`] and
     /// returns. Each connection is served on its own thread; responses to
-    /// one connection never interleave with another's.
+    /// one connection never interleave with another's. At most
+    /// [`MAX_CONNECTIONS`] are served at once: one more is sent a single
+    /// `over-capacity` error line and closed, without a thread.
     ///
     /// # Errors
     ///
     /// Propagates listener failures.
     pub fn run(self) -> io::Result<()> {
         let addr = self.local_addr()?;
+        let state: &ServerState = &self.state;
         thread::scope(|scope| {
             for stream in self.listener.incoming() {
-                if self.state.is_shutting_down() {
+                if state.is_shutting_down() {
                     break;
                 }
-                let stream = stream?;
-                let state = Arc::clone(&self.state);
+                let mut stream = stream?;
+                let Some(slot) = Slot::acquire(&state.open_connections, MAX_CONNECTIONS) else {
+                    let refusal = proto::error(
+                        None,
+                        "over-capacity",
+                        &format!("{MAX_CONNECTIONS} connections already open; retry later"),
+                    );
+                    // The client may already be gone; nothing to report.
+                    let _ = writeln!(stream, "{refusal}");
+                    continue;
+                };
                 scope.spawn(move || {
+                    let _slot = slot;
                     let peer = stream.peer_addr().ok();
-                    if let Err(e) = handle_connection(&state, stream, addr) {
+                    if let Err(e) = handle_connection(state, stream, addr) {
                         // A dropped client is routine; log and move on.
                         eprintln!("inseq-serve: connection {peer:?}: {e}");
                     }
@@ -391,7 +411,7 @@ fn handle_check(state: &ServerState, writer: &SharedWriter, req: CheckRequest) -
             ),
         );
     }
-    let Some(_slot) = CheckSlot::acquire(state) else {
+    let Some(_slot) = Slot::acquire(&state.active_checks, state.config.capacity) else {
         state.checks_rejected.incr();
         return send_line(
             writer,

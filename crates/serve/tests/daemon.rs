@@ -2,7 +2,8 @@
 //! verdict bit-equality against batch [`IsApplication::check`] on the
 //! Table-1 protocols, whole-run cache hits on resubmission,
 //! footprint-incremental re-checking after an edit, bounded multi-tenant
-//! concurrency, drain-on-shutdown, and rejection of malformed request lines.
+//! concurrency, a bounded number of connections, drain-on-shutdown, and
+//! rejection of malformed request lines.
 
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Write};
@@ -16,7 +17,7 @@ use inseq_kernel::Value;
 use inseq_lang::serial::{canonical_hash, write_spec_line};
 use inseq_lang::spec::{ActionSpec, ProgramSpec, SpecStmt};
 use inseq_lang::{Expr, Sort};
-use inseq_serve::{Server, ServerConfig, ServerState, MAX_REQUEST_LINE};
+use inseq_serve::{Server, ServerConfig, ServerState, MAX_CONNECTIONS, MAX_REQUEST_LINE};
 
 const BUDGET: usize = 4_000;
 
@@ -513,6 +514,70 @@ fn over_capacity_checks_are_rejected_gracefully() {
     assert!(client.recv().contains("\"type\": \"pong\""));
     assert_eq!(daemon.state.checks_rejected(), 1);
     daemon.shutdown_and_join();
+}
+
+#[test]
+fn connections_past_the_cap_are_refused_until_a_slot_frees() {
+    let mut daemon = start(ServerConfig::default());
+    // Fill every slot; a served ping proves each connection holds one.
+    let mut clients: Vec<Client> = (0..MAX_CONNECTIONS)
+        .map(|_| {
+            let mut c = daemon.connect();
+            c.send("(ping)");
+            assert!(c.recv().contains("\"type\": \"pong\""));
+            c
+        })
+        .collect();
+    // One more gets a single over-capacity line, then the daemon closes it.
+    let mut extra = daemon.connect();
+    let refusal = extra.recv();
+    assert_eq!(
+        field_str(&refusal, "reason").as_deref(),
+        Some("over-capacity"),
+        "expected a refusal: {refusal}"
+    );
+    let mut rest = String::new();
+    assert_eq!(extra.reader.read_line(&mut rest).expect("read to close"), 0);
+    // The open connections are still served.
+    clients[0].send("(ping)");
+    assert!(clients[0].recv().contains("\"type\": \"pong\""));
+    // A client that disconnects frees its slot once its thread sees the
+    // close; until then a new connection may still be refused.
+    drop(clients.pop());
+    let mut served = false;
+    for _ in 0..100 {
+        let mut c = daemon.connect();
+        c.send("(ping)");
+        let mut reply = String::new();
+        match c.reader.read_line(&mut reply) {
+            Ok(_) if reply.contains("\"type\": \"pong\"") => {
+                served = true;
+                clients.push(c);
+                break;
+            }
+            // Closed, or reset because the refused ping went unread.
+            Ok(0) | Err(_) => {}
+            Ok(_) => assert_eq!(
+                field_str(&reply, "reason").as_deref(),
+                Some("over-capacity")
+            ),
+        }
+        thread::sleep(Duration::from_millis(20));
+    }
+    assert!(served, "no slot freed after a client disconnected");
+    // Every slot is taken again, so shut down over a connection that holds
+    // one.
+    clients[0].send("(shutdown)");
+    assert!(clients[0].recv().contains("\"type\": \"bye\""));
+    drop(clients);
+    drop(extra);
+    daemon
+        .runner
+        .take()
+        .expect("runner")
+        .join()
+        .expect("run thread panicked")
+        .expect("run failed");
 }
 
 #[test]

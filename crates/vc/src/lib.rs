@@ -752,7 +752,7 @@ mod tests {
             ),
         ]);
         for c in exp.configs() {
-            assert!(f.eval(p.schema(), c).unwrap(), "violated at {c}");
+            assert!(f.eval(p.schema(), &c).unwrap(), "violated at {c}");
         }
     }
 

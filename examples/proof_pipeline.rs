@@ -66,7 +66,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let init2 = broadcast::init_config(&artifacts.p2, &artifacts, &instance);
     let exp = Explorer::new(&artifacts.p2).explore([init2]).unwrap();
     let exec = exp
-        .terminating_executions(8)
+        .terminating_executions(&artifacts.p2, 8)
         .into_iter()
         .max_by_key(inseq_len)
         .expect("some terminating execution");

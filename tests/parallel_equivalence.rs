@@ -18,7 +18,7 @@ fn assert_equivalent(label: &str, program: &Program, init: Config) {
     let sequential = Explorer::new(program)
         .explore([init.clone()])
         .unwrap_or_else(|e| panic!("{label}: sequential exploration failed: {e}"));
-    let seq_set: BTreeSet<Config> = sequential.configs().cloned().collect();
+    let seq_set: BTreeSet<Config> = sequential.configs().collect();
     let seq_terminal: BTreeSet<_> = sequential.terminal_stores().cloned().collect();
 
     for workers in [1, 2, 4] {
@@ -174,7 +174,7 @@ mod props {
             let program = spawner_program(cap, &genome);
             let init = program.initial_config(vec![]).unwrap();
             let sequential = Explorer::new(&program).explore([init.clone()]).unwrap();
-            let seq_set: BTreeSet<Config> = sequential.configs().cloned().collect();
+            let seq_set: BTreeSet<Config> = sequential.configs().collect();
             for workers in [1, 2, 4] {
                 let parallel = ParallelExplorer::new(&program)
                     .with_workers(workers)

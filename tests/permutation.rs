@@ -18,7 +18,7 @@ fn every_broadcast_interleaving_permutes_to_the_sequentialization() {
 
     let init = broadcast::init_config(&artifacts.p2, &artifacts, &instance);
     let exp = Explorer::new(&artifacts.p2).explore([init]).unwrap();
-    let executions = exp.terminating_executions(64);
+    let executions = exp.terminating_executions(&artifacts.p2, 64);
     assert!(!executions.is_empty());
 
     for exec in &executions {
@@ -63,7 +63,7 @@ fn partial_elimination_keeps_the_unabsorbed_steps() {
     let p_prime = app.apply();
 
     let exp = Explorer::new(&artifacts.p2).explore([init]).unwrap();
-    for exec in exp.terminating_executions(32) {
+    for exec in exp.terminating_executions(&artifacts.p2, 32) {
         let rewritten = permute_execution(&app, &exec)
             .unwrap_or_else(|e| panic!("permutation must succeed: {e}"));
         assert_eq!(rewritten.last().unwrap(), exec.last().unwrap());
@@ -86,7 +86,7 @@ fn producer_consumer_interleavings_permute() {
 
     let init = producer_consumer::init_config(&artifacts.p2, &artifacts, instance);
     let exp = Explorer::new(&artifacts.p2).explore([init]).unwrap();
-    for exec in exp.terminating_executions(48) {
+    for exec in exp.terminating_executions(&artifacts.p2, 48) {
         let rewritten = permute_execution(&app, &exec)
             .unwrap_or_else(|e| panic!("permutation must succeed: {e}"));
         assert_eq!(rewritten.last().unwrap(), exec.last().unwrap());
@@ -104,7 +104,7 @@ fn two_phase_commit_interleavings_permute() {
 
     let init = two_phase_commit::init_config(&artifacts.p2, &artifacts, &instance);
     let exp = Explorer::new(&artifacts.p2).explore([init]).unwrap();
-    for exec in exp.terminating_executions(48) {
+    for exec in exp.terminating_executions(&artifacts.p2, 48) {
         let rewritten = permute_execution(&app, &exec)
             .unwrap_or_else(|e| panic!("permutation must succeed: {e}"));
         assert_eq!(rewritten.last().unwrap(), exec.last().unwrap());
@@ -119,7 +119,7 @@ fn permutation_rejects_executions_not_starting_with_main() {
     let app = broadcast::oneshot_application(&artifacts, &instance);
     let init = broadcast::init_config(&artifacts.p2, &artifacts, &instance);
     let exp = Explorer::new(&artifacts.p2).explore([init]).unwrap();
-    let mut exec = exp.terminating_executions(1).remove(0);
+    let mut exec = exp.terminating_executions(&artifacts.p2, 1).remove(0);
     exec.steps.remove(0); // drop the Main step
     assert!(permute_execution(&app, &exec).is_err());
 }
