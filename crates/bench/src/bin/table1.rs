@@ -18,8 +18,9 @@
 //!
 //! `--stats` appends an observability section to the rendered table:
 //! per-protocol interner, successor-cache and mover-cache hit rates,
-//! pairwise-check counts,
-//! and the slowest premises. The JSON rows always carry these counters.
+//! pairwise-check counts, the wall clock of each pipeline step with the
+//! number of explorations the pipeline ran, and the slowest premises. The
+//! JSON rows always carry these counters (`steps`, `explorations`).
 //!
 //! `--large` switches to the exploration-throughput tier: the parametric
 //! instances of `inseq_protocols::large_exploration_cases()` (10^4–10^6+
@@ -114,7 +115,8 @@ fn rows_as_json(rows: &[CaseReport]) -> String {
             "  {{\"example\": \"{}\", \"instance\": \"{}\", \"is_applications\": {}, \
              \"loc_total\": {}, \"loc_is\": {}, \"loc_impl\": {}, \"time_seconds\": {:.6}, \
              \"visited_configs\": {}, \"edges\": {}, {}, {}, {}, {}, \
-             \"pairwise_checks\": {}, {}, \"premises\": {}}}",
+             \"pairwise_checks\": {}, {}, \"premises\": {}, \"explorations\": {}, \
+             \"steps\": {}}}",
             json::escape(&r.name),
             json::escape(&r.instance),
             r.is_applications,
@@ -130,15 +132,33 @@ fn rows_as_json(rows: &[CaseReport]) -> String {
             json::hit_miss_fields("mover_cache", &stats.mover),
             stats.pairwise,
             json::exec_fields(&stats.exec),
-            json::phases(&premises)
+            json::phases(&premises),
+            r.explorations,
+            steps_as_json(r)
         ));
     }
     out.push_str("\n]\n");
     out
 }
 
-/// The `--stats` section: cache effectiveness and the slowest premises per
-/// protocol.
+/// A row's pipeline steps as `[{"step": …, "wall_seconds": …}, …]`.
+fn steps_as_json(r: &CaseReport) -> String {
+    let steps: Vec<String> = r
+        .steps
+        .iter()
+        .map(|s| {
+            format!(
+                "{{\"step\": {}, \"wall_seconds\": {:.6}}}",
+                json::string(&s.step),
+                s.wall.as_secs_f64()
+            )
+        })
+        .collect();
+    format!("[{}]", steps.join(", "))
+}
+
+/// The `--stats` section: cache effectiveness, the pipeline's steps and
+/// explorations, and the slowest premises per protocol.
 fn render_stats(rows: &[CaseReport]) -> String {
     let mut out = String::from("\nObservability (summed over each row's IS applications):\n");
     for r in rows {
@@ -158,6 +178,12 @@ fn render_stats(rows: &[CaseReport]) -> String {
         if engine.ran() {
             out.push_str(&format!("    engine: {engine}\n"));
         }
+        let steps: Vec<String> = r.steps.iter().map(ToString::to_string).collect();
+        out.push_str(&format!(
+            "    pipeline: {} exploration(s); steps [{}]\n",
+            r.explorations,
+            steps.join(", ")
+        ));
         out.push_str(&format!(
             "    exec: {} compiled action(s) ({} ops, {:.3}ms compile), \
              {} VM / {} interp evaluations\n",

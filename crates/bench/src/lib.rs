@@ -73,6 +73,33 @@ pub mod instances {
     }
 }
 
+/// A Table-1 pipeline: one protocol's `verify` (a [`Proof`] run) at its
+/// reference instance.
+///
+/// [`Proof`]: inseq_protocols::common::Proof
+pub type Table1Runner = fn() -> Result<CaseReport, CaseError>;
+
+/// The seven rows of Table 1, in the paper's order: each protocol's name
+/// and its pipeline at the reference instance. [`table1_rows`],
+/// [`table1_rows_only`] and [`table1_rows_with`] all run this list.
+pub const TABLE1: [(&str, Table1Runner); 7] = [
+    ("Broadcast consensus", || {
+        broadcast::verify(&instances::broadcast())
+    }),
+    ("Ping-Pong", || ping_pong::verify(instances::ping_pong())),
+    ("Producer-Consumer", || {
+        producer_consumer::verify(instances::producer_consumer())
+    }),
+    ("N-Buyer", || n_buyer::verify(&instances::n_buyer())),
+    ("Chang-Roberts", || {
+        chang_roberts::verify(&instances::chang_roberts())
+    }),
+    ("Two-phase commit", || {
+        two_phase_commit::verify(&instances::two_phase_commit())
+    }),
+    ("Paxos", || paxos::verify(instances::paxos())),
+];
+
 /// Runs the full verification pipeline of every protocol on its reference
 /// instance — the rows of our Table 1.
 ///
@@ -80,15 +107,7 @@ pub mod instances {
 ///
 /// Returns the first failing case.
 pub fn table1_rows() -> Result<Vec<CaseReport>, CaseError> {
-    Ok(vec![
-        broadcast::verify(&instances::broadcast())?,
-        ping_pong::verify(instances::ping_pong())?,
-        producer_consumer::verify(instances::producer_consumer())?,
-        n_buyer::verify(&instances::n_buyer())?,
-        chang_roberts::verify(&instances::chang_roberts())?,
-        two_phase_commit::verify(&instances::two_phase_commit())?,
-        paxos::verify(instances::paxos())?,
-    ])
+    TABLE1.iter().map(|(_, run)| run()).collect()
 }
 
 /// Like [`table1_rows`], but restricted to protocols whose Table-1 name
@@ -101,34 +120,6 @@ pub fn table1_rows() -> Result<Vec<CaseReport>, CaseError> {
 /// needle matches no protocol (a misspelled `--only` must not silently
 /// shrink the benchmark).
 pub fn table1_rows_only(needles: &[String]) -> Result<Vec<CaseReport>, CaseError> {
-    type CaseRunner = Box<dyn FnOnce() -> Result<CaseReport, CaseError>>;
-    let runners: Vec<(&str, CaseRunner)> = vec![
-        (
-            "Broadcast consensus",
-            Box::new(|| broadcast::verify(&instances::broadcast())),
-        ),
-        (
-            "Ping-Pong",
-            Box::new(|| ping_pong::verify(instances::ping_pong())),
-        ),
-        (
-            "Producer-Consumer",
-            Box::new(|| producer_consumer::verify(instances::producer_consumer())),
-        ),
-        (
-            "N-Buyer",
-            Box::new(|| n_buyer::verify(&instances::n_buyer())),
-        ),
-        (
-            "Chang-Roberts",
-            Box::new(|| chang_roberts::verify(&instances::chang_roberts())),
-        ),
-        (
-            "Two-phase commit",
-            Box::new(|| two_phase_commit::verify(&instances::two_phase_commit())),
-        ),
-        ("Paxos", Box::new(|| paxos::verify(instances::paxos()))),
-    ];
     if needles.is_empty() {
         return Err(CaseError::new(
             "--only",
@@ -141,21 +132,19 @@ pub fn table1_rows_only(needles: &[String]) -> Result<Vec<CaseReport>, CaseError
     };
     if let Some(unmatched) = needles
         .iter()
-        .find(|needle| !runners.iter().any(|(name, _)| matched_by(needle)(name)))
+        .find(|needle| !TABLE1.iter().any(|(name, _)| matched_by(needle)(name)))
     {
-        let known: Vec<&str> = runners.iter().map(|(name, _)| *name).collect();
+        let known: Vec<&str> = TABLE1.iter().map(|(name, _)| *name).collect();
         return Err(CaseError::new(
             "--only",
             format!("needle `{unmatched}` matches no Table-1 protocol; known protocols: {known:?}"),
         ));
     }
-    let mut rows = Vec::new();
-    for (name, run) in runners {
-        if needles.iter().any(|needle| matched_by(needle)(name)) {
-            rows.push(run()?);
-        }
-    }
-    Ok(rows)
+    TABLE1
+        .iter()
+        .filter(|(name, _)| needles.iter().any(|needle| matched_by(needle)(name)))
+        .map(|(_, run)| run())
+        .collect()
 }
 
 /// Like [`table1_rows`], but runs the seven protocol pipelines as
@@ -170,41 +159,12 @@ pub fn table1_rows_with(jobs: usize) -> Result<Vec<CaseReport>, CaseError> {
     use inseq_engine::{Engine, Job, JobResult};
     use std::sync::Mutex;
 
-    type CaseRunner = Box<dyn FnOnce() -> Result<CaseReport, CaseError> + Send>;
-    let runners: Vec<(&str, CaseRunner)> = vec![
-        (
-            "Broadcast consensus",
-            Box::new(|| broadcast::verify(&instances::broadcast())),
-        ),
-        (
-            "Ping-Pong",
-            Box::new(|| ping_pong::verify(instances::ping_pong())),
-        ),
-        (
-            "Producer-Consumer",
-            Box::new(|| producer_consumer::verify(instances::producer_consumer())),
-        ),
-        (
-            "N-Buyer",
-            Box::new(|| n_buyer::verify(&instances::n_buyer())),
-        ),
-        (
-            "Chang-Roberts",
-            Box::new(|| chang_roberts::verify(&instances::chang_roberts())),
-        ),
-        (
-            "Two-phase commit",
-            Box::new(|| two_phase_commit::verify(&instances::two_phase_commit())),
-        ),
-        ("Paxos", Box::new(|| paxos::verify(instances::paxos()))),
-    ];
-
     let slots: Mutex<Vec<Option<Result<CaseReport, CaseError>>>> =
-        Mutex::new(runners.iter().map(|_| None).collect());
-    let engine_jobs: Vec<Job<'_>> = runners
-        .into_iter()
+        Mutex::new(TABLE1.iter().map(|_| None).collect());
+    let engine_jobs: Vec<Job<'_>> = TABLE1
+        .iter()
         .enumerate()
-        .map(|(row, (name, run))| {
+        .map(|(row, &(name, run))| {
             let slots = &slots;
             Job::new(name, move || {
                 let outcome = run();

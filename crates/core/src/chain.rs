@@ -71,20 +71,44 @@ impl IsChain {
     /// Propagates the first violated premise, annotated with the step index
     /// via the violation's `Display` (the step's target action names it).
     pub fn run(self) -> Result<ChainOutcome, IsViolation> {
+        let start = self.steps.first().map(|step| step.program().clone());
+        match start {
+            Some(program) => self.run_from(program, IsApplication::check),
+            None => Err(empty_chain()),
+        }
+    }
+
+    /// Checks and applies every step in order from `program`: each step,
+    /// the first one included, is rebased onto the running program, checked
+    /// by `check` and applied. [`run`](Self::run) is this from the first
+    /// step's own program with [`IsApplication::check`]; a caller that
+    /// already explored a step's program hands that exploration to
+    /// [`IsApplication::check_on`] instead.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the first error `check` returns.
+    pub fn run_from(
+        self,
+        mut program: Program,
+        mut check: impl FnMut(&IsApplication) -> Result<IsReport, IsViolation>,
+    ) -> Result<ChainOutcome, IsViolation> {
+        if self.steps.is_empty() {
+            return Err(empty_chain());
+        }
         let mut reports = Vec::new();
-        let mut steps = self.steps.into_iter();
-        let first = steps.next().ok_or_else(|| IsViolation::Structural {
-            message: "empty IS chain".into(),
-        })?;
-        let (mut program, report) = first.check_and_apply()?;
-        reports.push(report);
-        for step in steps {
-            let rebased = step.with_program(program);
-            let (next, report) = rebased.check_and_apply()?;
-            program = next;
-            reports.push(report);
+        for step in self.steps {
+            let step = step.with_program(program);
+            reports.push(check(&step)?);
+            program = step.apply();
         }
         Ok(ChainOutcome { program, reports })
+    }
+}
+
+fn empty_chain() -> IsViolation {
+    IsViolation::Structural {
+        message: "empty IS chain".into(),
     }
 }
 

@@ -641,7 +641,7 @@ impl IsApplication {
     /// failed exploration, or an obligation the engine did not run.
     pub(crate) fn drive(
         &self,
-        explore: Explore,
+        explore: Explore<'_>,
         executor: Executor<'_>,
         cache: Option<(&ObligationCache, &ArtifactKeys)>,
         on_outcome: &(dyn Fn(&ObligationOutcome) + Sync),

@@ -661,6 +661,39 @@ impl IsApplication {
         Ok((self.apply(), report))
     }
 
+    /// The exploration [`check`](IsApplication::check) quantifies over,
+    /// for a caller that checks on it with [`check_on`](Self::check_on)
+    /// and reads it elsewhere too. Structural problems are reported first,
+    /// as `check` reports them.
+    ///
+    /// # Errors
+    ///
+    /// Returns a structural problem or the failed exploration.
+    pub fn explore(&self) -> Result<Exploration, IsViolation> {
+        self.artifacts()?;
+        self.explore_sequential()
+    }
+
+    /// Like [`check`](IsApplication::check), but quantifies over an
+    /// exploration the caller made instead of exploring the instances.
+    /// `exploration` must be an unreduced sequential exploration of this
+    /// application's program from exactly its instances, such as
+    /// [`explore`](Self::explore) returns or any other unreduced
+    /// [`Explorer`] run from the same seeds: then the report, statistics
+    /// included, is `check`'s, except that the `"explore"` premise phase
+    /// times only the universe built over it. The universe interns the
+    /// invariant's pseudo-configurations (stores and bags only) into the
+    /// exploration's interner.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first violated premise with a concrete witness.
+    pub fn check_on(&self, exploration: &Exploration) -> Result<IsReport, IsViolation> {
+        let given = Explore::Given(exploration);
+        let run = self.drive(given, Executor::InThread, None, &|_| {})?;
+        Ok(run.verdict()?.incremental.report)
+    }
+
     /// Like [`check`](IsApplication::check), but discharges the premises
     /// concurrently on an [`Engine`].
     ///
@@ -756,32 +789,23 @@ impl IsApplication {
     /// whenever one has the same store.
     pub(crate) fn prepare(
         &self,
-        explore: Explore,
+        explore: Explore<'_>,
         invariant: &Arc<dyn ActionSemantics>,
     ) -> Result<CheckPrep, IsViolation> {
         let mut report = IsReport {
             eliminated_actions: self.eliminated.len(),
             ..IsReport::default()
         };
-        let reducer = Reducer::new(self.reduce);
-        let exploration_error = |e: inseq_kernel::ExploreError| IsViolation::Exploration {
-            message: e.to_string(),
-        };
         // Either explorer's result reads as one `Exploration`; only the
         // engine's own counters are parallel-only.
         let (sequential, parallel);
         let exploration: &Exploration = match explore {
             Explore::Sequential => {
-                let mut explorer = Explorer::new(&self.program).with_budget(self.budget);
-                if self.reduce != ReduceMode::Off {
-                    explorer = explorer.with_reduction(&reducer);
-                }
-                sequential = explorer
-                    .explore(self.instances.iter().cloned())
-                    .map_err(exploration_error)?;
+                sequential = self.explore_sequential()?;
                 &sequential
             }
             Explore::Parallel(workers) => {
+                let reducer = Reducer::new(self.reduce);
                 let mut explorer = ParallelExplorer::new(&self.program)
                     .with_workers(workers)
                     .with_budget(self.budget);
@@ -794,6 +818,7 @@ impl IsApplication {
                 report.stats.engine = parallel.stats().engine_snapshot();
                 &parallel
             }
+            Explore::Given(exploration) => exploration,
         };
         report.reachable_configs = exploration.config_count();
         report.edges = exploration.edge_count();
@@ -839,6 +864,20 @@ impl IsApplication {
             inv_transitions,
             report,
         })
+    }
+
+    /// The sequential exploration of the instances that
+    /// [`check`](IsApplication::check) quantifies over: this application's
+    /// budget and reduction.
+    fn explore_sequential(&self) -> Result<Exploration, IsViolation> {
+        let reducer = Reducer::new(self.reduce);
+        let mut explorer = Explorer::new(&self.program).with_budget(self.budget);
+        if self.reduce != ReduceMode::Off {
+            explorer = explorer.with_reduction(&reducer);
+        }
+        explorer
+            .explore(self.instances.iter().cloned())
+            .map_err(exploration_error)
     }
 
     /// Premise `A ≼ α(A)` for one eliminated action.
@@ -1069,6 +1108,12 @@ pub(crate) enum InvOutcome {
     Transitions(BTreeSet<Transition>),
 }
 
+fn exploration_error(e: inseq_kernel::ExploreError) -> IsViolation {
+    IsViolation::Exploration {
+        message: e.to_string(),
+    }
+}
+
 /// The artifacts every premise reads, resolved once per check by
 /// [`IsApplication::artifacts`].
 pub(crate) struct Artifacts<'a> {
@@ -1078,11 +1123,13 @@ pub(crate) struct Artifacts<'a> {
 }
 
 /// Which explorer builds the universe the premises quantify over.
-pub(crate) enum Explore {
+pub(crate) enum Explore<'e> {
     /// The sequential kernel [`Explorer`].
     Sequential,
     /// The sharded [`ParallelExplorer`] with this many workers.
     Parallel(usize),
+    /// None: an unreduced exploration of the instances the caller made.
+    Given(&'e Exploration),
 }
 
 /// The shared prefix of all Fig. 3 obligations: the explored universe, the

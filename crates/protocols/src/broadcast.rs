@@ -28,9 +28,8 @@ use inseq_core::{chain::IsChain, IsApplication, Measure};
 use inseq_kernel::{ActionSemantics, Config, GlobalStore, Program, Value};
 use inseq_lang::build::*;
 use inseq_lang::{program_of, DslAction, GlobalDecls, Sort};
-use inseq_refine::check_program_refinement;
 
-use crate::common::{check_spec, ghost, timed, CaseError, CaseReport, ExplorationCase, LocCounter};
+use crate::common::{ghost, CaseError, CaseReport, ExplorationCase, LocCounter, Proof, Refinement};
 
 /// Ghost tag for `Broadcast` pending asyncs.
 pub const TAG_BROADCAST: i64 = 1;
@@ -620,45 +619,11 @@ pub fn iterated_chain(artifacts: &Artifacts, instance: &Instance) -> IsChain {
     IsChain::new().then(first).then(second)
 }
 
-/// Runs the full verification pipeline for one instance and produces a
-/// Table 1 row: `P1 ≼ P2` by explicit refinement, the two IS applications
-/// of the iterated proof, the end-to-end refinement `P2 ≼ P'`, and the
-/// consensus property on the sequentialization.
-///
-/// # Errors
-///
-/// Returns the first failing pipeline stage.
-pub fn verify(instance: &Instance) -> Result<CaseReport, CaseError> {
-    const NAME: &str = "Broadcast consensus";
-    let artifacts = build();
-    let budget = 4_000_000;
-    let (result, time) = timed(|| -> Result<Vec<inseq_core::IsReport>, CaseError> {
-        // P1 ≼ P2.
-        let init1 = init_config(&artifacts.p1, &artifacts, instance);
-        let init2 = init_config(&artifacts.p2, &artifacts, instance);
-        check_program_refinement(&artifacts.p1, &artifacts.p2, [init1], budget)
-            .map_err(|e| CaseError::new(NAME, format!("P1 ⋠ P2: {e}")))?;
-        // The iterated IS proof (Table 1: #IS = 2).
-        let outcome = iterated_chain(&artifacts, instance)
-            .run()
-            .map_err(|e| CaseError::new(NAME, e))?;
-        // The IS guarantee, re-checked end-to-end on the instance.
-        check_program_refinement(&artifacts.p2, &outcome.program, [init2.clone()], budget)
-            .map_err(|e| CaseError::new(NAME, format!("P2 ⋠ P': {e}")))?;
-        // Property (1) on the sequentialization — and on P2 itself.
-        check_spec(
-            &outcome.program,
-            init2.clone(),
-            budget,
-            spec(&artifacts, instance),
-        )
-        .map_err(|e| CaseError::new(NAME, e))?;
-        check_spec(&artifacts.p2, init2, budget, spec(&artifacts, instance))
-            .map_err(|e| CaseError::new(NAME, e))?;
-        Ok(outcome.reports)
-    });
-    let reports = result?;
-
+/// The Table-1 proof of an instance as data for [`Proof::run`]: `P1 ≼ P2`
+/// by explicit refinement, the IS application(s), `P2 ≼ P'`, and the spec
+/// on `P'` and `P2`.
+#[must_use]
+pub fn proof<'a>(artifacts: &'a Artifacts, instance: &Instance) -> Proof<'a> {
     let mut loc = LocCounter::new();
     loc.impl_actions([
         &artifacts.broadcast_step,
@@ -675,22 +640,38 @@ pub fn verify(instance: &Instance) -> Result<CaseReport, CaseError> {
         &artifacts.inv_collect,
         &artifacts.collect_abs_weak,
     ]);
-
-    Ok(CaseReport {
-        name: NAME.into(),
+    Proof {
+        name: "Broadcast consensus",
         instance: format!("n = {}", instance.n),
-        is_applications: reports.len(),
-        loc_total: loc.total(),
-        loc_is: loc.is_loc,
-        loc_impl: loc.impl_loc,
-        reports,
-        time,
-    })
+        loc,
+        budget: 4_000_000,
+        refinement: Refinement::program(
+            &artifacts.p1,
+            init_config(&artifacts.p1, artifacts, instance),
+        ),
+        p2: &artifacts.p2,
+        init: init_config(&artifacts.p2, artifacts, instance),
+        chain: iterated_chain(artifacts, instance),
+        spec: Box::new(spec(artifacts, instance)),
+    }
+}
+
+/// Runs the full verification pipeline for one instance and produces a
+/// Table 1 row: `P1 ≼ P2` by explicit refinement, the two IS applications
+/// of the iterated proof, the end-to-end refinement `P2 ≼ P'`, and the
+/// consensus property on the sequentialization.
+///
+/// # Errors
+///
+/// Returns the first failing pipeline stage.
+pub fn verify(instance: &Instance) -> Result<CaseReport, CaseError> {
+    proof(&build(), instance).run()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::check_spec;
 
     #[test]
     fn p2_satisfies_consensus_directly() {

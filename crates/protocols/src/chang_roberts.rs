@@ -22,9 +22,8 @@ use inseq_core::{IsApplication, Measure};
 use inseq_kernel::{ActionSemantics, Config, GlobalStore, Multiset, PendingAsync, Program, Value};
 use inseq_lang::build::*;
 use inseq_lang::{program_of, BinOp, DslAction, Expr, GlobalDecls, Sort};
-use inseq_refine::check_program_refinement;
 
-use crate::common::{check_spec, timed, CaseError, CaseReport, ExplorationCase, LocCounter};
+use crate::common::{CaseError, CaseReport, ExplorationCase, LocCounter, Proof, Refinement};
 
 /// A finite instance: the (unique) ID of each node in ring order.
 #[derive(Debug, Clone)]
@@ -572,39 +571,11 @@ pub fn application(artifacts: &Artifacts, instance: &Instance) -> IsApplication 
         .instance(init)
 }
 
-/// Runs the full pipeline and produces the Table 1 row.
-///
-/// # Errors
-///
-/// Returns the first failing pipeline stage.
-pub fn verify(instance: &Instance) -> Result<CaseReport, CaseError> {
-    const NAME: &str = "Chang-Roberts";
-    let artifacts = build();
-    let budget = 2_000_000;
-    let (result, time) = timed(|| -> Result<Vec<inseq_core::IsReport>, CaseError> {
-        let init1 = init_config(&artifacts.p1, &artifacts, instance);
-        let init2 = init_config(&artifacts.p2, &artifacts, instance);
-        check_program_refinement(&artifacts.p1, &artifacts.p2, [init1], budget)
-            .map_err(|e| CaseError::new(NAME, format!("P1 ⋠ P2: {e}")))?;
-        // The paper-faithful two-application proof (#IS = 2).
-        let outcome = iterated_chain(&artifacts, instance)
-            .run()
-            .map_err(|e| CaseError::new(NAME, e))?;
-        check_program_refinement(&artifacts.p2, &outcome.program, [init2.clone()], budget)
-            .map_err(|e| CaseError::new(NAME, format!("P2 ⋠ P': {e}")))?;
-        check_spec(
-            &outcome.program,
-            init2.clone(),
-            budget,
-            spec(&artifacts, instance),
-        )
-        .map_err(|e| CaseError::new(NAME, e))?;
-        check_spec(&artifacts.p2, init2, budget, spec(&artifacts, instance))
-            .map_err(|e| CaseError::new(NAME, e))?;
-        Ok(outcome.reports)
-    });
-    let reports = result?;
-
+/// The Table-1 proof of an instance as data for [`Proof::run`]: `P1 ≼ P2`
+/// by explicit refinement, the IS application(s), `P2 ≼ P'`, and the spec
+/// on `P'` and `P2`.
+#[must_use]
+pub fn proof<'a>(artifacts: &'a Artifacts, instance: &Instance) -> Proof<'a> {
     let mut loc = LocCounter::new();
     loc.impl_actions([&artifacts.pass, &artifacts.elect, &artifacts.main]);
     loc.impl_actions(artifacts.p1_actions.iter());
@@ -614,22 +585,36 @@ pub fn verify(instance: &Instance) -> Result<CaseReport, CaseError> {
         &artifacts.inv_pass,
         &artifacts.inv_elect,
     ]);
-
-    Ok(CaseReport {
-        name: NAME.into(),
+    Proof {
+        name: "Chang-Roberts",
         instance: format!("n = {}", instance.n),
-        is_applications: reports.len(),
-        loc_total: loc.total(),
-        loc_is: loc.is_loc,
-        loc_impl: loc.impl_loc,
-        reports,
-        time,
-    })
+        loc,
+        budget: 2_000_000,
+        refinement: Refinement::program(
+            &artifacts.p1,
+            init_config(&artifacts.p1, artifacts, instance),
+        ),
+        p2: &artifacts.p2,
+        init: init_config(&artifacts.p2, artifacts, instance),
+        chain: iterated_chain(artifacts, instance),
+        spec: Box::new(spec(artifacts, instance)),
+    }
+}
+
+/// Runs the full pipeline and produces the Table 1 row.
+///
+/// # Errors
+///
+/// Returns the first failing pipeline stage.
+pub fn verify(instance: &Instance) -> Result<CaseReport, CaseError> {
+    proof(&build(), instance).run()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::check_spec;
+    use inseq_refine::check_program_refinement;
 
     #[test]
     fn p2_elects_exactly_the_max() {

@@ -19,10 +19,12 @@
 //! * the IS artifacts — invariant action(s), choice function(s), left-mover
 //!   abstractions, replacement action(s), and well-founded measure(s),
 //! * the functional specification, checked on terminal stores, and
-//! * a [`common::CaseReport`]-producing `verify` entry point that runs the
-//!   full pipeline: `P1 ≼ P2` (explicit refinement), the IS application(s),
-//!   `P2 ≼ P'` (the IS guarantee, re-checked end-to-end), and the spec on
-//!   `P'`.
+//! * the Table-1 `proof` as data ([`common::Proof`]): `P1 ≼ P2` (explicit
+//!   refinement), the IS application(s), `P2 ≼ P'` (the IS guarantee,
+//!   re-checked end-to-end), and the spec on `P'` and `P2`, and
+//! * a [`common::CaseReport`]-producing `verify` entry point that runs that
+//!   proof on the pipeline driver ([`common::Proof::run`]), which explores
+//!   each (program, init) once.
 
 #![forbid(unsafe_code)]
 #![allow(clippy::result_large_err)] // case errors embed verification witnesses

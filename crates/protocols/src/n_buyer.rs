@@ -20,9 +20,8 @@ use inseq_core::{IsApplication, Measure};
 use inseq_kernel::{ActionSemantics, Config, GlobalStore, Multiset, PendingAsync, Program, Value};
 use inseq_lang::build::*;
 use inseq_lang::{program_of, DslAction, GlobalDecls, Sort};
-use inseq_refine::check_program_refinement;
 
-use crate::common::{check_spec, timed, CaseError, CaseReport, ExplorationCase, LocCounter};
+use crate::common::{CaseError, CaseReport, ExplorationCase, LocCounter, Proof, Refinement};
 
 /// A finite instance: the item price and each buyer's maximum contribution.
 #[derive(Debug, Clone)]
@@ -729,35 +728,11 @@ pub fn iterated_chain(artifacts: &Artifacts, instance: &Instance) -> IsChain {
     IsChain::new().then(app1).then(app2).then(app3).then(app4)
 }
 
-/// Runs the full pipeline and produces the Table 1 row.
-///
-/// # Errors
-///
-/// Returns the first failing pipeline stage.
-pub fn verify(instance: &Instance) -> Result<CaseReport, CaseError> {
-    const NAME: &str = "N-Buyer";
-    let artifacts = build();
-    let budget = 2_000_000;
-    let (result, time) = timed(|| -> Result<Vec<inseq_core::IsReport>, CaseError> {
-        let init1 = init_config(&artifacts.p1, &artifacts, instance);
-        let init2 = init_config(&artifacts.p2, &artifacts, instance);
-        check_program_refinement(&artifacts.p1, &artifacts.p2, [init1], budget)
-            .map_err(|e| CaseError::new(NAME, format!("P1 ⋠ P2: {e}")))?;
-        // The paper-faithful four-application proof (#IS = 4).
-        let outcome = iterated_chain(&artifacts, instance)
-            .run()
-            .map_err(|e| CaseError::new(NAME, e))?;
-        let p_prime = outcome.program;
-        check_program_refinement(&artifacts.p2, &p_prime, [init2.clone()], budget)
-            .map_err(|e| CaseError::new(NAME, format!("P2 ⋠ P': {e}")))?;
-        check_spec(&p_prime, init2.clone(), budget, spec(&artifacts, instance))
-            .map_err(|e| CaseError::new(NAME, e))?;
-        check_spec(&artifacts.p2, init2, budget, spec(&artifacts, instance))
-            .map_err(|e| CaseError::new(NAME, e))?;
-        Ok(outcome.reports)
-    });
-    let reports = result?;
-
+/// The Table-1 proof of an instance as data for [`Proof::run`]: `P1 ≼ P2`
+/// by explicit refinement, the IS application(s), `P2 ≼ P'`, and the spec
+/// on `P'` and `P2`.
+#[must_use]
+pub fn proof<'a>(artifacts: &'a Artifacts, instance: &Instance) -> Proof<'a> {
     let mut loc = LocCounter::new();
     loc.impl_actions([
         &artifacts.request_quote,
@@ -773,22 +748,36 @@ pub fn verify(instance: &Instance) -> Result<CaseReport, CaseError> {
         &artifacts.contribute_abs,
         &artifacts.order_abs,
     ]);
-
-    Ok(CaseReport {
-        name: NAME.into(),
+    Proof {
+        name: "N-Buyer",
         instance: format!("n = {}", instance.n),
-        is_applications: reports.len(),
-        loc_total: loc.total(),
-        loc_is: loc.is_loc,
-        loc_impl: loc.impl_loc,
-        reports,
-        time,
-    })
+        loc,
+        budget: 2_000_000,
+        refinement: Refinement::program(
+            &artifacts.p1,
+            init_config(&artifacts.p1, artifacts, instance),
+        ),
+        p2: &artifacts.p2,
+        init: init_config(&artifacts.p2, artifacts, instance),
+        chain: iterated_chain(artifacts, instance),
+        spec: Box::new(spec(artifacts, instance)),
+    }
+}
+
+/// Runs the full pipeline and produces the Table 1 row.
+///
+/// # Errors
+///
+/// Returns the first failing pipeline stage.
+pub fn verify(instance: &Instance) -> Result<CaseReport, CaseError> {
+    proof(&build(), instance).run()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::check_spec;
+    use inseq_refine::check_program_refinement;
 
     #[test]
     fn order_placed_when_affordable() {

@@ -24,6 +24,7 @@
 
 use std::sync::Arc;
 
+use inseq_core::chain::IsChain;
 use inseq_core::{IsApplication, Measure};
 use inseq_kernel::{
     node_permutations, ActionSemantics, Config, GlobalStore, Map, Multiset, PendingAsync, Program,
@@ -31,9 +32,9 @@ use inseq_kernel::{
 };
 use inseq_lang::build::*;
 use inseq_lang::{program_of, DslAction, Expr, GlobalDecls, Sort, Stmt};
-use inseq_refine::check_program_refinement;
 
-use crate::common::{check_spec, timed, CaseError, CaseReport, ExplorationCase, LocCounter};
+use crate::common::{CaseError, CaseReport, ExplorationCase, LocCounter, Proof};
+use crate::paxos_impl::ImplArtifacts;
 
 /// Schedule positions doubling as ghost tags.
 const TAG_START: i64 = 0;
@@ -936,37 +937,15 @@ pub fn application(artifacts: &Artifacts, instance: Instance) -> IsApplication {
         .instance(init)
 }
 
-/// Runs the full pipeline and produces the Table 1 row.
-///
-/// The Paxos `P1 ≼ P2` step is refinement **up to observation** (the
-/// decision map): the paper hides `acceptorState`/`joinChannel`/
-/// `voteChannel` behind the abstract variables with CIVL's layer machinery;
-/// our analogue lives in [`crate::paxos_impl`] (see EXPERIMENTS.md).
-///
-/// # Errors
-///
-/// Returns the first failing pipeline stage.
-pub fn verify(instance: Instance) -> Result<CaseReport, CaseError> {
-    const NAME: &str = "Paxos";
-    let artifacts = build();
-    let budget = 8_000_000;
-    let (result, time) = timed(|| -> Result<Vec<inseq_core::IsReport>, CaseError> {
-        // P1 ≼ P2 up to the decision observation (Fig. 4(a) → Fig. 4(b)).
-        crate::paxos_impl::check_implements_abstract(instance, budget)
-            .map_err(|e| CaseError::new(NAME, format!("P1 ⋠ P2: {e}")))?;
-        let init2 = init_config(&artifacts.p2, &artifacts, instance);
-        let app = application(&artifacts, instance);
-        let (p_prime, report) = app.check_and_apply().map_err(|e| CaseError::new(NAME, e))?;
-        check_program_refinement(&artifacts.p2, &p_prime, [init2.clone()], budget)
-            .map_err(|e| CaseError::new(NAME, format!("P2 ⋠ P': {e}")))?;
-        check_spec(&p_prime, init2.clone(), budget, spec(&artifacts, instance))
-            .map_err(|e| CaseError::new(NAME, e))?;
-        check_spec(&artifacts.p2, init2, budget, spec(&artifacts, instance))
-            .map_err(|e| CaseError::new(NAME, e))?;
-        Ok(vec![report])
-    });
-    let reports = result?;
-
+/// The Table-1 proof of an instance as data for [`Proof::run`]:
+/// [`crate::paxos_impl::refinement`], the IS application, `P2 ≼ P'`, and
+/// the spec on `P'` and `P2`.
+#[must_use]
+pub fn proof<'a>(
+    artifacts: &'a Artifacts,
+    impl_artifacts: &'a ImplArtifacts,
+    instance: Instance,
+) -> Proof<'a> {
     let mut loc = LocCounter::new();
     loc.impl_actions([
         &artifacts.start_round,
@@ -976,7 +955,6 @@ pub fn verify(instance: Instance) -> Result<CaseReport, CaseError> {
         &artifacts.conclude,
         &artifacts.main,
     ]);
-    let impl_artifacts = crate::paxos_impl::build();
     loc.impl_actions(impl_artifacts.p1_actions.iter());
     loc.is_actions([
         &artifacts.round_seq,
@@ -988,22 +966,37 @@ pub fn verify(instance: Instance) -> Result<CaseReport, CaseError> {
         &artifacts.vote_abs,
         &artifacts.conclude_abs,
     ]);
-
-    Ok(CaseReport {
-        name: NAME.into(),
+    Proof {
+        name: "Paxos",
         instance: format!("R = {}, N = {}", instance.rounds, instance.nodes),
-        is_applications: reports.len(),
-        loc_total: loc.total(),
-        loc_is: loc.is_loc,
-        loc_impl: loc.impl_loc,
-        reports,
-        time,
-    })
+        loc,
+        budget: 8_000_000,
+        refinement: crate::paxos_impl::refinement(impl_artifacts, artifacts, instance),
+        p2: &artifacts.p2,
+        init: init_config(&artifacts.p2, artifacts, instance),
+        chain: IsChain::new().then(application(artifacts, instance)),
+        spec: Box::new(spec(artifacts, instance)),
+    }
+}
+
+/// Runs the full pipeline and produces the Table 1 row.
+///
+/// The Paxos `P1 ≼ P2` step is refinement **up to observation** (the
+/// decision map): the paper hides `acceptorState`/`joinChannel`/
+/// `voteChannel` behind the abstract variables with CIVL's layer machinery;
+/// our analogue lives in [`crate::paxos_impl`] (see EXPERIMENTS.md).
+///
+/// # Errors
+///
+/// Returns the first failing pipeline stage.
+pub fn verify(instance: Instance) -> Result<CaseReport, CaseError> {
+    proof(&build(), &crate::paxos_impl::build(), instance).run()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::check_spec;
 
     #[test]
     fn sequentialized_paxos_satisfies_agreement() {

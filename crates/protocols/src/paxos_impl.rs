@@ -20,6 +20,7 @@ use inseq_lang::build::*;
 use inseq_lang::{program_of, DslAction, Expr, GlobalDecls, Sort, Stmt};
 use inseq_refine::{check_observed_refinement, RefinementViolation};
 
+use crate::common::Refinement;
 use crate::paxos::{self, Instance};
 
 /// All artifacts of the channel-level implementation.
@@ -311,9 +312,28 @@ pub fn observe(store: &GlobalStore, decls: &GlobalDecls, rounds: i64) -> Vec<Opt
         .collect()
 }
 
-/// Checks that the channel-level implementation refines the abstract atomic
-/// program of Fig. 4(b) **up to the decision observation** — the analogue of
-/// the paper's variable-hiding refinement step `P1 ≼ P2` for Paxos.
+/// `P1 ≼ P2` for Paxos: the channel-level implementation refines the
+/// abstract atomic program of Fig. 4(b) **up to the decision observation**
+/// — the analogue of the paper's variable-hiding refinement step.
+#[must_use]
+pub fn refinement<'a>(
+    impl_artifacts: &'a ImplArtifacts,
+    abs_artifacts: &paxos::Artifacts,
+    instance: Instance,
+) -> Refinement<'a> {
+    let rounds = instance.rounds;
+    let decls1 = Arc::clone(&impl_artifacts.decls);
+    let decls2 = Arc::clone(&abs_artifacts.decls);
+    Refinement::observed(
+        &impl_artifacts.p1,
+        init_config(impl_artifacts, instance),
+        paxos::init_config(&abs_artifacts.p2, abs_artifacts, instance),
+        move |s: &GlobalStore| observe(s, &decls1, rounds),
+        move |s: &GlobalStore| observe(s, &decls2, rounds),
+    )
+}
+
+/// Checks [`refinement`] on freshly built artifacts.
 ///
 /// # Errors
 ///
@@ -327,24 +347,13 @@ pub fn check_implements_abstract(
     let init1 = init_config(&impl_artifacts, instance);
     let init2 = paxos::init_config(&abs_artifacts.p2, &abs_artifacts, instance);
     let rounds = instance.rounds;
-    let decls1 = Arc::clone(&impl_artifacts.decls);
-    let decls2 = Arc::clone(&abs_artifacts.decls);
     check_observed_refinement(
         &impl_artifacts.p1,
         &abs_artifacts.p2,
         [(init1, init2)],
         budget,
-        move |s: &GlobalStore| observe(s, &decls1, rounds),
-        move |s: &GlobalStore| {
-            let idx = decls2.index_of("decision").expect("decision declared");
-            let decision = s.get(idx).as_map();
-            (1..=rounds)
-                .map(|r| match decision.get(&Value::Int(r)) {
-                    Value::Opt(Some(v)) => Some(v.as_int()),
-                    _ => None,
-                })
-                .collect()
-        },
+        |s: &GlobalStore| observe(s, &impl_artifacts.decls, rounds),
+        |s: &GlobalStore| observe(s, &abs_artifacts.decls, rounds),
     )
 }
 

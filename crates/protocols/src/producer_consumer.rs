@@ -9,13 +9,13 @@
 
 use std::sync::Arc;
 
+use inseq_core::chain::IsChain;
 use inseq_core::{IsApplication, Measure};
 use inseq_kernel::{ActionSemantics, Config, GlobalStore, Multiset, PendingAsync, Program, Value};
 use inseq_lang::build::*;
 use inseq_lang::{program_of, DslAction, GlobalDecls, Sort};
-use inseq_refine::check_program_refinement;
 
-use crate::common::{check_spec, timed, CaseError, CaseReport, ExplorationCase, LocCounter};
+use crate::common::{CaseError, CaseReport, ExplorationCase, LocCounter, Proof, Refinement};
 
 /// A finite instance: how many numbers are produced.
 #[derive(Debug, Clone, Copy)]
@@ -346,52 +346,45 @@ pub fn application(artifacts: &Artifacts, instance: Instance) -> IsApplication {
         .instance(init)
 }
 
+/// The Table-1 proof of an instance as data for [`Proof::run`]: `P1 ≼ P2`
+/// by explicit refinement, the IS application(s), `P2 ≼ P'`, and the spec
+/// on `P'` and `P2`.
+#[must_use]
+pub fn proof<'a>(artifacts: &'a Artifacts, instance: Instance) -> Proof<'a> {
+    let mut loc = LocCounter::new();
+    loc.impl_actions([&artifacts.produce, &artifacts.consume, &artifacts.main]);
+    loc.impl_actions(artifacts.p1_actions.iter());
+    loc.is_actions([&artifacts.main_seq, &artifacts.inv, &artifacts.consume_abs]);
+    Proof {
+        name: "Producer-Consumer",
+        instance: format!("K = {}", instance.k),
+        loc,
+        budget: 2_000_000,
+        refinement: Refinement::program(
+            &artifacts.p1,
+            init_config(&artifacts.p1, artifacts, instance),
+        ),
+        p2: &artifacts.p2,
+        init: init_config(&artifacts.p2, artifacts, instance),
+        chain: IsChain::new().then(application(artifacts, instance)),
+        spec: Box::new(spec(artifacts)),
+    }
+}
+
 /// Runs the full pipeline and produces the Table 1 row.
 ///
 /// # Errors
 ///
 /// Returns the first failing pipeline stage.
 pub fn verify(instance: Instance) -> Result<CaseReport, CaseError> {
-    const NAME: &str = "Producer-Consumer";
-    let artifacts = build();
-    let budget = 2_000_000;
-    let (result, time) = timed(|| -> Result<Vec<inseq_core::IsReport>, CaseError> {
-        let init1 = init_config(&artifacts.p1, &artifacts, instance);
-        let init2 = init_config(&artifacts.p2, &artifacts, instance);
-        check_program_refinement(&artifacts.p1, &artifacts.p2, [init1], budget)
-            .map_err(|e| CaseError::new(NAME, format!("P1 ⋠ P2: {e}")))?;
-        let app = application(&artifacts, instance);
-        let (p_prime, report) = app.check_and_apply().map_err(|e| CaseError::new(NAME, e))?;
-        check_program_refinement(&artifacts.p2, &p_prime, [init2.clone()], budget)
-            .map_err(|e| CaseError::new(NAME, format!("P2 ⋠ P': {e}")))?;
-        check_spec(&p_prime, init2.clone(), budget, spec(&artifacts))
-            .map_err(|e| CaseError::new(NAME, e))?;
-        check_spec(&artifacts.p2, init2, budget, spec(&artifacts))
-            .map_err(|e| CaseError::new(NAME, e))?;
-        Ok(vec![report])
-    });
-    let reports = result?;
-
-    let mut loc = LocCounter::new();
-    loc.impl_actions([&artifacts.produce, &artifacts.consume, &artifacts.main]);
-    loc.impl_actions(artifacts.p1_actions.iter());
-    loc.is_actions([&artifacts.main_seq, &artifacts.inv, &artifacts.consume_abs]);
-
-    Ok(CaseReport {
-        name: NAME.into(),
-        instance: format!("K = {}", instance.k),
-        is_applications: reports.len(),
-        loc_total: loc.total(),
-        loc_is: loc.is_loc,
-        loc_impl: loc.impl_loc,
-        reports,
-        time,
-    })
+    proof(&build(), instance).run()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::check_spec;
+    use inseq_refine::check_program_refinement;
 
     #[test]
     fn p2_never_fails_despite_producer_running_ahead() {

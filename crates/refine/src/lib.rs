@@ -23,12 +23,14 @@
 #![allow(clippy::result_large_err)] // refinement counterexamples carry full configurations by design
 #![warn(missing_docs)]
 
+use std::collections::BTreeSet;
 use std::error::Error;
 use std::fmt;
 use std::sync::Arc;
 
 use inseq_kernel::{
-    ActionOutcome, ActionSemantics, Config, ExploreError, Explorer, GlobalStore, Program, Value,
+    ActionOutcome, ActionSemantics, Config, Exploration, ExploreError, Explorer, GlobalStore,
+    Program, Value,
 };
 
 /// A violated refinement condition with a concrete witness.
@@ -167,7 +169,9 @@ pub fn check_action_refinement<'a>(
 /// Checks `p1 ≼ p2` (Def. 3.2) over the given initialized configurations:
 /// (1) `Good(P2) ⊆ Good(P1)`; (2) `Good(P2) ∘ Trans(P1) ⊆ Trans(P2)`.
 ///
-/// `budget` bounds each exploration's configuration count.
+/// `budget` bounds each exploration's configuration count. Each init
+/// explores `p2` first, and `p1` only when `p2` cannot fail from it; the
+/// verdict is then [`check_program_refinement_on`]'s.
 ///
 /// # Errors
 ///
@@ -180,34 +184,66 @@ pub fn check_program_refinement(
     budget: usize,
 ) -> Result<(), RefinementViolation> {
     for init in inits {
-        let s2 = Explorer::new(p2)
+        let exp2 = Explorer::new(p2)
             .with_budget(budget)
-            .summarize(init.clone())?;
-        if !s2.good {
+            .explore([init.clone()])?;
+        if exp2.has_failure() {
             // The abstract program may fail from here: anything refines it.
             continue;
         }
         let exp1 = Explorer::new(p1)
             .with_budget(budget)
             .explore([init.clone()])?;
-        if exp1.has_failure() {
-            let reason = exp1
-                .failure_reports()
-                .into_iter()
-                .next()
-                .unwrap_or_default();
-            return Err(RefinementViolation::GoodNotPreserved { init, reason });
-        }
-        for terminal in exp1.terminal_stores() {
-            if !s2.terminal.contains(terminal) {
-                return Err(RefinementViolation::SummaryNotIncluded {
-                    init,
-                    terminal: terminal.clone(),
-                });
-            }
-        }
+        check_program_refinement_on(&exp1, &exp2, &init)?;
     }
     Ok(())
+}
+
+/// [`check_program_refinement`] for one initialized configuration `init`,
+/// on unreduced explorations of `p1` (`exp1`) and `p2` (`exp2`) from it.
+/// `init` only names the start in a violation. `exp1` is not read when
+/// `exp2` has a failure, so a caller may skip exploring `p1` then.
+///
+/// # Errors
+///
+/// Returns the first violation.
+pub fn check_program_refinement_on(
+    exp1: &Exploration,
+    exp2: &Exploration,
+    init: &Config,
+) -> Result<(), RefinementViolation> {
+    if exp2.has_failure() {
+        return Ok(());
+    }
+    let terminal2: BTreeSet<&GlobalStore> = exp2.terminal_stores().collect();
+    check_concrete(exp1, init, |terminal| terminal2.contains(terminal))
+}
+
+/// Conditions (1) and (2) on the concrete side: `exp1` must not fail, and
+/// every terminating store of it must be `included`.
+fn check_concrete(
+    exp1: &Exploration,
+    init: &Config,
+    included: impl Fn(&GlobalStore) -> bool,
+) -> Result<(), RefinementViolation> {
+    if exp1.has_failure() {
+        let reason = exp1
+            .failure_reports()
+            .into_iter()
+            .next()
+            .unwrap_or_default();
+        return Err(RefinementViolation::GoodNotPreserved {
+            init: init.clone(),
+            reason,
+        });
+    }
+    match exp1.terminal_stores().find(|t| !included(t)) {
+        Some(terminal) => Err(RefinementViolation::SummaryNotIncluded {
+            init: init.clone(),
+            terminal: terminal.clone(),
+        }),
+        None => Ok(()),
+    }
 }
 
 /// Checks refinement **up to observation**: like
@@ -220,7 +256,8 @@ pub fn check_program_refinement(
 /// the *observable* summary, not the raw stores.
 ///
 /// `inits` pairs an initialized configuration of `p1` with the
-/// corresponding one of `p2`.
+/// corresponding one of `p2`. As in [`check_program_refinement`], `p2` is
+/// explored first and `p1` only when `p2` cannot fail.
 ///
 /// # Errors
 ///
@@ -239,32 +276,36 @@ pub fn check_observed_refinement<O: Ord + std::fmt::Debug>(
         if exp2.has_failure() {
             continue; // the abstract program may fail: anything refines it
         }
-        let observed2: std::collections::BTreeSet<O> =
-            exp2.terminal_stores().map(&observe2).collect();
         let exp1 = Explorer::new(p1)
             .with_budget(budget)
             .explore([init1.clone()])?;
-        if exp1.has_failure() {
-            let reason = exp1
-                .failure_reports()
-                .into_iter()
-                .next()
-                .unwrap_or_default();
-            return Err(RefinementViolation::GoodNotPreserved {
-                init: init1,
-                reason,
-            });
-        }
-        for terminal in exp1.terminal_stores() {
-            if !observed2.contains(&observe1(terminal)) {
-                return Err(RefinementViolation::SummaryNotIncluded {
-                    init: init1,
-                    terminal: terminal.clone(),
-                });
-            }
-        }
+        check_observed_refinement_on(&exp1, &exp2, &init1, &observe1, &observe2)?;
     }
     Ok(())
+}
+
+/// [`check_observed_refinement`] for one pair of initialized
+/// configurations, on unreduced explorations of `p1` from `init1` (`exp1`)
+/// and of `p2` from its counterpart (`exp2`). `init1` only names the start
+/// in a violation. `exp1` is not read when `exp2` has a failure.
+///
+/// # Errors
+///
+/// Returns the first violation.
+pub fn check_observed_refinement_on<O: Ord + std::fmt::Debug>(
+    exp1: &Exploration,
+    exp2: &Exploration,
+    init1: &Config,
+    observe1: impl Fn(&GlobalStore) -> O,
+    observe2: impl Fn(&GlobalStore) -> O,
+) -> Result<(), RefinementViolation> {
+    if exp2.has_failure() {
+        return Ok(());
+    }
+    let observed2: BTreeSet<O> = exp2.terminal_stores().map(observe2).collect();
+    check_concrete(exp1, init1, |terminal| {
+        observed2.contains(&observe1(terminal))
+    })
 }
 
 #[cfg(test)]

@@ -76,6 +76,7 @@ pub struct ServerState {
     shutting_down: AtomicBool,
     checks_served: Counter,
     checks_rejected: Counter,
+    connections_refused: Counter,
 }
 
 impl ServerState {
@@ -91,6 +92,7 @@ impl ServerState {
             shutting_down: AtomicBool::new(false),
             checks_served: Counter::new(),
             checks_rejected: Counter::new(),
+            connections_refused: Counter::new(),
         }
     }
 
@@ -118,6 +120,13 @@ impl ServerState {
         self.checks_rejected.get()
     }
 
+    /// Connections refused as `over-capacity` because
+    /// [`MAX_CONNECTIONS`] were already open.
+    #[must_use]
+    pub fn connections_refused(&self) -> u64 {
+        self.connections_refused.get()
+    }
+
     fn stats_line(&self) -> String {
         let obligation = self.cache.obligation_stats();
         let full = self.cache.full_stats();
@@ -128,7 +137,7 @@ impl ServerState {
              \"full_cache_misses\": {}, \"cached_obligations\": {}, \
              \"known_programs\": {programs}, \"active_checks\": {}, \
              \"capacity\": {}, \"engine_threads\": {}, \"checks_served\": {}, \
-             \"checks_rejected\": {}, \"shutting_down\": {}}}",
+             \"checks_rejected\": {}, \"connections_refused\": {}, \"shutting_down\": {}}}",
             obligation.hits,
             obligation.misses,
             full.hits,
@@ -139,6 +148,7 @@ impl ServerState {
             self.engine.threads(),
             self.checks_served.get(),
             self.checks_rejected.get(),
+            self.connections_refused.get(),
             self.is_shutting_down(),
         )
     }
@@ -223,6 +233,7 @@ impl Server {
                 }
                 let mut stream = stream?;
                 let Some(slot) = Slot::acquire(&state.open_connections, MAX_CONNECTIONS) else {
+                    state.connections_refused.incr();
                     let refusal = proto::error(
                         None,
                         "over-capacity",

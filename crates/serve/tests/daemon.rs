@@ -538,13 +538,19 @@ fn connections_past_the_cap_are_refused_until_a_slot_frees() {
     );
     let mut rest = String::new();
     assert_eq!(extra.reader.read_line(&mut rest).expect("read to close"), 0);
-    // The open connections are still served.
+    // The open connections are still served, and `(stats)` counts the
+    // refusal.
     clients[0].send("(ping)");
     assert!(clients[0].recv().contains("\"type\": \"pong\""));
+    clients[0].send("(stats)");
+    let stats = clients[0].recv();
+    assert_eq!(field_u64(&stats, "connections_refused"), Some(1), "{stats}");
+    assert_eq!(daemon.state.connections_refused(), 1);
     // A client that disconnects frees its slot once its thread sees the
     // close; until then a new connection may still be refused.
     drop(clients.pop());
     let mut served = false;
+    let mut refusals_seen = 1;
     for _ in 0..100 {
         let mut c = daemon.connect();
         c.send("(ping)");
@@ -557,14 +563,20 @@ fn connections_past_the_cap_are_refused_until_a_slot_frees() {
             }
             // Closed, or reset because the refused ping went unread.
             Ok(0) | Err(_) => {}
-            Ok(_) => assert_eq!(
-                field_str(&reply, "reason").as_deref(),
-                Some("over-capacity")
-            ),
+            Ok(_) => {
+                assert_eq!(
+                    field_str(&reply, "reason").as_deref(),
+                    Some("over-capacity")
+                );
+                refusals_seen += 1;
+            }
         }
         thread::sleep(Duration::from_millis(20));
     }
     assert!(served, "no slot freed after a client disconnected");
+    // Each refusal line is counted; a retry closed or reset before its
+    // line was read may have been refused too.
+    assert!(daemon.state.connections_refused() >= refusals_seen);
     // Every slot is taken again, so shut down over a connection that holds
     // one.
     clients[0].send("(shutdown)");

@@ -7,42 +7,19 @@
 
 use std::sync::Arc;
 
-use inductive_sequentialization::kernel::{ActionSemantics, Explorer, Value};
-use inductive_sequentialization::lang::build::*;
-use inductive_sequentialization::lang::{DslAction, Sort};
+use inductive_sequentialization::kernel::{ActionSemantics, Explorer};
 use inductive_sequentialization::protocols::common::check_spec;
 use inductive_sequentialization::protocols::{broadcast, paxos, two_phase_commit};
+
+#[path = "support/buggy.rs"]
+mod buggy;
 
 #[test]
 fn undercounting_collect_breaks_consensus_and_is_caught() {
     // Collect that only receives n-1 values can decide a non-maximum.
     let instance = broadcast::Instance::new(&[3, 1]);
     let artifacts = broadcast::build();
-    let g = artifacts.decls.clone();
-    let buggy_collect = DslAction::build("Collect", &g)
-        .param("i", Sort::Int)
-        .local("j", Sort::Int)
-        .local("v", Sort::Int)
-        .local("got", Sort::bag(Sort::Int))
-        .body(vec![
-            // (ghost bookkeeping intentionally preserved)
-            assign(
-                "pendingAsyncs",
-                without_elem(var("pendingAsyncs"), tuple(vec![int(2), var("i")])),
-            ),
-            for_range(
-                "j",
-                int(1),
-                sub(var("n"), int(1)), // BUG: one receive too few
-                vec![
-                    recv_from("v", "CH", var("i")),
-                    assign("got", with_elem(var("got"), var("v"))),
-                ],
-            ),
-            assign_at("decision", var("i"), some(max_of(var("got")))),
-        ])
-        .finish()
-        .unwrap();
+    let buggy_collect = buggy::undercounting_collect(&artifacts);
     let buggy = artifacts
         .p2
         .with_action("Collect", buggy_collect as Arc<dyn ActionSemantics>);
@@ -65,24 +42,7 @@ fn overeager_2pc_coordinator_is_caught() {
     // A coordinator that decides COMMIT as soon as one YES vote arrives.
     let instance = two_phase_commit::Instance::new(&[true, false]);
     let artifacts = two_phase_commit::build();
-    let g = artifacts.decls.clone();
-    let buggy_decide = DslAction::build("Decide", &g)
-        .local("j", Sort::Int)
-        .body(vec![
-            assume(ge(size(var("yesVotes")), int(1))), // BUG: one yes suffices
-            assign("coordDecision", some(boolean(true))),
-            for_range(
-                "j",
-                int(1),
-                var("n"),
-                vec![async_call(
-                    &artifacts.decision,
-                    vec![var("j"), boolean(true)],
-                )],
-            ),
-        ])
-        .finish()
-        .unwrap();
+    let buggy_decide = buggy::overeager_decide(&artifacts);
     let buggy = artifacts
         .p2
         .with_action("Decide", buggy_decide as Arc<dyn ActionSemantics>);
@@ -103,86 +63,8 @@ fn paxos_without_value_propagation_passes_is_but_fails_the_spec_sequentially() {
     // adopting the value of an earlier quorum-visible vote.
     let instance = paxos::Instance::new(2, 2);
     let artifacts = paxos::build();
-    let g = artifacts.decls.clone();
 
-    // A buggy Propose: identical to the real one except the value selection
-    // is skipped (always fresh = r).
-    let buggy_propose = {
-        let mut body = vec![assign(
-            "pendingAsyncs",
-            without_elem(var("pendingAsyncs"), tuple(vec![int(2), var("r"), int(0)])),
-        )];
-        body.push(choose("b", range(int(0), int(1))));
-        body.push(if_(
-            eq(var("b"), int(1)),
-            vec![
-                assign("ns", lit(Value::empty_set())),
-                for_range(
-                    "pn",
-                    int(1),
-                    var("N"),
-                    vec![if_(
-                        contains(get(var("joinedNodes"), var("r")), var("pn")),
-                        vec![
-                            choose("b", range(int(0), int(1))),
-                            if_(
-                                eq(var("b"), int(1)),
-                                vec![assign("ns", with_elem(var("ns"), var("pn")))],
-                            ),
-                        ],
-                    )],
-                ),
-                if_(
-                    ge(size(var("ns")), var("quorum")),
-                    vec![
-                        assign("v", var("r")), // BUG: never adopt an earlier value
-                        assign_at(
-                            "voteInfo",
-                            var("r"),
-                            some(tuple(vec![var("v"), lit(Value::empty_set())])),
-                        ),
-                        for_range(
-                            "pn",
-                            int(1),
-                            var("N"),
-                            vec![
-                                assign(
-                                    "pendingAsyncs",
-                                    with_elem(
-                                        var("pendingAsyncs"),
-                                        tuple(vec![int(3), var("r"), var("pn")]),
-                                    ),
-                                ),
-                                async_named(
-                                    "Vote",
-                                    vec![Sort::Int, Sort::Int, Sort::Int],
-                                    vec![var("r"), var("pn"), var("v")],
-                                ),
-                            ],
-                        ),
-                        assign(
-                            "pendingAsyncs",
-                            with_elem(var("pendingAsyncs"), tuple(vec![int(4), var("r"), int(0)])),
-                        ),
-                        async_named(
-                            "Conclude",
-                            vec![Sort::Int, Sort::Int],
-                            vec![var("r"), var("v")],
-                        ),
-                    ],
-                ),
-            ],
-        ));
-        DslAction::build("Propose", &g)
-            .param("r", Sort::Int)
-            .local("ns", Sort::set(Sort::Int))
-            .local("v", Sort::Int)
-            .local("b", Sort::Int)
-            .local("pn", Sort::Int)
-            .body(body)
-            .finish()
-            .unwrap()
-    };
+    let buggy_propose = buggy::fresh_value_propose(&artifacts);
     let buggy = artifacts
         .p2
         .with_action("Propose", buggy_propose.clone() as Arc<dyn ActionSemantics>);
