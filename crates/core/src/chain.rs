@@ -57,8 +57,7 @@ impl IsChain {
         self.steps.is_empty()
     }
 
-    /// Consumes the chain, yielding its applications in order (for embedding
-    /// into a [`crate::layers::LayeredProof`]).
+    /// Consumes the chain, yielding its applications in order.
     #[must_use]
     pub fn into_steps(self) -> Vec<IsApplication> {
         self.steps

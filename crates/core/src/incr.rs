@@ -154,7 +154,7 @@ impl IncrementalReport {
 ///
 /// The contract making the cache sound: **equal keys must imply
 /// semantically identical artifacts**. The daemon derives them from the
-/// canonical s-expression rendering ([`inseq_lang::serial::canonical_hash`]
+/// canonical s-expression rendering (`inseq_lang::serial::canonical_hash`
 /// and `action_hash`), which normalises away formatting but nothing else.
 /// Artifacts without a faithful key (e.g. a hand-written abstraction
 /// closure) are handled by *omitting* their entry, which makes the

@@ -88,7 +88,7 @@ pub fn engine_fields(e: &EngineSnapshot) -> String {
          \"engine_stolen\": {}, \"engine_pruned\": {}, \"engine_orbit_collapses\": {}, \
          \"engine_lock_waits\": {}, \"engine_lock_wait_nanos\": {}, \
          \"engine_intern_batches\": {}, \"engine_intern_batch_hist\": [{}], \
-         \"engine_shard_inserts\": [{}], {}, \"engine_succ_bypass\": {}",
+         \"engine_shard_inserts\": [{}], {}, \"engine_succ_bypass\": {}, {}",
         e.workers,
         expanded.join(", "),
         e.steals,
@@ -101,7 +101,8 @@ pub fn engine_fields(e: &EngineSnapshot) -> String {
         batch_hist.join(", "),
         shard_inserts.join(", "),
         hit_miss_fields("engine_succ_cache", &e.succ_cache),
-        e.succ_bypass
+        e.succ_bypass,
+        hit_miss_fields("engine_memo", &e.memo)
     )
 }
 
@@ -177,6 +178,7 @@ mod tests {
             shard_inserts: vec![7, 3],
             succ_cache: HitMissSnapshot::new(1, 2),
             succ_bypass: true,
+            memo: HitMissSnapshot::new(4, 5),
             ..EngineSnapshot::default()
         };
         r.stats.mover_cache = HitMissSnapshot::new(7, 8);
@@ -195,7 +197,7 @@ mod tests {
              \"engine_intern_batches\": 5, \"engine_intern_batch_hist\": [1, 2, 2, 0, 0, 0, 0], \
              \"engine_shard_inserts\": [7, 3], \
              \"engine_succ_cache_hits\": 1, \"engine_succ_cache_misses\": 2, \
-             \"engine_succ_bypass\": true, \
+             \"engine_succ_bypass\": true, \"engine_memo_hits\": 4, \"engine_memo_misses\": 5, \
              \"mover_cache_hits\": 7, \"mover_cache_misses\": 8, \
              \"pairwise_checks\": 9, \
              \"compiled_actions\": 0, \"compile_nanos\": 0, \"vm_evals\": 0, \"interp_evals\": 0, \

@@ -36,7 +36,6 @@
 pub mod chain;
 pub mod incr;
 pub mod json;
-pub mod layers;
 mod measure;
 pub mod rewrite;
 mod rule;

@@ -6,11 +6,11 @@ use std::error::Error;
 use std::fmt;
 use std::sync::Arc;
 
-use inseq_engine::{Engine, EngineReport, ParallelExplorer, Reducer};
+use inseq_engine::{Engine, EngineReport, ParallelExplorer};
 use inseq_kernel::{
     ActionName, ActionOutcome, ActionSemantics, Config, ExecStats, Exploration, Explorer,
-    GlobalStore, Multiset, PaId, PendingAsync, Program, ReduceMode, StateUniverse, StoreId, Trace,
-    Transition, Value,
+    GlobalStore, Multiset, PaId, PendingAsync, Program, StateUniverse, StoreId, Trace, Transition,
+    Value,
 };
 use inseq_mover::{MoverChecker, MoverViolation};
 use inseq_obs::{EngineSnapshot, HitMissSnapshot, PhaseStat};
@@ -421,7 +421,6 @@ pub struct IsApplication {
     measure: Measure,
     instances: Vec<Config>,
     budget: usize,
-    reduce: ReduceMode,
 }
 
 impl fmt::Debug for IsApplication {
@@ -449,7 +448,6 @@ impl IsApplication {
             measure: Measure::pending_async_count(),
             instances: Vec::new(),
             budget: inseq_kernel::DEFAULT_CONFIG_BUDGET,
-            reduce: ReduceMode::Off,
         }
     }
 
@@ -518,29 +516,6 @@ impl IsApplication {
         self
     }
 
-    /// Selects the state-space reduction for the instance explorations
-    /// (default: [`ReduceMode::Off`]).
-    ///
-    /// Only the partial-order component applies here: `IsApplication` has
-    /// no process-id symmetry spec, so `Sym`/`Both` degrade to `Por`/`Off`
-    /// respectively on the exploration itself. **Reduction changes the
-    /// quantification universe of every premise.** The Fig. 3 obligations
-    /// — (I1)–(I3), the mover conditions, cooperation — are discharged at
-    /// the stores of the explored set, and a reduced exploration visits a
-    /// (representative) subset of the reachable configurations. The
-    /// reduction is designed to preserve verdicts (commuting interleavings
-    /// lead to the same stores) and that preservation is continuously
-    /// cross-checked by the reduce fuzz oracle and the equivalence gates,
-    /// but a premise counterexample that only manifests at a pruned
-    /// interleaving's intermediate store would be missed. Leave reduction
-    /// off for certification runs; use it to iterate quickly on large
-    /// instances.
-    #[must_use]
-    pub fn with_reduce(mut self, mode: ReduceMode) -> Self {
-        self.reduce = mode;
-        self
-    }
-
     /// The program `P` this application operates on.
     #[must_use]
     pub fn program(&self) -> &Program {
@@ -591,12 +566,6 @@ impl IsApplication {
     #[must_use]
     pub fn budget_limit(&self) -> usize {
         self.budget
-    }
-
-    /// The configured state-space reduction mode.
-    #[must_use]
-    pub fn reduce_mode(&self) -> ReduceMode {
-        self.reduce
     }
 
     /// The label of the well-founded measure used by premise (CO).
@@ -805,14 +774,9 @@ impl IsApplication {
                 &sequential
             }
             Explore::Parallel(workers) => {
-                let reducer = Reducer::new(self.reduce);
-                let mut explorer = ParallelExplorer::new(&self.program)
+                parallel = ParallelExplorer::new(&self.program)
                     .with_workers(workers)
-                    .with_budget(self.budget);
-                if self.reduce != ReduceMode::Off {
-                    explorer = explorer.with_reduction(&reducer);
-                }
-                parallel = explorer
+                    .with_budget(self.budget)
                     .explore(self.instances.iter().cloned())
                     .map_err(exploration_error)?;
                 report.stats.engine = parallel.stats().engine_snapshot();
@@ -867,15 +831,11 @@ impl IsApplication {
     }
 
     /// The sequential exploration of the instances that
-    /// [`check`](IsApplication::check) quantifies over: this application's
-    /// budget and reduction.
+    /// [`check`](IsApplication::check) quantifies over, within this
+    /// application's budget.
     fn explore_sequential(&self) -> Result<Exploration, IsViolation> {
-        let reducer = Reducer::new(self.reduce);
-        let mut explorer = Explorer::new(&self.program).with_budget(self.budget);
-        if self.reduce != ReduceMode::Off {
-            explorer = explorer.with_reduction(&reducer);
-        }
-        explorer
+        Explorer::new(&self.program)
+            .with_budget(self.budget)
             .explore(self.instances.iter().cloned())
             .map_err(exploration_error)
     }

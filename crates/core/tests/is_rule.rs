@@ -7,7 +7,6 @@ use std::sync::Arc;
 use inseq_core::{ArtifactKeys, IsApplication, IsViolation, Measure, ObligationCache};
 use inseq_engine::Engine;
 use inseq_kernel::demo::cooperation_counterexample;
-use inseq_kernel::ReduceMode;
 use inseq_kernel::{ActionOutcome, ActionSemantics, NativeAction, PendingAsync, Value};
 use inseq_lang::build::*;
 use inseq_lang::{program_of, DslAction, GlobalDecls, Sort};
@@ -277,21 +276,6 @@ fn engine_scheduled_violations_carry_witness_traces() {
             "both check paths reconstruct a witness whenever the store is \
              reachable ({threads} threads)"
         );
-    }
-}
-
-/// Reduction must not change the verdict of an IS application: the adders
-/// proof passes under every mode, on both check paths, and the cooperation
-/// counterexample is still rejected by (CO).
-#[test]
-fn reduced_checks_agree_with_unreduced() {
-    let a = adders();
-    for mode in ReduceMode::ALL {
-        let app = adders_application(&a).with_reduce(mode);
-        let report = app.check().unwrap_or_else(|e| panic!("{mode}: {e}"));
-        assert_eq!(report.eliminated_actions, 1);
-        app.check_with(&Engine::new().with_threads(2))
-            .unwrap_or_else(|e| panic!("{mode} (engine): {e}"));
     }
 }
 

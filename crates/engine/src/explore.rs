@@ -97,13 +97,12 @@
 //! # Cancellation and budget
 //!
 //! A shared cancellation flag stops all workers early on the first kernel
-//! error, on budget exhaustion, or — when
-//! [`ParallelExplorer::stop_on_first_failure`] is set — on the first gate
-//! violation. The budget is checked against the shared interner's exact
-//! config count at each fresh intern (seeds exempt), mirroring the
-//! sequential explorer; exhaustion reports the post-join visited total via
-//! [`ExploreError::BudgetExceeded`], with a concrete witness trace to the
-//! exhaustion point walked lock-free from the parent-edge log. Per-shard
+//! error or on budget exhaustion. The budget is checked against the shared
+//! interner's exact config count at each fresh intern (seeds exempt),
+//! mirroring the sequential explorer; exhaustion reports the post-join
+//! visited total via [`ExploreError::BudgetExceeded`], with a concrete
+//! witness trace to the exhaustion point walked lock-free from the
+//! parent-edge log. Per-shard
 //! counters survive every error path:
 //! [`ParallelExplorer::explore_with_stats`] aggregates them after the join
 //! even when the run is cut short mid-steal.
@@ -155,7 +154,6 @@ pub struct ParallelExplorer<'p> {
     program: &'p Program,
     workers: usize,
     budget: usize,
-    stop_on_failure: bool,
     reduction: Option<&'p dyn ReductionPolicy>,
 }
 
@@ -164,7 +162,6 @@ impl fmt::Debug for ParallelExplorer<'_> {
         f.debug_struct("ParallelExplorer")
             .field("workers", &self.workers)
             .field("budget", &self.budget)
-            .field("stop_on_failure", &self.stop_on_failure)
             .field("reduced", &self.reduction.is_some())
             .finish_non_exhaustive()
     }
@@ -179,7 +176,6 @@ impl<'p> ParallelExplorer<'p> {
             program,
             workers: std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
             budget: DEFAULT_CONFIG_BUDGET,
-            stop_on_failure: false,
             reduction: None,
         }
     }
@@ -208,17 +204,6 @@ impl<'p> ParallelExplorer<'p> {
     #[must_use]
     pub fn with_reduction(mut self, policy: &'p dyn ReductionPolicy) -> Self {
         self.reduction = Some(policy);
-        self
-    }
-
-    /// When enabled, the first gate violation cancels all workers instead of
-    /// letting the exploration run to completion. The verdict (`good =
-    /// false`) is unaffected, but the reachable set in the result is then a
-    /// *subset* of the true one — leave this off (the default) when the full
-    /// set matters, e.g. for equivalence with the sequential explorer.
-    #[must_use]
-    pub fn stop_on_first_failure(mut self, stop: bool) -> Self {
-        self.stop_on_failure = stop;
         self
     }
 
@@ -318,7 +303,6 @@ impl<'p> ParallelExplorer<'p> {
                         me,
                         program: self.program,
                         budget: self.budget,
-                        stop_on_failure: self.stop_on_failure,
                         reduction: self.reduction,
                         shared: &shared,
                         plans: &plans,
@@ -444,7 +428,6 @@ struct Worker<'p, 'sh> {
     me: usize,
     program: &'p Program,
     budget: usize,
-    stop_on_failure: bool,
     /// The reduction policy, if any — consulted on lock-free borrows.
     reduction: Option<&'p dyn ReductionPolicy>,
     shared: &'sh Shared,
@@ -477,12 +460,6 @@ struct Worker<'p, 'sh> {
     /// cache because interner ids are append-only.
     canon_cache: FxHashMap<(StoreId, BagId), (StoreId, BagId)>,
     out: WorkerOutput,
-}
-
-/// A non-failure reason to abandon the current configuration mid-step.
-enum StepFault {
-    Kernel(ExploreError),
-    StopOnFailure,
 }
 
 impl Worker<'_, '_> {
@@ -650,7 +627,7 @@ impl Worker<'_, '_> {
                                 Resolved::Owned(out)
                             }
                             Err(e) => {
-                                fault = Some(StepFault::Kernel(e.into()));
+                                fault = Some(ExploreError::from(e));
                                 break;
                             }
                         }
@@ -659,7 +636,7 @@ impl Worker<'_, '_> {
                     match self.program.eval_pa(store, pa) {
                         Ok(out) => Resolved::Owned(out),
                         Err(e) => {
-                            fault = Some(StepFault::Kernel(e.into()));
+                            fault = Some(ExploreError::from(e));
                             break;
                         }
                     }
@@ -729,13 +706,9 @@ impl Worker<'_, '_> {
                         .extend(self.fresh.drain(..));
                 }
             }
-            Some(StepFault::Kernel(err)) => {
+            Some(err) => {
                 self.fresh.clear();
                 self.fail(err);
-            }
-            Some(StepFault::StopOnFailure) => {
-                self.fresh.clear();
-                self.cancel();
             }
         }
     }
@@ -754,22 +727,12 @@ impl Worker<'_, '_> {
         bagid: BagId,
         selected: &[PaId],
         progressed: &mut bool,
-    ) -> Result<(), StepFault> {
+    ) -> Result<(), ExploreError> {
         let interner = &self.shared.interner;
-        let stop_on_failure = self.stop_on_failure;
         let failures = &mut self.out.failures;
-        *progressed |= self
-            .cache
-            .apply(interner, bagid, selected, |paid, reason| {
-                failures.push((cid, paid, reason.to_owned()));
-                if stop_on_failure {
-                    // No configuration of this round has been interned
-                    // yet; the round is dropped wholesale.
-                    Err(StepFault::StopOnFailure)
-                } else {
-                    Ok(())
-                }
-            })?;
+        *progressed |= self.cache.apply(interner, bagid, selected, |paid, reason| {
+            failures.push((cid, paid, reason.to_owned()));
+        });
         let successors = self.cache.successors();
         if successors.len() == 0 {
             return Ok(());
@@ -815,11 +778,11 @@ impl Worker<'_, '_> {
                     // The parent edge to `id` is already recorded, so the
                     // exhaustion point has a concrete witness run.
                     let trace = interner.trace_from(id);
-                    return Err(StepFault::Kernel(ExploreError::BudgetExceeded {
+                    return Err(ExploreError::BudgetExceeded {
                         limit: self.budget,
                         visited: interner.config_count(),
                         trace: Some(trace),
-                    }));
+                    });
                 }
                 let (s, b) = parts[k];
                 self.fresh.push((id, s, b));
@@ -836,10 +799,6 @@ impl Worker<'_, '_> {
             *slot = Some(err);
         }
         drop(slot);
-        self.cancel();
-    }
-
-    fn cancel(&mut self) {
         self.shared.cancelled.store(true, Ordering::Release);
     }
 }
@@ -1034,18 +993,6 @@ mod tests {
         assert!(exp
             .trace_to(&Config::new(GlobalStore::new(vec![]), Multiset::new()))
             .is_none());
-    }
-
-    #[test]
-    fn stop_on_first_failure_cancels_early() {
-        let p = failing_program();
-        let init = p.initial_config(vec![]).unwrap();
-        let exp = ParallelExplorer::new(&p)
-            .with_workers(2)
-            .stop_on_first_failure(true)
-            .explore([init])
-            .unwrap();
-        assert!(exp.has_failure());
     }
 
     #[test]

@@ -14,14 +14,14 @@
 //!   set, verdict, terminal stores, and edge count are identical to the
 //!   sequential explorer's.
 //! * **Layer 2 — [`Engine`]**: a job-DAG scheduler running independent
-//!   obligations — the Fig. 3 conditions of an IS application, per-pair
-//!   mover queries, whole Table 1 rows — concurrently on a fixed thread
+//!   obligations — the Fig. 3 conditions of an IS application, whole
+//!   Table 1 rows — concurrently on a fixed thread
 //!   pool, collecting per-job wall clock and configuration counts into an
 //!   [`EngineReport`].
 //!
 //! The crate deliberately depends only on `inseq-kernel` and the
 //! `inseq-obs` counters (and the standard library): higher layers
-//! (`inseq-core`, `inseq-mover`, `inseq-bench`) build their parallel
+//! (`inseq-core`, `inseq-bench`) build their parallel
 //! drivers on top of it, not the other way around.
 //!
 //! ```

@@ -189,6 +189,7 @@ impl ExploreStats {
             shard_inserts: self.contention.shard_inserts.clone(),
             succ_cache: self.succ_cache(),
             succ_bypass: self.succ_bypass(),
+            memo: self.memo,
         }
     }
 }

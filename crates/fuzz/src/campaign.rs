@@ -3,14 +3,14 @@
 //! The blind campaign the fuzz binary always had generates a fresh program
 //! per iteration and forgets it. The guided campaign keeps a **corpus**: a
 //! program whose [`CoverageMap`] contains bits no earlier program produced
-//! is retained, and later iterations *mutate* corpus members ([`crate::mutate`])
-//! instead of starting over — probing the neighborhood of inputs that
-//! already proved they reach new behavior. A configurable slice of
-//! iterations (`fresh_ratio`) still generates from scratch so the corpus
-//! never inbreeds.
+//! is retained, and later iterations *mutate* corpus members
+//! ([`crate::mutate()`]) instead of starting over — probing the
+//! neighborhood of inputs that already proved they reach new behavior. A
+//! configurable slice of iterations (`fresh_ratio`) still generates from
+//! scratch so the corpus never inbreeds.
 //!
 //! Scheduling policy: mutation parents are drawn uniformly from the most
-//! recent [`RECENCY_WINDOW`] corpus entries — recent entries found bits the
+//! recent `RECENCY_WINDOW` corpus entries — recent entries found bits the
 //! whole earlier corpus missed, so their neighborhoods are the least
 //! explored. Each parent takes several mutation steps (3–8 by default):
 //! single-step mutants sit too close to their parent to out-discover fresh

@@ -7,7 +7,7 @@
 //! engine-scheduled IS checking, interned vs structural identity, memoized
 //! vs brute-force mover analysis, multiset permutation invariance — and,
 //! when two paths disagree, greedily shrinks the program to a locally
-//! minimal repro ([`shrink`]) serialized in a textual corpus format
+//! minimal repro ([`shrink()`]) serialized in a textual corpus format
 //! ([`inseq_lang::serial`]) alongside the RNG seed that produced it.
 //!
 //! Everything operates on [`inseq_lang::spec::ProgramSpec`], a name-based program

@@ -7,7 +7,7 @@
 //! global mutex, so the sequential [`Explorer`](crate::Explorer), the
 //! mover checker and the parallel engine's workers all use the same arenas:
 //!
-//! * **Segmented arenas, lock-free reads.** Each arena is a [`SegVec`]: a
+//! * **Segmented arenas, lock-free reads.** Each arena is a `SegVec`: a
 //!   spine of lazily allocated segments with doubling capacities. Entries
 //!   are never moved once written (segments are fixed-size, the spine holds
 //!   them behind `OnceLock`s), so a resolved reference (`&Value`,
@@ -18,7 +18,7 @@
 //! * **Sharded dedup.** Each arena's hash → id index is split into
 //!   [`NUM_SHARDS`] shards by the value's hash (high bits, so the shard
 //!   choice is independent of the open-addressing probe, which uses the low
-//!   bits). A shard is an [`IdTable`] behind its own mutex, held only for
+//!   bits). A shard is an `IdTable` behind its own mutex, held only for
 //!   the probe-and-insert; inserts of *distinct* values in different shards
 //!   proceed fully in parallel, and two racing inserts of the *same* value
 //!   serialize on the same shard, so no value can receive two ids.

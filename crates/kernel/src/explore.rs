@@ -31,7 +31,6 @@
 //! count. The parallel engine returns the same type.
 
 use std::collections::HashMap;
-use std::convert::Infallible;
 use std::fmt;
 use std::sync::Arc;
 
@@ -202,12 +201,10 @@ impl<'p> Explorer<'p> {
                         at += 1;
                     }
                     cache.fill(&interner, sid, outcomes.iter().map(|(p, o)| (*p, o.into())));
-                    let Ok(stepped) =
+                    progressed |=
                         cache.apply(&interner, bagid, &to_expand[start..at], |fired, reason| {
                             record.failures.push((id, fired, reason.to_owned()));
-                            Ok::<(), Infallible>(())
                         });
-                    progressed |= stepped;
                     // Configs go in one at a time, in firing order, so
                     // config ids stay in discovery order.
                     for (fired, mut next) in cache.successors() {

@@ -33,7 +33,7 @@
 //!   explorer's visited set is just this arena, and membership is a probe
 //!   over two `u32`s.
 //!
-//! This module holds the id types, the open-addressing [`IdTable`] each
+//! This module holds the id types, the open-addressing `IdTable` each
 //! dedup shard is built on, and the id-sequence hashes; the arenas live in
 //! [`crate::cintern`].
 

@@ -324,8 +324,7 @@ fn joint_outcomes(
 /// full diamonds. Conservative: any evaluation error counts as a conflict.
 ///
 /// This is the localized, store-specific form of the mover conditions that
-/// `inseq-mover` discharges over a whole state universe; see
-/// `inseq_mover::local` for the consistency bridge between the two.
+/// `inseq-mover` discharges over a whole state universe.
 #[must_use]
 pub fn pair_commutes_at(
     program: &Program,

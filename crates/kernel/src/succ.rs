@@ -289,27 +289,22 @@ impl SuccessorCache {
     /// Applies the round's outcomes, in order, to the configuration under
     /// expansion, whose bag is `bagid`; `selected` names the round's probed pending asyncs (a
     /// trailing probe whose evaluation failed is dropped). Each failure
-    /// goes to `on_failure`; an error from it ends the round before any
-    /// bag is interned. Otherwise every transition's bag — the parent's
-    /// minus the fired pending plus the created ones — is interned, and
+    /// goes to `on_failure`; every transition's bag — the parent's minus
+    /// the fired pending plus the created ones — is interned, and
     /// [`successors`](Self::successors) lists the round. Returns whether
     /// any selected pending failed or had a transition.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first error of `on_failure`.
     ///
     /// # Panics
     ///
     /// Panics if a selected pending was neither a hit nor filled (an
     /// explorer bug).
-    pub fn apply<E>(
+    pub fn apply(
         &mut self,
         interner: &ConcurrentInterner,
         bagid: BagId,
         selected: &[PaId],
-        mut on_failure: impl FnMut(PaId, &str) -> Result<(), E>,
-    ) -> Result<bool, E> {
+        mut on_failure: impl FnMut(PaId, &str),
+    ) -> bool {
         self.fired.clear();
         self.stores.clear();
         self.bag_data.clear();
@@ -319,7 +314,7 @@ impl SuccessorCache {
             match self.round[k].expect("a probed pending async must be resolved") {
                 Cached::Failure(reason) => {
                     progressed = true;
-                    on_failure(paid, &self.reasons[reason])?;
+                    on_failure(paid, &self.reasons[reason]);
                 }
                 Cached::Steps { start, len } => {
                     progressed |= len > 0;
@@ -340,7 +335,7 @@ impl SuccessorCache {
         }
         self.round.clear();
         interner.intern_bags(&self.bag_data, &self.spans, &mut self.bags);
-        Ok(progressed)
+        progressed
     }
 
     /// The successors of the last applied round, in firing order: the

@@ -6,9 +6,9 @@
 //!
 //! A [`CoverageSink`] is a fixed-size bitmap over *dispatch edges*: ordered
 //! pairs `(previous opcode kind, current opcode kind)` observed by
-//! [`crate::vm`]'s dispatch loop, with a virtual entry node so the first
+//! the VM's dispatch loop, with a virtual entry node so the first
 //! opcode of every op array contributes an edge too. Opcode kinds refine
-//! [`Op::Bin`] by its [`BinOp`] and [`Op::Quant`] by its quantifier kind —
+//! `Op::Bin` by its [`BinOp`] and `Op::Quant` by its quantifier kind —
 //! `Add` flowing into a comparison is a different edge than `Mul` flowing
 //! into the same comparison — which gives the fuzzer's scheduler a
 //! meaningfully richer signal than 29 bare variants at zero extra cost.
@@ -22,8 +22,6 @@
 //! snapshots no matter how many workers executed them — the property the
 //! fuzzer's coverage-determinism gate pins down.
 //!
-//! [`Op::Bin`]: crate::compile::Op
-//! [`Op::Quant`]: crate::compile::Op
 //! [`BinOp`]: crate::BinOp
 
 use std::sync::atomic::{AtomicU64, Ordering};

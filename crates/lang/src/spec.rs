@@ -14,7 +14,7 @@
 use std::fmt;
 use std::sync::Arc;
 
-use inseq_kernel::{Config, Footprint, GlobalStore, Multiset, PendingAsync, Program, Value};
+use inseq_kernel::{Config, GlobalStore, Multiset, PendingAsync, Program, Value};
 
 use crate::action::{program_of, DslAction, GlobalDecls};
 use crate::error::TypeError;
@@ -127,26 +127,6 @@ impl BuiltSpec {
     #[must_use]
     pub fn action(&self, name: &str) -> Option<&Arc<DslAction>> {
         self.actions.iter().find(|a| a.name() == name)
-    }
-
-    /// Union of the footprints of the named actions, over the built spec.
-    ///
-    /// Names absent from the spec contribute nothing. Used by incremental
-    /// re-verification to turn an edit diff (a set of changed action names)
-    /// into the store slice whose dependent obligations must re-run.
-    #[must_use]
-    pub fn footprint_of<'a>(&self, names: impl IntoIterator<Item = &'a str>) -> Footprint {
-        use inseq_kernel::ActionSemantics as _;
-        let mut reads = Vec::new();
-        let mut writes = Vec::new();
-        for name in names {
-            if let Some(a) = self.action(name) {
-                let fp = a.footprint().unwrap_or_default();
-                reads.extend(fp.reads);
-                writes.extend(fp.writes);
-            }
-        }
-        Footprint::new(reads, writes)
     }
 }
 

@@ -25,8 +25,6 @@
 #![warn(missing_docs)]
 
 mod check;
-pub mod local;
-mod parallel;
 mod reduction;
 mod types;
 
@@ -34,6 +32,5 @@ pub use check::{
     check_left_mover, check_right_mover, classify_actions, infer_mover_type, MoverChecker,
     MoverStats, MoverViolation,
 };
-pub use parallel::classify_actions_with;
 pub use reduction::{atomic_pattern, summarize_chain, summarize_mover_types};
 pub use types::MoverType;

@@ -251,6 +251,10 @@ pub struct EngineSnapshot {
     pub succ_cache: HitMissSnapshot,
     /// Whether a successor cache went to bypass after its warmup.
     pub succ_bypass: bool,
+    /// Footprint-memo probes: hits reused an outcome evaluated at a store
+    /// with the same footprint projection, misses evaluated. Probation
+    /// lookups count even when the memo then switched itself off.
+    pub memo: HitMissSnapshot,
 }
 
 impl EngineSnapshot {
@@ -320,6 +324,7 @@ impl EngineSnapshot {
         }
         self.succ_cache = self.succ_cache.merged(other.succ_cache);
         self.succ_bypass |= other.succ_bypass;
+        self.memo = self.memo.merged(other.memo);
         self
     }
 }
@@ -358,6 +363,9 @@ impl fmt::Display for EngineSnapshot {
         }
         if self.succ_bypass {
             write!(f, " (bypassed)")?;
+        }
+        if self.memo.lookups() > 0 {
+            write!(f, ", footprint memo {}", self.memo)?;
         }
         Ok(())
     }
@@ -510,6 +518,28 @@ mod tests {
         assert!(text.contains("3 lock waits (4.00 ms)"), "{text}");
         // Contention-free snapshots stay terse.
         assert!(!EngineSnapshot::default().to_string().contains("lock waits"));
+    }
+
+    #[test]
+    fn engine_snapshot_merges_and_shows_the_footprint_memo() {
+        let a = EngineSnapshot {
+            workers: 2,
+            memo: HitMissSnapshot::new(3, 1),
+            ..EngineSnapshot::default()
+        };
+        let b = EngineSnapshot {
+            workers: 2,
+            memo: HitMissSnapshot::new(1, 3),
+            ..EngineSnapshot::default()
+        };
+        let m = a.merged(&b);
+        assert_eq!(m.memo, HitMissSnapshot::new(4, 4));
+        let text = m.to_string();
+        assert!(
+            text.contains("footprint memo 4 hit / 4 miss (50%)"),
+            "{text}"
+        );
+        assert!(!EngineSnapshot::default().to_string().contains("memo"));
     }
 
     #[test]

@@ -10,7 +10,7 @@ use std::time::{Duration, Instant};
 use inseq_core::chain::IsChain;
 use inseq_core::IsReport;
 use inseq_kernel::{
-    Config, Exploration, ExploreError, Explorer, GlobalStore, Program, ReduceMode, SymmetrySpec,
+    Config, Exploration, ExploreError, Explorer, GlobalStore, Program, SymmetrySpec,
 };
 use inseq_lang::build::*;
 use inseq_lang::{action_loc, DslAction, Expr};
@@ -339,11 +339,11 @@ impl Proof<'_> {
     /// `check_spec`), but the run makes each one at most once per
     /// (program, init): `P2` from its init and `P'` are explored by the
     /// first step that reads them and handed to the later ones. A step
-    /// reuses an exploration only when it would have made the same one: no
-    /// reduction, the same seeds, and a budget of at least its
-    /// configuration count. Otherwise the step explores with its own
-    /// budget, so its error is the one the step alone reports. `P1` and
-    /// every IS application after the first are explored once each.
+    /// reuses an exploration only when it would have made the same one: the
+    /// same seeds and a budget of at least its configuration count.
+    /// Otherwise the step explores with its own budget, so its error is the
+    /// one the step alone reports. `P1` and every IS application after the
+    /// first are explored once each.
     ///
     /// # Errors
     ///
@@ -386,9 +386,8 @@ impl Proof<'_> {
         let mut first = true;
         let outcome = chain
             .run_from(p2.clone(), |app| {
-                let shared = std::mem::take(&mut first)
-                    && app.reduce_mode() == ReduceMode::Off
-                    && app.instances() == std::slice::from_ref(&init);
+                let shared =
+                    std::mem::take(&mut first) && app.instances() == std::slice::from_ref(&init);
                 steps.time(format!("IS {}", steps.0.len()), || {
                     if !shared {
                         explorations.runs += 1;
@@ -508,7 +507,8 @@ impl fmt::Display for ExplorationCase {
     }
 }
 
-/// Wraps an [`IsViolation`] (or any pipeline error) with the case name.
+/// Wraps an [`IsViolation`](inseq_core::IsViolation) (or any pipeline
+/// error) with the case name.
 #[derive(Debug)]
 pub struct CaseError {
     /// The case that failed.

@@ -222,7 +222,8 @@ pub fn obligation(id: Option<&str>, o: &ObligationOutcome) -> String {
 }
 
 /// The final `verdict` line of a check: overall pass/fail, cache usage, the
-/// first violated premise (if any) and the full [`IsReport`] rendering.
+/// first violated premise (if any) and the full
+/// [`IsReport`](inseq_core::IsReport) rendering.
 #[must_use]
 pub fn verdict(id: Option<&str>, rep: &IncrementalReport) -> String {
     let cached = rep.outcomes.iter().filter(|o| o.cached).count();

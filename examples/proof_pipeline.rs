@@ -1,6 +1,6 @@
 //! The whole toolbox on one protocol: derive the atomic actions by
-//! reduction (`summarize_chain`), chain every refinement step in one
-//! CIVL-style layered proof, rewrite a concrete interleaving with the
+//! reduction (`summarize_chain`), run the proof's chain of refinement
+//! steps with the Table-1 driver, rewrite a concrete interleaving with the
 //! Fig. 2 permutation algorithm, and render the executions.
 //!
 //! ```text
@@ -9,7 +9,6 @@
 
 use std::collections::BTreeSet;
 
-use inductive_sequentialization::core::layers::{LayerStep, LayeredProof};
 use inductive_sequentialization::core::rewrite::{permute_execution, validate_execution};
 use inductive_sequentialization::kernel::render::{render_execution, RenderOptions};
 use inductive_sequentialization::kernel::{ActionName, Explorer, Value};
@@ -40,23 +39,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         out.transitions().map_or(0, <[_]>::len)
     );
 
-    // ── 2. The layered proof: reduction, then the two IS applications.
-    let init1 = broadcast::init_config(&artifacts.p1, &artifacts, &instance);
-    let mut steps = broadcast::iterated_chain(&artifacts, &instance).into_steps();
-    let second = steps.pop().expect("two applications");
-    let first = steps.pop().expect("two applications");
-    let outcome = LayeredProof::new(artifacts.p1.clone())
-        .instance(init1)
-        .then(LayerStep::ProgramRefinement {
-            to: artifacts.p2.clone(),
-            label: "reduction to atomic actions (Fig. 1 ① → ②)".into(),
-        })
-        .then_is(first)
-        .then_is(second)
-        .run()?;
-    println!("layered proof certificate:");
-    for line in &outcome.log {
-        println!("  {line}");
+    // ── 2. The proof: P1 ≼ P2 (reduction to atomic actions, Fig. 1 ① → ②),
+    //       the two IS applications, P2 ≼ P', and the spec.
+    let report = broadcast::proof(&artifacts, &instance).run()?;
+    println!("proof steps ({} IS applications):", report.is_applications);
+    for step in &report.steps {
+        println!("  {step}");
     }
 
     // ── 3. Fig. 2, concretely: take one concurrent interleaving and

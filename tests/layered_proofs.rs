@@ -1,49 +1,34 @@
-//! The full Fig. 1 pipeline expressed as one CIVL-style layered proof: a
-//! chain of refinement steps where each link is either an IS transformation
-//! or a classic transformation (program refinement / action abstraction),
-//! exactly the integration the paper describes in §5.1.
+//! The full Fig. 1 pipeline as one chain of refinement steps, each link an
+//! IS transformation or a classic program refinement — the integration the
+//! paper describes in §5.1 — driven by the Table-1 proof driver.
 
-use inductive_sequentialization::core::layers::{LayerStep, LayeredProof};
-use inductive_sequentialization::kernel::Explorer;
+use std::sync::Arc;
+
+use inductive_sequentialization::kernel::{
+    ActionOutcome, ActionSemantics, GlobalStore, NativeAction, Transition, Value,
+};
 use inductive_sequentialization::protocols::broadcast;
+use inductive_sequentialization::protocols::common::Refinement;
 
 #[test]
 fn broadcast_as_a_four_layer_proof() {
     let instance = broadcast::Instance::new(&[3, 1]);
     let artifacts = broadcast::build();
-    let init = broadcast::init_config(&artifacts.p1, &artifacts, &instance);
 
-    // Reconstruct the two IS applications of the iterated proof against P2
-    // (the chain rebases them automatically).
-    let chain = broadcast::iterated_chain(&artifacts, &instance);
-    let mut steps = chain.into_steps();
-    let second_is = steps.pop().expect("two applications");
-    let first_is = steps.pop().expect("two applications");
-
-    let outcome = LayeredProof::new(artifacts.p1.clone())
-        .instance(init.clone())
-        // Layer 0: reduction — fine-grained steps to atomic actions
-        // (Fig. 1 ① → ②), checked as a program refinement.
-        .then(LayerStep::ProgramRefinement {
-            to: artifacts.p2.clone(),
-            label: "reduction to atomic actions".into(),
-        })
-        // Layers 1-2: the two IS applications (Fig. 1 ② → ③, via §5.3).
-        .then_is(first_is)
-        .then_is(second_is)
+    // P1 ≼ P2 (reduction to atomic actions, Fig. 1 ① → ②), the two IS
+    // applications of §5.3 (P2 ≼ P2' ≼ P2''), then the end-to-end
+    // refinement and the consensus spec on the final program and on P2.
+    let report = broadcast::proof(&artifacts, &instance)
         .run()
-        .expect("every layer is justified");
+        .expect("every step is justified");
 
-    assert_eq!(outcome.programs.len(), 4, "P1, P2, P2', P2''");
-    assert_eq!(outcome.log.len(), 3);
-    assert!(outcome.log[0].contains("reduction"));
-    assert!(outcome.log[1].contains("IS on `Main`"));
-
-    // The final program of the chain satisfies consensus, sequentially.
-    let spec = broadcast::spec(&artifacts, &instance);
-    let final_init = broadcast::init_config(outcome.last(), &artifacts, &instance);
-    let exp = Explorer::new(outcome.last()).explore([final_init]).unwrap();
-    assert!(exp.terminal_stores().all(spec));
+    assert_eq!(report.is_applications, 2, "P1, P2, P2', P2''");
+    let steps: Vec<&str> = report.steps.iter().map(|s| s.step.as_str()).collect();
+    assert_eq!(
+        steps,
+        ["P1 ≼ P2", "IS 1", "IS 2", "P2 ≼ P'", "spec P'", "spec P2"]
+    );
+    assert_eq!(report.explorations, report.is_applications + 2);
 }
 
 #[test]
@@ -52,32 +37,18 @@ fn a_lying_layer_is_rejected_with_its_index() {
     let artifacts = broadcast::build();
     let init = broadcast::init_config(&artifacts.p2, &artifacts, &instance);
 
-    // Claim P2 refines P1 — backwards: P1's summary is a superset only in
-    // the other direction... in fact both have the same summaries here, so
-    // use a genuinely wrong claim: P2 refines a program whose Main is the
-    // *sequentialization of a different value set* (a fresh artifacts build
-    // with swapped instance would coincide too). Simplest honest lie:
-    // replace Broadcast by a no-op and claim refinement.
-    let crippled = artifacts.p2.with_action(
-        "Broadcast",
-        std::sync::Arc::new(inductive_sequentialization::kernel::NativeAction::new(
-            "Noop",
-            1,
-            |g: &inductive_sequentialization::kernel::GlobalStore,
-             _: &[inductive_sequentialization::kernel::Value]| {
-                inductive_sequentialization::kernel::ActionOutcome::Transitions(vec![
-                    inductive_sequentialization::kernel::Transition::pure(g.clone()),
-                ])
-            },
-        )) as std::sync::Arc<dyn inductive_sequentialization::kernel::ActionSemantics>,
-    );
-    let err = LayeredProof::new(artifacts.p2.clone())
-        .instance(init)
-        .then(LayerStep::ProgramRefinement {
-            to: crippled,
-            label: "a lie".into(),
-        })
-        .run()
-        .unwrap_err();
-    assert_eq!(err.layer, 0);
+    // Claim that P2 refines a program whose Broadcast is a no-op: P2
+    // reaches stores the crippled program never does.
+    let noop = NativeAction::new("Noop", 1, |g: &GlobalStore, _: &[Value]| {
+        ActionOutcome::Transitions(vec![Transition::pure(g.clone())])
+    });
+    let crippled = artifacts
+        .p2
+        .with_action("Broadcast", Arc::new(noop) as Arc<dyn ActionSemantics>);
+
+    let mut proof = broadcast::proof(&artifacts, &instance);
+    proof.refinement = Refinement::program(&artifacts.p2, init);
+    proof.p2 = &crippled;
+    let err = proof.run().unwrap_err();
+    assert!(err.message.starts_with("P1 ⋠ P2"), "{err}");
 }
