@@ -112,7 +112,7 @@ pub fn init_config(artifacts: &FlatArtifacts, values: &[i64]) -> Config {
     for (idx, v) in values.iter().enumerate() {
         vmap.set_in_place(Value::Int(idx as i64 + 1), Value::Int(*v));
     }
-    store.set(g.index_of("value").unwrap(), Value::Map(vmap));
+    store.set(g.index_of("value").unwrap(), Value::map(vmap));
     artifacts
         .p2
         .initial_config_with(store, vec![])

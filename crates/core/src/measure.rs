@@ -141,7 +141,7 @@ mod tests {
         let m = Measure::lexicographic("(|ch|, |Ω|)", |g, omega| {
             vec![g.get(0).as_bag().len() as u64, omega.len() as u64]
         });
-        let before = GlobalStore::new(vec![Value::Bag([Value::Int(1)].into_iter().collect())]);
+        let before = GlobalStore::new(vec![Value::bag([Value::Int(1)].into_iter().collect())]);
         let after = GlobalStore::new(vec![Value::empty_bag()]);
         let fired = PendingAsync::new("Recv", vec![]);
         let created = Multiset::singleton(PendingAsync::new("Recv", vec![]));

@@ -8,9 +8,9 @@
 //! millions of configurations that repeat the same `(p, q, store)` query.
 //! Verdicts are memoized in a shared bucketed table following
 //! [`crate::memo`]'s pattern — a short-lock probe keyed by an Fx hash, with
-//! full-equality comparison on the bucket to rule collisions out. Store
-//! slots are `Arc`-shared sub-parts, so a cached entry costs refcounts, not
-//! deep clones.
+//! full-equality comparison on the bucket to rule collisions out. A store's
+//! compound values share their payloads ([`inseq_kernel::Shared`]), so a
+//! cached entry costs refcounts, not deep clones.
 //!
 //! # Candidate contract
 //!

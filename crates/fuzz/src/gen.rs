@@ -83,8 +83,8 @@ pub(crate) fn random_value(rng: &mut StdRng, sort: &Sort) -> Value {
                 Value::none()
             }
         }
-        Sort::Tuple(ss) => Value::Tuple(ss.iter().map(|s| random_value(rng, s)).collect()),
-        Sort::Set(inner) => Value::Set(
+        Sort::Tuple(ss) => Value::tuple(ss.iter().map(|s| random_value(rng, s)).collect()),
+        Sort::Set(inner) => Value::set(
             (0..rng.gen_range(0..3))
                 .map(|_| random_value(rng, inner))
                 .collect(),
@@ -94,9 +94,9 @@ pub(crate) fn random_value(rng: &mut StdRng, sort: &Sort) -> Value {
             for _ in 0..rng.gen_range(0..3) {
                 bag.insert_n(random_value(rng, inner), rng.gen_range(1..3));
             }
-            Value::Bag(bag)
+            Value::bag(bag)
         }
-        Sort::Seq(inner) => Value::Seq(
+        Sort::Seq(inner) => Value::seq(
             (0..rng.gen_range(0..3))
                 .map(|_| random_value(rng, inner))
                 .collect(),
@@ -106,7 +106,7 @@ pub(crate) fn random_value(rng: &mut StdRng, sort: &Sort) -> Value {
             for _ in 0..rng.gen_range(0..3) {
                 map.set_in_place(random_value(rng, key), random_value(rng, value));
             }
-            Value::Map(map)
+            Value::map(map)
         }
     }
 }

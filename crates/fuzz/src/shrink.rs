@@ -8,7 +8,7 @@
 //! (action + global + pending + statement count, plus the magnitude sum of
 //! integer constants), so the loop terminates at a local minimum.
 
-use inseq_kernel::Value;
+use inseq_kernel::{Shared, Value};
 use inseq_lang::Expr;
 
 use inseq_lang::spec::{ProgramSpec, SpecStmt};
@@ -299,9 +299,9 @@ fn for_each_expr_int(expr: &mut Expr, edit: &mut impl FnMut(&mut i64)) {
 fn for_each_value_int(value: &mut Value, edit: &mut impl FnMut(&mut i64)) {
     match value {
         Value::Int(n) => edit(n),
-        Value::Opt(Some(inner)) => for_each_value_int(inner, edit),
+        Value::Opt(Some(inner)) => for_each_value_int(Shared::make_mut(inner), edit),
         Value::Tuple(vs) | Value::Seq(vs) => {
-            for v in vs {
+            for v in Shared::make_mut(vs) {
                 for_each_value_int(v, edit);
             }
         }

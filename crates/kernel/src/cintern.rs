@@ -61,7 +61,7 @@
 //! [`ConcurrentInterner::contention`] into the engine's `--stats` output.
 
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock, TryLockError};
+use std::sync::{Mutex, MutexGuard, OnceLock, TryLockError};
 use std::time::Instant;
 
 use inseq_obs::ContentionSnapshot;
@@ -300,9 +300,9 @@ pub struct ConfigReq {
 /// the owning dedup shard.
 #[derive(Debug)]
 pub struct ConcurrentInterner {
-    /// Values behind `Arc`s, so a fresh store shares its changed slots'
-    /// allocations with the arena instead of deep-cloning them.
-    values: SegVec<Arc<Value>>,
+    /// Interned values; a fresh store's changed slots share their payloads
+    /// with these instead of deep-cloning them.
+    values: SegVec<Value>,
     value_index: ShardedIndex,
     stores: SegVec<StoreEntry>,
     store_index: ShardedIndex,
@@ -417,10 +417,10 @@ impl ConcurrentInterner {
         hash: u64,
         v: &Value,
     ) -> ValueId {
-        if let Some(id) = table.find(hash, |id| **self.values.get(id as usize) == *v) {
+        if let Some(id) = table.find(hash, |id| self.values.get(id as usize) == v) {
             return ValueId::from_raw(id);
         }
-        let id = self.values.push(Arc::new(v.clone()));
+        let id = self.values.push(v.clone());
         table.insert(hash, id);
         self.note_insert(shard);
         ValueId::from_raw(id)
@@ -432,7 +432,7 @@ impl ConcurrentInterner {
         let hash = fx_hash(v);
         let table = self.lock(&self.value_index, shard_of(hash));
         table
-            .find(hash, |id| **self.values.get(id as usize) == *v)
+            .find(hash, |id| self.values.get(id as usize) == v)
             .map(ValueId::from_raw)
     }
 
@@ -572,10 +572,10 @@ impl ConcurrentInterner {
     /// affected shard once. A diff costs O(writes), not O(slots): its hash
     /// derives from the parent's, and the probe compares candidates against
     /// the parent's slots seen through the patches, so the hit path never
-    /// builds a slot key. A miss clones the parent (cheap — slots are
-    /// `Arc`-shared), points the patched slots at the arena's values, and
-    /// patches a copy of the parent's key. A successor without changes is
-    /// `parent` itself — canonicality makes that exact. `out` is
+    /// builds a slot key. A miss clones the parent (cheap — compound
+    /// slots share their payloads), points the patched slots at the arena's
+    /// values, and patches a copy of the parent's key. A successor without
+    /// changes is `parent` itself — canonicality makes that exact. `out` is
     /// overwritten with one id per span, aligned.
     pub fn intern_successor_stores(
         &self,
@@ -613,7 +613,7 @@ impl ConcurrentInterner {
                     let mut store = entry.store.clone();
                     let mut slots = entry.slots.to_vec();
                     for &(slot, vid) in patches {
-                        store.set_shared(slot, Arc::clone(self.values.get(vid.index())));
+                        store.set(slot, self.values.get(vid.index()).clone());
                         slots[slot] = vid;
                     }
                     (store, slots.into_boxed_slice())

@@ -79,4 +79,4 @@ pub use reduce::{
 pub use store::GlobalStore;
 pub use succ::SuccessorCache;
 pub use universe::StateUniverse;
-pub use value::{Map, Value};
+pub use value::{Map, Shared, Value};

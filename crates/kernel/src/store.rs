@@ -1,7 +1,6 @@
 //! Global stores: valuations of the program's global variables.
 
 use std::fmt;
-use std::sync::Arc;
 
 use crate::program::GlobalSchema;
 use crate::value::Value;
@@ -12,26 +11,21 @@ use crate::value::Value;
 /// declared in the program's [`GlobalSchema`]. The schema (name ↔ index
 /// mapping) lives on the [`Program`](crate::Program) so stores stay compact.
 ///
-/// Slots are `Arc`-shared: stores are cloned on every transition during
-/// exploration and on every evaluation branch, and almost every clone leaves
-/// most slots untouched, so cloning bumps one refcount per slot instead of
-/// deep-copying every value. Updates replace the slot's `Arc` (values are
-/// immutable once stored). Equality, ordering, and hashing all delegate to
-/// the pointed-to `Value`s, so observable semantics — including hash-consed
-/// config identity — are exactly those of a `Vec<Value>` store, with the
-/// bonus that comparisons of slots sharing an allocation are O(1).
+/// Stores are cloned on every transition during exploration and on every
+/// evaluation branch, and almost every clone leaves most slots untouched.
+/// A compound [`Value`] shares its payload between clones, so cloning a
+/// store copies one word-sized handle per slot, and comparing two stores
+/// whose slots share payloads costs one pointer test per slot.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct GlobalStore {
-    values: Vec<Arc<Value>>,
+    values: Vec<Value>,
 }
 
 impl GlobalStore {
     /// Creates a store from the values of all globals, in schema order.
     #[must_use]
     pub fn new(values: Vec<Value>) -> Self {
-        GlobalStore {
-            values: values.into_iter().map(Arc::new).collect(),
-        }
+        GlobalStore { values }
     }
 
     /// Number of global variables.
@@ -64,7 +58,7 @@ impl GlobalStore {
     #[must_use]
     pub fn with(&self, index: usize, value: Value) -> Self {
         let mut next = self.clone();
-        next.values[index] = Arc::new(value);
+        next.values[index] = value;
         next
     }
 
@@ -74,25 +68,19 @@ impl GlobalStore {
     ///
     /// Panics if `index` is out of bounds for the schema.
     pub fn set(&mut self, index: usize, value: Value) {
-        self.values[index] = Arc::new(value);
+        self.values[index] = value;
     }
 
     /// Whether slot `index` holds equal values in both stores — O(1) when
-    /// the two stores share the slot's allocation (a successor's untouched
+    /// the two stores share the slot's payload (a successor's untouched
     /// slots share their parent's).
     pub(crate) fn slot_eq(&self, other: &GlobalStore, index: usize) -> bool {
         self.values[index] == other.values[index]
     }
 
-    /// In-place update with an already shared value (the interner's arena
-    /// entry), so the store and the arena share one allocation.
-    pub(crate) fn set_shared(&mut self, index: usize, value: Arc<Value>) {
-        self.values[index] = value;
-    }
-
     /// Iterates over the values in schema order.
     pub fn iter(&self) -> impl Iterator<Item = &Value> {
-        self.values.iter().map(Arc::as_ref)
+        self.values.iter()
     }
 
     /// Renders the store with variable names taken from `schema`.

@@ -2,6 +2,9 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
+use std::hash::{Hash, Hasher};
+use std::ops::Deref;
+use std::sync::Arc;
 
 use crate::multiset::Multiset;
 
@@ -12,6 +15,13 @@ use crate::multiset::Multiset;
 /// exploration. Maps carry a default value and are kept *canonical*: a key
 /// whose value equals the default is never stored, so two maps that agree as
 /// functions compare equal.
+///
+/// Every compound payload sits in a [`Shared`] copy-on-write wrapper, so
+/// cloning a value — copying a store, reading a global into a register —
+/// bumps one refcount instead of copying a tree, and a write copies one
+/// level only when the payload is shared. Equality, ordering, hashing and
+/// both renderings are those of the payloads themselves; the wrapper only
+/// lets two values that share a payload compare in one pointer test.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Value {
     /// The unit value.
@@ -21,24 +31,118 @@ pub enum Value {
     /// A mathematical integer (bounded to `i64` in this implementation).
     Int(i64),
     /// An optional value (`None()` / `Some(v)` in the paper's Paxos figures).
-    Opt(Option<Box<Value>>),
+    Opt(Option<Shared<Value>>),
     /// A tuple / datatype value with a constructor tag.
-    Tuple(Vec<Value>),
+    Tuple(Shared<Vec<Value>>),
     /// A finite set.
-    Set(BTreeSet<Value>),
+    Set(Shared<BTreeSet<Value>>),
     /// A finite multiset (bag); the paper's channel type.
-    Bag(Multiset<Value>),
+    Bag(Shared<Multiset<Value>>),
     /// A finite sequence; used for FIFO-queue channels.
-    Seq(Vec<Value>),
+    Seq(Shared<Vec<Value>>),
     /// A total map with a default, stored canonically (see type docs).
-    Map(Map),
+    Map(Shared<Map>),
+}
+
+/// A shared, copy-on-write payload of a compound [`Value`].
+///
+/// Clones share one allocation. [`Shared::make_mut`] hands out the payload
+/// for writing, copying it first (one level: its elements are values and
+/// are themselves shared) only when another clone still holds it.
+///
+/// `==` and [`Ord::cmp`] answer at once when both sides are the same
+/// allocation — a payload equals itself — and otherwise delegate to the
+/// payload, as [`Hash`], [`fmt::Debug`] and [`fmt::Display`] always do. So
+/// every order, hash and rendering is exactly the payload's.
+pub struct Shared<T>(Arc<T>);
+
+impl<T> Shared<T> {
+    /// Wraps `payload` in a fresh allocation.
+    #[must_use]
+    pub fn new(payload: T) -> Self {
+        Shared(Arc::new(payload))
+    }
+
+    /// Whether `a` and `b` are the same allocation.
+    fn ptr_eq(a: &Self, b: &Self) -> bool {
+        Arc::ptr_eq(&a.0, &b.0)
+    }
+}
+
+impl<T: Clone> Shared<T> {
+    /// The payload for writing, copied first if another clone shares it.
+    pub fn make_mut(this: &mut Self) -> &mut T {
+        Arc::make_mut(&mut this.0)
+    }
+
+    /// The payload by value: moved out when unshared, else cloned.
+    #[must_use]
+    pub fn into_inner(this: Self) -> T {
+        Arc::unwrap_or_clone(this.0)
+    }
+}
+
+impl<T> Clone for Shared<T> {
+    fn clone(&self) -> Self {
+        Shared(Arc::clone(&self.0))
+    }
+}
+
+impl<T> Deref for Shared<T> {
+    type Target = T;
+
+    fn deref(&self) -> &T {
+        &self.0
+    }
+}
+
+impl<T: Eq> PartialEq for Shared<T> {
+    fn eq(&self, other: &Self) -> bool {
+        Shared::ptr_eq(self, other) || *self.0 == *other.0
+    }
+}
+
+impl<T: Eq> Eq for Shared<T> {}
+
+impl<T: Ord> PartialOrd for Shared<T> {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl<T: Ord> Ord for Shared<T> {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        if Shared::ptr_eq(self, other) {
+            std::cmp::Ordering::Equal
+        } else {
+            (*self.0).cmp(&*other.0)
+        }
+    }
+}
+
+impl<T: Hash> Hash for Shared<T> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        (*self.0).hash(state);
+    }
+}
+
+impl<T: fmt::Debug> fmt::Debug for Shared<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        (*self.0).fmt(f)
+    }
+}
+
+impl<T: fmt::Display> fmt::Display for Shared<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        (*self.0).fmt(f)
+    }
 }
 
 impl Value {
     /// Builds `Some(v)`.
     #[must_use]
     pub fn some(v: Value) -> Self {
-        Value::Opt(Some(Box::new(v)))
+        Value::Opt(Some(Shared::new(v)))
     }
 
     /// Builds `None`.
@@ -47,28 +151,58 @@ impl Value {
         Value::Opt(None)
     }
 
+    /// Builds a tuple.
+    #[must_use]
+    pub fn tuple(items: Vec<Value>) -> Self {
+        Value::Tuple(Shared::new(items))
+    }
+
+    /// Builds a set.
+    #[must_use]
+    pub fn set(items: BTreeSet<Value>) -> Self {
+        Value::Set(Shared::new(items))
+    }
+
+    /// Builds a bag.
+    #[must_use]
+    pub fn bag(items: Multiset<Value>) -> Self {
+        Value::Bag(Shared::new(items))
+    }
+
+    /// Builds a sequence.
+    #[must_use]
+    pub fn seq(items: Vec<Value>) -> Self {
+        Value::Seq(Shared::new(items))
+    }
+
+    /// Builds a map value.
+    #[must_use]
+    pub fn map(map: Map) -> Self {
+        Value::Map(Shared::new(map))
+    }
+
     /// Builds an empty set.
     #[must_use]
     pub fn empty_set() -> Self {
-        Value::Set(BTreeSet::new())
+        Value::set(BTreeSet::new())
     }
 
     /// Builds an empty bag.
     #[must_use]
     pub fn empty_bag() -> Self {
-        Value::Bag(Multiset::new())
+        Value::bag(Multiset::new())
     }
 
     /// Builds an empty sequence.
     #[must_use]
     pub fn empty_seq() -> Self {
-        Value::Seq(Vec::new())
+        Value::seq(Vec::new())
     }
 
     /// Builds a total map that is `default` everywhere.
     #[must_use]
     pub fn const_map(default: Value) -> Self {
-        Value::Map(Map::new(default))
+        Value::map(Map::new(default))
     }
 
     /// Returns the integer payload.
@@ -213,7 +347,7 @@ impl fmt::Display for Value {
 /// [`Map`]s coincides with extensional equality of the functions they denote.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Map {
-    default: Box<Value>,
+    default: Value,
     entries: BTreeMap<Value, Value>,
 }
 
@@ -222,7 +356,7 @@ impl Map {
     #[must_use]
     pub fn new(default: Value) -> Self {
         Map {
-            default: Box::new(default),
+            default,
             entries: BTreeMap::new(),
         }
     }
@@ -249,7 +383,7 @@ impl Map {
 
     /// In-place update, preserving canonicity.
     pub fn set_in_place(&mut self, key: Value, value: Value) {
-        if value == *self.default {
+        if value == self.default {
             self.entries.remove(&key);
         } else {
             self.entries.insert(key, value);
@@ -304,7 +438,7 @@ mod tests {
     fn value_constructors() {
         assert_eq!(
             Value::some(Value::Int(3)),
-            Value::Opt(Some(Box::new(Value::Int(3))))
+            Value::Opt(Some(Shared::new(Value::Int(3))))
         );
         assert_eq!(Value::none(), Value::Opt(None));
         assert_eq!(Value::from(true), Value::Bool(true));
@@ -313,7 +447,7 @@ mod tests {
 
     #[test]
     fn value_display_is_readable() {
-        let v = Value::Tuple(vec![Value::Int(1), Value::some(Value::Bool(true))]);
+        let v = Value::tuple(vec![Value::Int(1), Value::some(Value::Bool(true))]);
         assert_eq!(v.to_string(), "(1, Some(true))");
         assert_eq!(Value::empty_set().to_string(), "{}");
         assert_eq!(Value::empty_seq().to_string(), "[]");

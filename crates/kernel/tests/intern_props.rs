@@ -29,12 +29,12 @@ fn value_strategy() -> impl Strategy<Value = Value> {
         prop_oneof![
             inner.clone().prop_map(Value::some),
             Just(Value::none()),
-            proptest::collection::vec(inner.clone(), 0..4).prop_map(Value::Tuple),
+            proptest::collection::vec(inner.clone(), 0..4).prop_map(Value::tuple),
             proptest::collection::vec(inner.clone(), 0..4)
-                .prop_map(|items| Value::Set(items.into_iter().collect())),
+                .prop_map(|items| Value::set(items.into_iter().collect())),
             proptest::collection::vec(inner.clone(), 0..4)
-                .prop_map(|items| Value::Bag(items.into_iter().collect())),
-            proptest::collection::vec(inner.clone(), 0..4).prop_map(Value::Seq),
+                .prop_map(|items| Value::bag(items.into_iter().collect())),
+            proptest::collection::vec(inner.clone(), 0..4).prop_map(Value::seq),
             (
                 inner.clone(),
                 proptest::collection::vec((inner.clone(), inner), 0..3)
@@ -44,7 +44,7 @@ fn value_strategy() -> impl Strategy<Value = Value> {
                     for (k, v) in entries {
                         map.set_in_place(k, v);
                     }
-                    Value::Map(map)
+                    Value::map(map)
                 }),
         ]
     })

@@ -44,7 +44,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use inseq_kernel::{ActionName, Footprint, Value};
+use inseq_kernel::{ActionName, Footprint, Shared, Value};
 use inseq_obs::Counter;
 
 use crate::action::{DslAction, Slot};
@@ -650,16 +650,16 @@ impl<'a> Compiler<'a> {
                 _ => None,
             },
             Expr::Unwrap(e) => match self.fold(e)? {
-                Value::Opt(Some(v)) => Some(*v),
+                Value::Opt(Some(v)) => Some(Shared::into_inner(v)),
                 _ => None,
             },
             Expr::Tuple(es) => es
                 .iter()
                 .map(|e| self.fold(e))
                 .collect::<Option<Vec<_>>>()
-                .map(Value::Tuple),
+                .map(Value::tuple),
             Expr::Proj(e, i) => match self.fold(e)? {
-                Value::Tuple(mut vs) if *i < vs.len() => Some(vs.swap_remove(*i)),
+                Value::Tuple(vs) if *i < vs.len() => Some(vs[*i].clone()),
                 _ => None,
             },
             Expr::RangeSet(lo, hi) => {
@@ -729,8 +729,8 @@ impl<'a> Compiler<'a> {
                     BinOp::Sub => x.checked_sub(y).map(Value::Int),
                     BinOp::Mul => x.checked_mul(y).map(Value::Int),
                     // A zero divisor must fail at runtime, not fold.
-                    BinOp::Div if y != 0 => Some(Value::Int(x.div_euclid(y))),
-                    BinOp::Mod if y != 0 => Some(Value::Int(x.rem_euclid(y))),
+                    BinOp::Div if y != 0 => x.checked_div_euclid(y).map(Value::Int),
+                    BinOp::Mod if y != 0 => x.checked_rem_euclid(y).map(Value::Int),
                     BinOp::Lt => Some(Value::Bool(x < y)),
                     BinOp::Le => Some(Value::Bool(x <= y)),
                     BinOp::Gt => Some(Value::Bool(x > y)),

@@ -88,15 +88,7 @@ fn exec_stmt(action: &DslAction, stmt: &Stmt, mut state: EvalState) -> Branches 
             let key = eval_top(action, &state, k)?;
             let val = eval_top(action, &state, v)?;
             let cur = read_var(action, &state, x)?;
-            let updated = match cur {
-                Value::Map(m) => Value::Map(m.set(key, val)),
-                other => {
-                    return Err(Fail(format!(
-                        "`{x}[..] := ..` needs a map, found {other} in `{}`",
-                        action.name()
-                    )))
-                }
-            };
+            let updated = rt::assign_at_value(cur, key, val, x, action.name())?;
             write_var(action, &mut state, x, updated)?;
             out.insert(state);
         }
@@ -251,7 +243,7 @@ fn update_channel(
                 .into_iter()
                 .map(|(v, payload)| {
                     let mut s = state.clone();
-                    let updated = Value::Map(map.set(k.clone(), v));
+                    let updated = Value::map(map.set(k.clone(), v));
                     write_var(action, &mut s, chan, updated)?;
                     Ok((s, payload))
                 })
@@ -315,7 +307,7 @@ fn eval<'a>(
             }
             read_var(action, state, x)
         }
-        Expr::Neg(e) => Ok(Value::Int(-eval(action, state, bound, e)?.as_int())),
+        Expr::Neg(e) => rt::neg_value(&eval(action, state, bound, e)?, action.name()),
         Expr::Not(e) => Ok(Value::Bool(!eval(action, state, bound, e)?.as_bool())),
         Expr::Bin(op, a, b) => eval_bin(action, state, bound, *op, a, b),
         Expr::Ite(c, t, e) => {
@@ -331,7 +323,7 @@ fn eval<'a>(
             Value::Opt(Some(_))
         ))),
         Expr::Unwrap(e) => rt::unwrap_value(eval(action, state, bound, e)?, action.name()),
-        Expr::Tuple(es) => Ok(Value::Tuple(
+        Expr::Tuple(es) => Ok(Value::tuple(
             es.iter()
                 .map(|e| eval(action, state, bound, e))
                 .collect::<Result<_, _>>()?,
@@ -429,7 +421,7 @@ fn eval<'a>(
                         kept.insert(item);
                     }
                 }
-                Ok(Value::Set(kept))
+                Ok(Value::set(kept))
             })
         }
         Expr::MapImage(x, s, body) => {
@@ -440,7 +432,7 @@ fn eval<'a>(
                     set_last_binding(bound, item);
                     image.insert(eval(action, state, bound, body)?);
                 }
-                Ok(Value::Set(image))
+                Ok(Value::set(image))
             })
         }
     }

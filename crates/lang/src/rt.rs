@@ -11,7 +11,7 @@
 
 use std::collections::BTreeSet;
 
-use inseq_kernel::{GlobalStore, Multiset, PendingAsync, Value};
+use inseq_kernel::{GlobalStore, Map, Multiset, PendingAsync, Shared, Value};
 
 use crate::expr::BinOp;
 
@@ -30,7 +30,7 @@ pub(crate) struct EvalState {
 /// `unwrap(e)`: the payload of a `Some`, failing on `None`.
 pub(crate) fn unwrap_value(v: Value, name: &str) -> Result<Value, Fail> {
     match v {
-        Value::Opt(Some(v)) => Ok(*v),
+        Value::Opt(Some(v)) => Ok(Shared::into_inner(v)),
         Value::Opt(None) => Err(Fail(format!("unwrap of None in `{name}`"))),
         other => Err(Fail(format!(
             "unwrap needs an Option, found {other} in `{name}`"
@@ -41,7 +41,7 @@ pub(crate) fn unwrap_value(v: Value, name: &str) -> Result<Value, Fail> {
 /// Tuple projection `e.i` (0-based).
 pub(crate) fn proj_value(v: Value, i: usize, name: &str) -> Result<Value, Fail> {
     match v {
-        Value::Tuple(mut vs) if i < vs.len() => Ok(vs.swap_remove(i)),
+        Value::Tuple(vs) if i < vs.len() => Ok(vs[i].clone()),
         other => Err(Fail(format!(
             "projection .{i} out of range on {other} in `{name}`"
         ))),
@@ -69,12 +69,38 @@ pub(crate) fn map_get_value(map: Value, key: Value, name: &str) -> Result<Value,
 pub(crate) fn map_set_value(map: Value, key: Value, val: Value, name: &str) -> Result<Value, Fail> {
     match map {
         Value::Map(mut m) => {
-            m.set_in_place(key, val);
+            set_entry(&mut m, key, val);
             Ok(Value::Map(m))
         }
         other => Err(Fail(format!(
             "map update needs a Map, found {other} in `{name}`"
         ))),
+    }
+}
+
+/// The statement `var[k] := v`, given `var`'s current value.
+pub(crate) fn assign_at_value(
+    cur: Value,
+    key: Value,
+    val: Value,
+    var: &str,
+    name: &str,
+) -> Result<Value, Fail> {
+    match cur {
+        Value::Map(mut m) => {
+            set_entry(&mut m, key, val);
+            Ok(Value::Map(m))
+        }
+        other => Err(Fail(format!(
+            "`{var}[..] := ..` needs a map, found {other} in `{name}`"
+        ))),
+    }
+}
+
+/// `m[key] := val` in place; a write that changes nothing copies nothing.
+fn set_entry(m: &mut Shared<Map>, key: Value, val: Value) {
+    if *m.get(&key) != val {
+        Shared::make_mut(m).set_in_place(key, val);
     }
 }
 
@@ -123,12 +149,17 @@ pub(crate) fn count_of_value(coll: &Value, item: &Value, name: &str) -> Result<V
 pub(crate) fn with_elem_value(coll: Value, item: Value, name: &str) -> Result<Value, Fail> {
     match coll {
         Value::Set(mut s) => {
-            s.insert(item);
+            if !s.contains(&item) {
+                Shared::make_mut(&mut s).insert(item);
+            }
             Ok(Value::Set(s))
         }
-        Value::Bag(b) => Ok(Value::Bag(b.with(item))),
+        Value::Bag(mut b) => {
+            Shared::make_mut(&mut b).insert(item);
+            Ok(Value::Bag(b))
+        }
         Value::Seq(mut s) => {
-            s.push(item);
+            Shared::make_mut(&mut s).push(item);
             Ok(Value::Seq(s))
         }
         other => Err(Fail(format!(
@@ -141,10 +172,17 @@ pub(crate) fn with_elem_value(coll: Value, item: Value, name: &str) -> Result<Va
 pub(crate) fn without_elem_value(coll: Value, item: Value, name: &str) -> Result<Value, Fail> {
     match coll {
         Value::Set(mut s) => {
-            s.remove(&item);
+            if s.contains(&item) {
+                Shared::make_mut(&mut s).remove(&item);
+            }
             Ok(Value::Set(s))
         }
-        Value::Bag(b) => Ok(Value::Bag(b.without(&item).unwrap_or(b))),
+        Value::Bag(mut b) => {
+            if b.contains(&item) {
+                Shared::make_mut(&mut b).remove_one(&item);
+            }
+            Ok(Value::Bag(b))
+        }
         other => Err(Fail(format!(
             "remove needs a Set or Bag, found {other} in `{name}`"
         ))),
@@ -155,10 +193,13 @@ pub(crate) fn without_elem_value(coll: Value, item: Value, name: &str) -> Result
 pub(crate) fn union_of_value(a: Value, b: Value, name: &str) -> Result<Value, Fail> {
     match (a, b) {
         (Value::Set(mut x), Value::Set(y)) => {
-            x.extend(y);
+            Shared::make_mut(&mut x).extend(y.iter().cloned());
             Ok(Value::Set(x))
         }
-        (Value::Bag(x), Value::Bag(y)) => Ok(Value::Bag(x.union(&y))),
+        (Value::Bag(mut x), Value::Bag(y)) => {
+            Shared::make_mut(&mut x).extend(y.iter().cloned());
+            Ok(Value::Bag(x))
+        }
         (x, y) => Err(Fail(format!(
             "union needs two Sets or two Bags, found {x} and {y} in `{name}`"
         ))),
@@ -178,7 +219,7 @@ pub(crate) fn included_in_value(a: Value, b: Value, name: &str) -> Result<Value,
 
 /// `{lo..hi}` — the inclusive integer range as a set.
 pub(crate) fn range_set_value(lo: i64, hi: i64) -> Value {
-    Value::Set((lo..=hi).map(Value::Int).collect())
+    Value::set((lo..=hi).map(Value::Int).collect())
 }
 
 /// `min(e)` / `max(e)` over a non-empty integer collection.
@@ -198,7 +239,10 @@ pub(crate) fn min_max_of_value(v: &Value, is_min: bool, name: &str) -> Result<Va
 /// `sum(e)` over an integer collection (0 on empty).
 pub(crate) fn sum_of_value(v: &Value, name: &str) -> Result<Value, Fail> {
     let items = collection_ints(v, name)?;
-    Ok(Value::Int(items.iter().sum()))
+    int_result(
+        items.iter().try_fold(0i64, |acc, &i| acc.checked_add(i)),
+        name,
+    )
 }
 
 pub(crate) fn collection_ints(v: &Value, name: &str) -> Result<Vec<i64>, Fail> {
@@ -215,13 +259,25 @@ pub(crate) fn collection_ints(v: &Value, name: &str) -> Result<Vec<i64>, Fail> {
 /// The elements a quantifier ranges over, in iteration order.
 pub(crate) fn domain_values(v: Value, name: &str) -> Result<Vec<Value>, Fail> {
     match v {
-        Value::Set(set) => Ok(set.into_iter().collect()),
+        Value::Set(set) => Ok(set.iter().cloned().collect()),
         Value::Bag(bag) => Ok(bag.distinct().cloned().collect()),
-        Value::Seq(seq) => Ok(seq),
+        Value::Seq(seq) => Ok(Shared::into_inner(seq)),
         other => Err(Fail(format!(
             "quantifier domain must be a collection, found {other} in `{name}`"
         ))),
     }
+}
+
+/// An integer result, or the overflow diagnostic when there is none: `i64`
+/// arithmetic that leaves the range fails the gate instead of wrapping.
+fn int_result(r: Option<i64>, name: &str) -> Result<Value, Fail> {
+    r.map(Value::Int)
+        .ok_or_else(|| Fail(format!("integer overflow in `{name}`")))
+}
+
+/// Integer negation `-e`.
+pub(crate) fn neg_value(v: &Value, name: &str) -> Result<Value, Fail> {
+    int_result(v.as_int().checked_neg(), name)
 }
 
 /// Strictly-evaluated binary operators. The short-circuiting boolean
@@ -229,22 +285,22 @@ pub(crate) fn domain_values(v: Value, name: &str) -> Result<Vec<Value>, Fail> {
 /// evaluator; passing them here is a bug.
 pub(crate) fn bin_values(op: BinOp, va: Value, vb: Value, name: &str) -> Result<Value, Fail> {
     let out = match op {
-        BinOp::Add => Value::Int(va.as_int() + vb.as_int()),
-        BinOp::Sub => Value::Int(va.as_int() - vb.as_int()),
-        BinOp::Mul => Value::Int(va.as_int() * vb.as_int()),
+        BinOp::Add => int_result(va.as_int().checked_add(vb.as_int()), name)?,
+        BinOp::Sub => int_result(va.as_int().checked_sub(vb.as_int()), name)?,
+        BinOp::Mul => int_result(va.as_int().checked_mul(vb.as_int()), name)?,
         BinOp::Div => {
             let d = vb.as_int();
             if d == 0 {
                 return Err(Fail(format!("division by zero in `{name}`")));
             }
-            Value::Int(va.as_int().div_euclid(d))
+            int_result(va.as_int().checked_div_euclid(d), name)?
         }
         BinOp::Mod => {
             let d = vb.as_int();
             if d == 0 {
                 return Err(Fail(format!("modulo by zero in `{name}`")));
             }
-            Value::Int(va.as_int().rem_euclid(d))
+            int_result(va.as_int().checked_rem_euclid(d), name)?
         }
         BinOp::Eq => Value::Bool(va == vb),
         BinOp::Ne => Value::Bool(va != vb),
@@ -262,9 +318,12 @@ pub(crate) fn bin_values(op: BinOp, va: Value, vb: Value, name: &str) -> Result<
 /// `send`: the channel value with `msg` appended (bag add / seq push).
 pub(crate) fn send_value(chan: Value, msg: &Value, name: &str) -> Result<Value, Fail> {
     match chan {
-        Value::Bag(b) => Ok(Value::Bag(b.with(msg.clone()))),
+        Value::Bag(mut b) => {
+            Shared::make_mut(&mut b).insert(msg.clone());
+            Ok(Value::Bag(b))
+        }
         Value::Seq(mut s) => {
-            s.push(msg.clone());
+            Shared::make_mut(&mut s).push(msg.clone());
             Ok(Value::Seq(s))
         }
         other => Err(Fail(format!(
@@ -282,16 +341,15 @@ pub(crate) fn recv_branches(chan: Value, name: &str) -> Result<Vec<(Value, Value
             .distinct()
             .map(|msg| {
                 let rest = b.without(msg).expect("distinct elements are present");
-                (Value::Bag(rest), msg.clone())
+                (Value::bag(rest), msg.clone())
             })
             .collect()),
-        Value::Seq(s) => {
+        Value::Seq(mut s) => {
             if s.is_empty() {
                 Ok(vec![])
             } else {
-                let mut rest = s.clone();
-                let head = rest.remove(0);
-                Ok(vec![(Value::Seq(rest), head)])
+                let head = Shared::make_mut(&mut s).remove(0);
+                Ok(vec![(Value::Seq(s), head)])
             }
         }
         other => Err(Fail(format!(
@@ -303,7 +361,7 @@ pub(crate) fn recv_branches(chan: Value, name: &str) -> Result<Vec<(Value, Value
 /// `choose`: the candidate elements, in iteration order.
 pub(crate) fn choose_elems(dom: Value, name: &str) -> Result<Vec<Value>, Fail> {
     match dom {
-        Value::Set(s) => Ok(s.into_iter().collect()),
+        Value::Set(s) => Ok(s.iter().cloned().collect()),
         Value::Bag(b) => Ok(b.distinct().cloned().collect()),
         other => Err(Fail(format!(
             "choose needs a set or bag, found {other} in `{name}`"

@@ -731,13 +731,13 @@ fn parse_value(e: &SExp) -> Result<Value, ParseError> {
             )?)),
             Some("none") => Ok(Value::none()),
             Some("some") => Ok(Value::some(parse_value(&arity(e, 1, "some value")?[0])?)),
-            Some("tup") => Ok(Value::Tuple(
+            Some("tup") => Ok(Value::tuple(
                 e.items()[1..]
                     .iter()
                     .map(parse_value)
                     .collect::<Result<_, _>>()?,
             )),
-            Some("vset") => Ok(Value::Set(
+            Some("vset") => Ok(Value::set(
                 e.items()[1..]
                     .iter()
                     .map(parse_value)
@@ -755,9 +755,9 @@ fn parse_value(e: &SExp) -> Result<Value, ParseError> {
                     let n = usize::try_from(n).map_err(|_| bad(entry, "non-negative count"))?;
                     bag.insert_n(v, n);
                 }
-                Ok(Value::Bag(bag))
+                Ok(Value::bag(bag))
             }
-            Some("vseq") => Ok(Value::Seq(
+            Some("vseq") => Ok(Value::seq(
                 e.items()[1..]
                     .iter()
                     .map(parse_value)
@@ -777,7 +777,7 @@ fn parse_value(e: &SExp) -> Result<Value, ParseError> {
                     }
                     map.set_in_place(parse_value(&pair[0])?, parse_value(&pair[1])?);
                 }
-                Ok(Value::Map(map))
+                Ok(Value::map(map))
             }
             _ => Err(bad(e, "value")),
         },
@@ -1083,7 +1083,7 @@ mod tests {
                 (
                     "ch".into(),
                     Sort::bag(Sort::Int),
-                    Value::Bag(Multiset::singleton(Value::Int(7))),
+                    Value::bag(Multiset::singleton(Value::Int(7))),
                 ),
             ],
             actions: vec![

@@ -67,11 +67,11 @@ impl Sort {
             Sort::Bool => Value::Bool(false),
             Sort::Int => Value::Int(0),
             Sort::Opt(_) => Value::none(),
-            Sort::Tuple(sorts) => Value::Tuple(sorts.iter().map(Sort::default_value).collect()),
+            Sort::Tuple(sorts) => Value::tuple(sorts.iter().map(Sort::default_value).collect()),
             Sort::Set(_) => Value::empty_set(),
-            Sort::Bag(_) => Value::Bag(Multiset::new()),
+            Sort::Bag(_) => Value::bag(Multiset::new()),
             Sort::Seq(_) => Value::empty_seq(),
-            Sort::Map(_, v) => Value::Map(Map::new(v.default_value())),
+            Sort::Map(_, v) => Value::map(Map::new(v.default_value())),
         }
     }
 
@@ -85,7 +85,7 @@ impl Sort {
             (Sort::Opt(_), Value::Opt(None)) => true,
             (Sort::Opt(inner), Value::Opt(Some(v))) => inner.admits(v),
             (Sort::Tuple(sorts), Value::Tuple(vs)) => {
-                sorts.len() == vs.len() && sorts.iter().zip(vs).all(|(s, v)| s.admits(v))
+                sorts.len() == vs.len() && sorts.iter().zip(vs.iter()).all(|(s, v)| s.admits(v))
             }
             (Sort::Set(elem), Value::Set(s)) => s.iter().all(|v| elem.admits(v)),
             (Sort::Bag(elem), Value::Bag(b)) => b.distinct().all(|v| elem.admits(v)),

@@ -20,19 +20,25 @@
 //!    never recurses into them.
 //!
 //! Expressions evaluate over a register file allocated once per action
-//! ([`CompiledAction::max_regs`]) and reused across statements; values move
-//! between registers with `mem::replace` instead of cloning. Branch states
-//! hold the global store copy-on-write: gate-only and blocked evaluations
-//! never clone the store, and branching statements clone it only on the
-//! branches that actually write a global.
+//! ([`CompiledAction::max_regs`]) and reused across statements. An operation
+//! takes its operands out of their registers; loading a constant, a local or
+//! a global clones a [`Value`], which for a compound value shares its
+//! payload ([`inseq_kernel::Shared`]) instead of copying it, and an update
+//! copies one level of a payload only while something else still shares it.
+//! Branch states hold the global store copy-on-write: gate-only and blocked
+//! evaluations never clone the store, and branching statements clone it only
+//! on the branches that actually write a global. Each block gathers a
+//! statement's branches in one buffer that it reuses for every statement, and
+//! an `if` branch of at most one statement runs in place.
 
 use std::borrow::Cow;
 use std::collections::BTreeSet;
+use std::convert::Infallible;
 use std::mem;
 #[cfg(feature = "coverage")]
 use std::sync::Arc;
 
-use inseq_kernel::{ActionOutcome, GlobalStore, Multiset, PendingAsync, Transition, Value};
+use inseq_kernel::{ActionOutcome, GlobalStore, Multiset, PendingAsync, Shared, Transition, Value};
 
 use crate::action::Slot;
 use crate::compile::{CExpr, CStmt, CompiledAction, Op, QuantKind};
@@ -99,8 +105,7 @@ pub(crate) fn run_compiled(
         "arity mismatch calling `{}`",
         ca.name
     );
-    let mut locals: Vec<Value> = args.to_vec();
-    locals.extend(ca.local_defaults.iter().cloned());
+    let Ok(locals) = frame(ca, args.iter().cloned().map(Ok::<_, Infallible>));
     let init = VmState {
         globals: Cow::Borrowed(globals),
         locals,
@@ -111,6 +116,20 @@ pub(crate) fn run_compiled(
         Err(Fail(reason)) => ActionOutcome::Failure { reason },
         Ok(states) => ActionOutcome::Transitions(states_to_transitions(states)),
     }
+}
+
+/// A call frame's locals, allocated once at full size: the arguments, then
+/// the declared locals at their defaults.
+fn frame<E>(
+    callee: &CompiledAction,
+    args: impl IntoIterator<Item = Result<Value, E>>,
+) -> Result<Vec<Value>, E> {
+    let mut locals = Vec::with_capacity(callee.params + callee.local_defaults.len());
+    for arg in args {
+        locals.push(arg?);
+    }
+    locals.extend(callee.local_defaults.iter().cloned());
+    Ok(locals)
 }
 
 /// Collects final branches into the canonical transition list: the same
@@ -127,20 +146,22 @@ fn states_to_transitions(states: Vec<VmState<'_>>) -> Vec<Transition> {
 }
 
 /// Runs a statement sequence over a branch set, deduplicating (sorted order)
-/// at every statement boundary like the interpreter's `BTreeSet`.
+/// at every statement boundary like the interpreter's `BTreeSet`. The
+/// branches of one statement are gathered into a buffer that the block
+/// swaps with its input and reuses for every statement.
 fn exec_block<'a>(
     ca: &CompiledAction,
     stmts: &[CStmt],
     mut states: Vec<VmState<'a>>,
     regs: &mut Vec<Value>,
 ) -> Result<Vec<VmState<'a>>, Fail> {
+    let mut next = Vec::new();
     for stmt in stmts {
-        let mut next = Vec::with_capacity(states.len());
-        for state in states {
+        for state in states.drain(..) {
             exec_stmt(ca, stmt, state, regs, &mut next)?;
         }
         dedup_states(&mut next);
-        states = next;
+        mem::swap(&mut states, &mut next);
         if states.is_empty() {
             break; // every branch blocked; later statements are unreachable
         }
@@ -177,18 +198,7 @@ fn exec_stmt<'a>(
         } => {
             let key = eval_expr(ca, &state, regs, key)?;
             let val = eval_expr(ca, &state, regs, val)?;
-            let updated = match read_slot(&state, *slot) {
-                Value::Map(mut m) => {
-                    m.set_in_place(key, val);
-                    Value::Map(m)
-                }
-                other => {
-                    return Err(Fail(format!(
-                        "`{var}[..] := ..` needs a map, found {other} in `{}`",
-                        ca.name
-                    )))
-                }
-            };
+            let updated = rt::assign_at_value(read_slot(&state, *slot), key, val, var, &ca.name)?;
             write_slot(&mut state, *slot, updated);
             out.push(state);
         }
@@ -210,7 +220,13 @@ fn exec_stmt<'a>(
             } else {
                 e
             };
-            out.extend(exec_block(ca, branch, vec![state], regs)?);
+            // A block of at most one statement runs in place: the caller
+            // deduplicates `out`, as the block would have.
+            match branch.as_slice() {
+                [] => out.push(state),
+                [only] => exec_stmt(ca, only, state, regs, out)?,
+                _ => out.extend(exec_block(ca, branch, vec![state], regs)?),
+            }
         }
         CStmt::ForRange(slot, lo, hi, body) => {
             let lo = eval_expr(ca, &state, regs, lo)?.as_int();
@@ -254,7 +270,7 @@ fn exec_stmt<'a>(
                     let mut map = read_map_channel(ca, &state, *chan, chan_name)?;
                     let inner = map.get(&kv).clone();
                     let sent = rt::send_value(inner, &m, &ca.name)?;
-                    map.set_in_place(kv, sent);
+                    Shared::make_mut(&mut map).set_in_place(kv, sent);
                     write_slot(&mut state, *chan, Value::Map(map));
                     out.push(state);
                 }
@@ -282,7 +298,7 @@ fn exec_stmt<'a>(
                 let branches = rt::recv_branches(inner, &ca.name)?;
                 for (rest, msg) in branches {
                     let mut s = state.clone();
-                    write_slot(&mut s, *chan, Value::Map(map.set(kv.clone(), rest)));
+                    write_slot(&mut s, *chan, Value::map(map.set(kv.clone(), rest)));
                     write_slot(&mut s, *var, msg);
                     out.push(s);
                 }
@@ -297,15 +313,10 @@ fn exec_stmt<'a>(
             out.push(state);
         }
         CStmt::Call { callee, args } => {
-            let vals = args
-                .iter()
-                .map(|a| eval_expr(ca, &state, regs, a))
-                .collect::<Result<Vec<_>, _>>()?;
-            let mut callee_locals = vals;
-            callee_locals.extend(callee.local_defaults.iter().cloned());
+            let locals = frame(callee, args.iter().map(|a| eval_expr(ca, &state, regs, a)))?;
             let sub = VmState {
                 globals: state.globals.clone(),
-                locals: callee_locals,
+                locals,
                 created: state.created.clone(),
             };
             if regs.len() < callee.max_regs {
@@ -344,7 +355,7 @@ fn read_map_channel(
     state: &VmState<'_>,
     chan: Slot,
     chan_name: &str,
-) -> Result<inseq_kernel::Map, Fail> {
+) -> Result<Shared<inseq_kernel::Map>, Fail> {
     match read_slot(state, chan) {
         Value::Map(m) => Ok(m),
         other => Err(Fail(format!(
@@ -410,7 +421,7 @@ fn exec_ops(
             }
             Op::Neg { dst } => {
                 let v = take(regs, *dst);
-                put(regs, *dst, Value::Int(-v.as_int()));
+                put(regs, *dst, rt::neg_value(&v, name)?);
             }
             Op::Not { dst } => {
                 let v = take(regs, *dst);
@@ -460,7 +471,7 @@ fn exec_ops(
                 for i in 0..*len {
                     vs.push(take(regs, *dst + i));
                 }
-                put(regs, *dst, Value::Tuple(vs));
+                put(regs, *dst, Value::tuple(vs));
             }
             Op::Proj { dst, index } => {
                 let v = take(regs, *dst);
@@ -566,7 +577,7 @@ fn exec_ops(
                                 kept.insert(item);
                             }
                         }
-                        Value::Set(kept)
+                        Value::set(kept)
                     }
                     QuantKind::MapImage => {
                         let mut image = BTreeSet::new();
@@ -575,7 +586,7 @@ fn exec_ops(
                             exec_ops(ca, state, regs, &body.ops)?;
                             image.insert(take(regs, body.dst));
                         }
-                        Value::Set(image)
+                        Value::set(image)
                     }
                 };
                 put(regs, *dst, result);

@@ -83,7 +83,7 @@ fn count_and_contains_on_bags() {
     let mut store = g.initial_store();
     store.set(
         0,
-        Value::Bag(
+        Value::bag(
             [4, 4, 9]
                 .map(Value::Int)
                 .into_iter()
@@ -164,9 +164,9 @@ fn quantifier_domains_include_bags_and_seqs() {
     let mut store = g.initial_store();
     store.set(
         0,
-        Value::Bag([1, 2].map(Value::Int).into_iter().collect::<Multiset<_>>()),
+        Value::bag([1, 2].map(Value::Int).into_iter().collect::<Multiset<_>>()),
     );
-    store.set(1, Value::Seq(vec![Value::Int(5), Value::Int(6)]));
+    store.set(1, Value::seq(vec![Value::Int(5), Value::Int(6)]));
     let action = DslAction::build("A", &g)
         .body(vec![
             assign("all_pos", forall("v", var("bag"), gt(var("v"), int(0)))),

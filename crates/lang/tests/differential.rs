@@ -83,21 +83,21 @@ fn store_strategy() -> BoxedStrategy<GlobalStore> {
             let mut chk = Map::new(Value::empty_bag());
             for (k, v) in chk_pairs {
                 let mut bucket = match chk.get(&Value::Int(k)) {
-                    Value::Bag(b) => b.clone(),
+                    Value::Bag(b) => (**b).clone(),
                     _ => unreachable!("chk buckets are bags"),
                 };
                 bucket.insert(Value::Int(v));
-                chk.set_in_place(Value::Int(k), Value::Bag(bucket));
+                chk.set_in_place(Value::Int(k), Value::bag(bucket));
             }
             GlobalStore::new(vec![
                 Value::Int(x),
                 Value::Int(y),
                 Value::Bool(flag),
-                Value::Set(set),
-                Value::Bag(bag),
-                Value::Seq(seq),
-                Value::Map(map),
-                Value::Map(chk),
+                Value::set(set),
+                Value::bag(bag),
+                Value::seq(seq),
+                Value::map(map),
+                Value::map(chk),
             ])
         })
         .boxed()
@@ -401,7 +401,7 @@ fn quantifier_shadowing_agrees() {
 fn choose_and_recv_branch_identically() {
     let g = decls();
     let bag: Multiset<Value> = [1i64, 2, 2].into_iter().map(Value::Int).collect();
-    let store = g.initial_store().with(4, Value::Bag(bag));
+    let store = g.initial_store().with(4, Value::bag(bag));
     let action = DslAction::build("Branch", &g)
         .local("t", Sort::Int)
         .local("i", Sort::Int)

@@ -169,7 +169,7 @@ fn empty_collection_literals_unify_with_any_element_sort() {
         vec![assign("ch", lit(inseq_kernel::Value::empty_bag()))],
     );
     // But a non-empty literal of the wrong element sort is rejected.
-    let bad_set = inseq_kernel::Value::Set([inseq_kernel::Value::Bool(true)].into_iter().collect());
+    let bad_set = inseq_kernel::Value::set([inseq_kernel::Value::Bool(true)].into_iter().collect());
     rejects("H3", vec![assign("s", lit(bad_set))]);
 }
 

@@ -518,7 +518,7 @@ pub fn initial_store(artifacts: &Artifacts, instance: &Instance) -> GlobalStore 
     for (idx, v) in instance.values.iter().enumerate() {
         value_map.set_in_place(Value::Int(idx as i64 + 1), Value::Int(*v));
     }
-    store.set(g.index_of("value").unwrap(), Value::Map(value_map));
+    store.set(g.index_of("value").unwrap(), Value::map(value_map));
     store
 }
 

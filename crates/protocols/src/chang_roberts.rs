@@ -441,7 +441,7 @@ pub fn initial_store(artifacts: &Artifacts, instance: &Instance) -> GlobalStore 
     for (idx, id) in instance.ids.iter().enumerate() {
         ids.set_in_place(Value::Int(idx as i64 + 1), Value::Int(*id));
     }
-    store.set(g.index_of("id").unwrap(), Value::Map(ids));
+    store.set(g.index_of("id").unwrap(), Value::map(ids));
     store
 }
 

@@ -422,7 +422,7 @@ pub fn initial_store(artifacts: &Artifacts, instance: &Instance) -> GlobalStore 
     for (idx, b) in instance.budgets.iter().enumerate() {
         budgets.set_in_place(Value::Int(idx as i64 + 1), Value::Int(*b));
     }
-    store.set(g.index_of("budget").unwrap(), Value::Map(budgets));
+    store.set(g.index_of("budget").unwrap(), Value::map(budgets));
     store
 }
 

@@ -763,7 +763,7 @@ fn node_image(node: i64, perm: &[i64]) -> i64 {
 /// Permutes every element of a `Set<Int>` of node ids.
 fn permute_node_set(v: &Value, perm: &[i64]) -> Value {
     match v {
-        Value::Set(s) => Value::Set(
+        Value::Set(s) => Value::set(
             s.iter()
                 .map(|e| Value::Int(node_image(e.as_int(), perm)))
                 .collect(),
@@ -806,14 +806,14 @@ pub fn symmetry_spec(artifacts: &Artifacts, instance: Instance) -> SymmetrySpec 
         let joined = store.get(joined_idx).as_map();
         next.set(
             joined_idx,
-            Value::Map(permute_map_values(joined, |v| permute_node_set(v, perm))),
+            Value::map(permute_map_values(joined, |v| permute_node_set(v, perm))),
         );
         let votes = store.get(vote_idx).as_map();
         next.set(
             vote_idx,
-            Value::Map(permute_map_values(votes, |v| match v {
-                Value::Opt(Some(t)) => match t.as_ref() {
-                    Value::Tuple(parts) if parts.len() == 2 => Value::some(Value::Tuple(vec![
+            Value::map(permute_map_values(votes, |v| match v {
+                Value::Opt(Some(t)) => match &**t {
+                    Value::Tuple(parts) if parts.len() == 2 => Value::some(Value::tuple(vec![
                         parts[0].clone(),
                         permute_node_set(&parts[1], perm),
                     ])),
@@ -829,7 +829,7 @@ pub fn symmetry_spec(artifacts: &Artifacts, instance: Instance) -> SymmetrySpec 
                     Value::Tuple(parts)
                         if parts.len() == 3 && matches!(parts[0].as_int(), TAG_JOIN | TAG_VOTE) =>
                     {
-                        Value::Tuple(vec![
+                        Value::tuple(vec![
                             parts[0].clone(),
                             parts[1].clone(),
                             Value::Int(node_image(parts[2].as_int(), perm)),
@@ -839,7 +839,7 @@ pub fn symmetry_spec(artifacts: &Artifacts, instance: Instance) -> SymmetrySpec 
                 };
                 bag.insert_n(permuted, count);
             }
-            next.set(ghost_idx, Value::Bag(bag));
+            next.set(ghost_idx, Value::bag(bag));
         }
         next
     });
@@ -862,7 +862,7 @@ pub fn spec(artifacts: &Artifacts, instance: Instance) -> impl Fn(&GlobalStore) 
         let decision = store.get(dec_idx).as_map();
         let decided: Vec<&Value> = (1..=r)
             .filter_map(|round| match decision.get(&Value::Int(round)) {
-                Value::Opt(Some(v)) => Some(v.as_ref()),
+                Value::Opt(Some(v)) => Some(&**v),
                 _ => None,
             })
             .collect();

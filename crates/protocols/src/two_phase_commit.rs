@@ -425,7 +425,7 @@ pub fn initial_store(artifacts: &Artifacts, instance: &Instance) -> GlobalStore 
     for (idx, v) in instance.votes.iter().enumerate() {
         votes.set_in_place(Value::Int(idx as i64 + 1), Value::Bool(*v));
     }
-    store.set(g.index_of("vote").unwrap(), Value::Map(votes));
+    store.set(g.index_of("vote").unwrap(), Value::map(votes));
     store
 }
 

@@ -234,7 +234,7 @@ impl Term {
                 other => err(format!("projection .{i} on {other}")),
             },
             Term::Unwrap(t) => match t.eval_in(schema, config, bound)? {
-                Value::Opt(Some(v)) => Ok(*v),
+                Value::Opt(Some(v)) => Ok((*v).clone()),
                 Value::Opt(None) => err("unwrap of None"),
                 other => err(format!("unwrap of non-option {other}")),
             },
@@ -256,7 +256,7 @@ impl Term {
                 };
                 Ok(Value::Int(n as i64))
             }
-            Term::Tuple(ts) => Ok(Value::Tuple(
+            Term::Tuple(ts) => Ok(Value::tuple(
                 ts.iter()
                     .map(|t| t.eval_in(schema, config, bound))
                     .collect::<Result<Vec<_>, _>>()?,

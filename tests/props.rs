@@ -238,7 +238,7 @@ proptest! {
             .unwrap();
         let mut store = g.initial_store();
         let bag: Multiset<Value> = msgs.iter().map(|m| Value::Int(*m)).collect();
-        store.set(0, Value::Bag(bag));
+        store.set(0, Value::bag(bag));
         let out = action.eval(&store, &[]);
         let ts = out.transitions().expect("no gate");
         prop_assert_eq!(ts.len(), 1, "all receive orders collapse");
