@@ -2,11 +2,8 @@
 //! invariant-complexity comparison).
 //!
 //! ```text
-//! cargo run --release -p inseq-bench --bin table1 [-- --compare] [--jobs N]
+//! cargo run --release -p inseq-bench --bin table1 [-- --compare]
 //! ```
-//!
-//! `--jobs N` runs the seven protocol pipelines as independent jobs on an
-//! `inseq-engine` scheduler with `N` threads instead of sequentially.
 //!
 //! `--json [path]` emits machine-readable rows — per-protocol wall time,
 //! visited-configuration count, and edge count — to `path` (conventionally
@@ -53,7 +50,7 @@
 //! apply.
 //!
 //! `--only`, `--json`, and `--stats` compose with `--large` and `--zoo`;
-//! `--jobs` and `--compare` do not apply to them.
+//! `--compare` does not apply to them.
 //!
 //! An unknown flag or a stray positional argument exits 1 with a
 //! diagnostic listing the valid flags.
@@ -62,16 +59,15 @@ use std::process::ExitCode;
 
 use inseq_core::json;
 use inseq_kernel::ExecStats;
-use inseq_obs::{EngineSnapshot, HitMissSnapshot};
+use inseq_obs::HitMissSnapshot;
 use inseq_protocols::common::CaseReport;
 
-/// Interner traffic, engine shape, mover-cache traffic, pairwise-check
-/// count, and evaluation-backend counters of one row, summed over its IS
+/// Interner traffic, mover-cache traffic, pairwise-check count, and
+/// evaluation-backend counters of one row, summed over its IS
 /// applications.
 struct RowStats {
     intern: HitMissSnapshot,
     succ: HitMissSnapshot,
-    engine: EngineSnapshot,
     mover: HitMissSnapshot,
     pairwise: u64,
     exec: ExecStats,
@@ -81,7 +77,6 @@ fn row_stats(r: &CaseReport) -> RowStats {
     let mut stats = RowStats {
         intern: HitMissSnapshot::default(),
         succ: HitMissSnapshot::default(),
-        engine: EngineSnapshot::default(),
         mover: HitMissSnapshot::default(),
         pairwise: 0,
         exec: ExecStats::default(),
@@ -89,7 +84,6 @@ fn row_stats(r: &CaseReport) -> RowStats {
     for p in &r.reports {
         stats.intern = stats.intern.merged(p.stats.intern);
         stats.succ = stats.succ.merged(p.stats.succ_cache);
-        stats.engine = stats.engine.merged(&p.stats.engine);
         stats.mover = stats.mover.merged(p.stats.mover_cache);
         stats.pairwise += p.stats.pairwise_checks;
         stats.exec = stats.exec.merged(p.stats.exec);
@@ -114,7 +108,7 @@ fn rows_as_json(rows: &[CaseReport]) -> String {
         out.push_str(&format!(
             "  {{\"example\": \"{}\", \"instance\": \"{}\", \"is_applications\": {}, \
              \"loc_total\": {}, \"loc_is\": {}, \"loc_impl\": {}, \"time_seconds\": {:.6}, \
-             \"visited_configs\": {}, \"edges\": {}, {}, {}, {}, {}, \
+             \"visited_configs\": {}, \"edges\": {}, {}, {}, {}, \
              \"pairwise_checks\": {}, {}, \"premises\": {}, \"explorations\": {}, \
              \"steps\": {}}}",
             json::escape(&r.name),
@@ -128,7 +122,6 @@ fn rows_as_json(rows: &[CaseReport]) -> String {
             edges,
             json::hit_miss_fields("intern", &stats.intern),
             json::hit_miss_fields("succ_cache", &stats.succ),
-            json::engine_fields(&stats.engine),
             json::hit_miss_fields("mover_cache", &stats.mover),
             stats.pairwise,
             json::exec_fields(&stats.exec),
@@ -165,7 +158,6 @@ fn render_stats(rows: &[CaseReport]) -> String {
         let RowStats {
             intern,
             succ,
-            engine,
             mover,
             pairwise,
             exec,
@@ -175,9 +167,6 @@ fn render_stats(rows: &[CaseReport]) -> String {
              mover cache {mover} over {pairwise} pairwise checks\n",
             r.name
         ));
-        if engine.ran() {
-            out.push_str(&format!("    engine: {engine}\n"));
-        }
         let steps: Vec<String> = r.steps.iter().map(ToString::to_string).collect();
         out.push_str(&format!(
             "    pipeline: {} exploration(s); steps [{}]\n",
@@ -403,8 +392,7 @@ fn run_large(
 const SWITCHES: [&str; 4] = ["--compare", "--stats", "--large", "--zoo"];
 
 /// Flags that take a value, as `--flag value` or `--flag=value`.
-const VALUED: [&str; 7] = [
-    "--jobs",
+const VALUED: [&str; 6] = [
     "--only",
     "--engine",
     "--workers",
@@ -452,13 +440,6 @@ fn main() -> ExitCode {
     let compare = args.iter().any(|a| a == "--compare");
     let stats = args.iter().any(|a| a == "--stats");
     let json = parse_json_mode(&args);
-    let jobs = match parse_count(&args, "--jobs", 1) {
-        Ok(jobs) => jobs,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
     let only = parse_only(&args);
     let zoo = args.iter().any(|a| a == "--zoo");
     if zoo || args.iter().any(|a| a == "--large") {
@@ -467,8 +448,6 @@ fn main() -> ExitCode {
     let rows = || {
         if let Some(needles) = &only {
             inseq_bench::table1_rows_only(needles)
-        } else if jobs > 1 {
-            inseq_bench::table1_rows_with(jobs)
         } else {
             inseq_bench::table1_rows()
         }
@@ -499,9 +478,6 @@ fn main() -> ExitCode {
 
     println!("Reproduction of Table 1 (Kragl et al., PLDI 2020)");
     println!("columns: #IS applications, pretty-printed LOC (total / IS artifacts / impl), time\n");
-    if jobs > 1 {
-        println!("(cases scheduled on {jobs} engine threads)\n");
-    }
     match rows() {
         Ok(rows) => {
             print!("{}", inseq_bench::render_table1(&rows));

@@ -80,8 +80,8 @@ pub mod instances {
 pub type Table1Runner = fn() -> Result<CaseReport, CaseError>;
 
 /// The seven rows of Table 1, in the paper's order: each protocol's name
-/// and its pipeline at the reference instance. [`table1_rows`],
-/// [`table1_rows_only`] and [`table1_rows_with`] all run this list.
+/// and its pipeline at the reference instance. [`table1_rows`] and
+/// [`table1_rows_only`] both run this list.
 pub const TABLE1: [(&str, Table1Runner); 7] = [
     ("Broadcast consensus", || {
         broadcast::verify(&instances::broadcast())
@@ -144,48 +144,6 @@ pub fn table1_rows_only(needles: &[String]) -> Result<Vec<CaseReport>, CaseError
         .iter()
         .filter(|(name, _)| needles.iter().any(|needle| matched_by(needle)(name)))
         .map(|(_, run)| run())
-        .collect()
-}
-
-/// Like [`table1_rows`], but runs the seven protocol pipelines as
-/// independent jobs on an `inseq-engine` scheduler with `jobs` threads
-/// (the `table1 --jobs N` path). Row order matches [`table1_rows`].
-///
-/// # Errors
-///
-/// Returns the failing case with the smallest row index (deterministic even
-/// though cases finish in parallel).
-pub fn table1_rows_with(jobs: usize) -> Result<Vec<CaseReport>, CaseError> {
-    use inseq_engine::{Engine, Job, JobResult};
-    use std::sync::Mutex;
-
-    let slots: Mutex<Vec<Option<Result<CaseReport, CaseError>>>> =
-        Mutex::new(TABLE1.iter().map(|_| None).collect());
-    let engine_jobs: Vec<Job<'_>> = TABLE1
-        .iter()
-        .enumerate()
-        .map(|(row, &(name, run))| {
-            let slots = &slots;
-            Job::new(name, move || {
-                let outcome = run();
-                let result = match &outcome {
-                    Ok(report) => JobResult::pass()
-                        .with_visited(report.reports.iter().map(|r| r.reachable_configs).sum())
-                        .with_detail(format!("{:.3}s", report.time.as_secs_f64())),
-                    Err(e) => JobResult::fail(e.to_string()),
-                };
-                slots.lock().expect("table1 slot table poisoned")[row] = Some(outcome);
-                result
-            })
-        })
-        .collect();
-
-    Engine::new().with_threads(jobs.max(1)).run(engine_jobs);
-    slots
-        .into_inner()
-        .expect("table1 slot table poisoned")
-        .into_iter()
-        .map(|slot| slot.expect("every case job ran"))
         .collect()
 }
 

@@ -124,8 +124,10 @@ fn removed_mpsc_engine_is_rejected_with_the_valid_choices() {
 fn unknown_flags_and_stray_positionals_are_rejected_with_the_valid_flags() {
     // `--exec` is retired: the VM is the only whole-run evaluation mode, so
     // `--exec interp` must fail loudly instead of quietly running the VM.
+    // `--jobs` is retired too: Table-1 rows run one after another.
     for (args, offending) in [
         (&["--exec", "interp"][..], "--exec"),
+        (&["--jobs", "2"][..], "--jobs"),
         (&["--only", "Ping-Pong", "stray"][..], "stray"),
     ] {
         let out = std::process::Command::new(env!("CARGO_BIN_EXE_table1"))

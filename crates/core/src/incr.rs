@@ -3,10 +3,10 @@
 //!
 //! [`IsApplication::obligations`] lists the Fig. 3 premises in canonical
 //! order. [`check`](IsApplication::check),
-//! [`check_with`](IsApplication::check_with) and
+//! [`check_on`](IsApplication::check_on) and
 //! [`check_incremental`](IsApplication::check_incremental) discharge that
-//! list through one driver and differ only in the explorer (sequential or
-//! parallel), the executor (in-thread, or one engine job per obligation)
+//! list through one driver and differ only in who explores (the driver or
+//! the caller), the executor (in-thread, or one engine job per obligation)
 //! and whether an [`ObligationCache`] answers first. The first failure in
 //! canonical order is the verdict, so all three name the same premise.
 //!
@@ -44,7 +44,7 @@ use std::fmt;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use inseq_engine::{Engine, EngineReport, Job, JobResult};
+use inseq_engine::{Engine, Job};
 use inseq_kernel::hash::{fx_hash, mix};
 use inseq_kernel::{ActionName, ActionSemantics, Config, Footprint, GlobalStore, Program, Value};
 use inseq_mover::{MoverChecker, MoverStats};
@@ -578,8 +578,6 @@ pub(crate) struct Run {
     /// The violation behind `incremental.failure`, unless the cache served
     /// that failure.
     violation: Option<IsViolation>,
-    /// The engine's per-job report, under the engine executor.
-    pub(crate) engine: Option<EngineReport>,
 }
 
 impl Run {
@@ -668,7 +666,6 @@ impl IsApplication {
             return Ok(Run {
                 incremental: IncrementalReport::new(report, outcomes, true),
                 violation: None,
-                engine: None,
             });
         }
 
@@ -676,8 +673,7 @@ impl IsApplication {
         let prep = self.prepare(explore, artifacts.invariant)?;
         let explore_wall = started.elapsed();
         let cache = cache.as_ref().map(|(store, deriver)| (*store, deriver));
-        let (discharged, mover, engine) =
-            self.discharge(&prep, &artifacts, executor, cache, on_outcome)?;
+        let (discharged, mover) = self.discharge(&prep, &artifacts, executor, cache, on_outcome)?;
         let (outcomes, mut violations): (Vec<_>, Vec<_>) = discharged.into_iter().unzip();
         let violation = outcomes
             .iter()
@@ -692,14 +688,12 @@ impl IsApplication {
         Ok(Run {
             incremental: IncrementalReport::new(report, outcomes, false),
             violation,
-            engine,
         })
     }
 
     /// Discharges the obligations over `prep`: cache hits first, streamed in
     /// canonical order, then the misses on `executor`. Returns the outcomes
-    /// in canonical order, the mover checkers' statistics and the engine's
-    /// per-job report.
+    /// in canonical order and the mover checkers' statistics.
     fn discharge(
         &self,
         prep: &CheckPrep,
@@ -707,7 +701,7 @@ impl IsApplication {
         executor: Executor<'_>,
         cache: Option<(&ObligationCache, &KeyDeriver<'_>)>,
         on_outcome: &(dyn Fn(&ObligationOutcome) + Sync),
-    ) -> Result<(Vec<Discharged>, MoverStats, Option<EngineReport>), IsViolation> {
+    ) -> Result<(Vec<Discharged>, MoverStats), IsViolation> {
         let obligations = self.obligations();
         let mut slots: Vec<Option<Discharged>> = Vec::with_capacity(obligations.len());
         let mut misses: Vec<(usize, Option<u64>)> = Vec::new();
@@ -748,7 +742,10 @@ impl IsApplication {
         };
 
         let mut mover_stats = MoverStats::default();
-        let mut engine_report = None;
+        // Why the engine did not complete its first unfinished obligation.
+        // Only engine jobs leave a slot empty, so that obligation is the
+        // first one left undischarged below.
+        let mut not_run = None;
         match executor {
             Executor::InThread => {
                 let mover = OnceCell::new();
@@ -767,21 +764,19 @@ impl IsApplication {
                 let (run_one, shared) = (&run_one, &table);
                 let jobs: Vec<Job<'_>> = misses
                     .iter()
-                    .map(|&(i, key)| {
-                        Job::new(obligations[i].label(), move || {
+                    .map(|&(i, key)| -> Job<'_> {
+                        Box::new(move || {
                             let mover = OnceCell::new();
-                            let (outcome, violation) = run_one(i, key, &mover);
-                            let message = outcome.message.clone();
+                            let discharged = run_one(i, key, &mover);
                             let mut table = shared.lock().expect("outcome table poisoned");
-                            table.0[i] = Some((outcome, violation));
+                            table.0[i] = Some(discharged);
                             if let Some(checker) = mover.into_inner() {
                                 *table.1 = table.1.merged(checker.stats());
                             }
-                            JobResult::from_check(message.map_or(Ok(()), Err))
                         })
                     })
                     .collect();
-                engine_report = Some(engine.run(jobs));
+                not_run = engine.run(jobs).into_iter().find_map(Result::err);
             }
         }
 
@@ -791,12 +786,13 @@ impl IsApplication {
         let discharged: Vec<Discharged> = slots.into_iter().map_while(|s| s).collect();
         if let Some(kind) = obligations.get(discharged.len()) {
             if discharged.iter().all(|(o, _)| o.passed) {
+                let reason = not_run.unwrap_or_default();
                 return Err(IsViolation::Exploration {
-                    message: format!("obligation `{kind}` was not discharged by the engine"),
+                    message: format!("obligation `{kind}` was not discharged: {reason}"),
                 });
             }
         }
-        Ok((discharged, mover_stats, engine_report))
+        Ok((discharged, mover_stats))
     }
 
     /// Records this run's statistics in `report`: the mover checkers'

@@ -113,7 +113,7 @@ pub fn is_report(r: &IsReport) -> String {
     format!(
         "{{\"reachable_configs\": {}, \"edges\": {}, \"target_inputs\": {}, \
          \"invariant_transitions\": {}, \"induction_steps\": {}, \
-         \"eliminated_actions\": {}, \"universe_stores\": {}, {}, {}, {}, {}, \
+         \"eliminated_actions\": {}, \"universe_stores\": {}, {}, {}, {}, \
          \"pairwise_checks\": {}, {}, \"premises\": {}}}",
         r.reachable_configs,
         r.edges,
@@ -124,7 +124,6 @@ pub fn is_report(r: &IsReport) -> String {
         r.universe_stores,
         hit_miss_fields("intern", &r.stats.intern),
         hit_miss_fields("succ_cache", &r.stats.succ_cache),
-        engine_fields(&r.stats.engine),
         hit_miss_fields("mover_cache", &r.stats.mover_cache),
         r.stats.pairwise_checks,
         exec_fields(&r.stats.exec),
@@ -144,8 +143,9 @@ mod tests {
         assert_eq!(escape("\u{1}"), "\\u0001");
     }
 
-    /// Golden pin of the shapes `table1 --json` and the daemon share. A
-    /// change here is a wire-format change for both consumers.
+    /// Golden pin of the shapes `table1 --json` (Table-1 and `--large`
+    /// rows) and the daemon share. A change here is a wire-format change
+    /// for those consumers.
     #[test]
     fn golden_phase_and_report_shapes() {
         let p = PhaseStat::new("(I1) M ≼ I", Duration::from_micros(123_456), 7);
@@ -166,7 +166,7 @@ mod tests {
         };
         r.stats.intern = HitMissSnapshot::new(5, 6);
         r.stats.succ_cache = HitMissSnapshot::new(3, 4);
-        r.stats.engine = EngineSnapshot {
+        let engine = EngineSnapshot {
             workers: 2,
             expanded: vec![4, 6],
             steals: 1,
@@ -181,6 +181,16 @@ mod tests {
             memo: HitMissSnapshot::new(4, 5),
             ..EngineSnapshot::default()
         };
+        assert_eq!(
+            engine_fields(&engine),
+            "\"engine_workers\": 2, \"engine_expanded\": [4, 6], \"engine_steals\": 1, \
+             \"engine_stolen\": 2, \"engine_pruned\": 0, \"engine_orbit_collapses\": 0, \
+             \"engine_lock_waits\": 3, \"engine_lock_wait_nanos\": 1500, \
+             \"engine_intern_batches\": 5, \"engine_intern_batch_hist\": [1, 2, 2, 0, 0, 0, 0], \
+             \"engine_shard_inserts\": [7, 3], \
+             \"engine_succ_cache_hits\": 1, \"engine_succ_cache_misses\": 2, \
+             \"engine_succ_bypass\": true, \"engine_memo_hits\": 4, \"engine_memo_misses\": 5"
+        );
         r.stats.mover_cache = HitMissSnapshot::new(7, 8);
         r.stats.pairwise_checks = 9;
         r.stats.premises = vec![PhaseStat::new("explore", Duration::from_secs(1), 10)];
@@ -191,13 +201,6 @@ mod tests {
              \"eliminated_actions\": 1, \"universe_stores\": 12, \
              \"intern_hits\": 5, \"intern_misses\": 6, \
              \"succ_cache_hits\": 3, \"succ_cache_misses\": 4, \
-             \"engine_workers\": 2, \"engine_expanded\": [4, 6], \"engine_steals\": 1, \
-             \"engine_stolen\": 2, \"engine_pruned\": 0, \"engine_orbit_collapses\": 0, \
-             \"engine_lock_waits\": 3, \"engine_lock_wait_nanos\": 1500, \
-             \"engine_intern_batches\": 5, \"engine_intern_batch_hist\": [1, 2, 2, 0, 0, 0, 0], \
-             \"engine_shard_inserts\": [7, 3], \
-             \"engine_succ_cache_hits\": 1, \"engine_succ_cache_misses\": 2, \
-             \"engine_succ_bypass\": true, \"engine_memo_hits\": 4, \"engine_memo_misses\": 5, \
              \"mover_cache_hits\": 7, \"mover_cache_misses\": 8, \
              \"pairwise_checks\": 9, \
              \"compiled_actions\": 0, \"compile_nanos\": 0, \"vm_evals\": 0, \"interp_evals\": 0, \

@@ -6,14 +6,13 @@ use std::error::Error;
 use std::fmt;
 use std::sync::Arc;
 
-use inseq_engine::{Engine, EngineReport, ParallelExplorer};
 use inseq_kernel::{
     ActionName, ActionOutcome, ActionSemantics, Config, ExecStats, Exploration, Explorer,
     GlobalStore, Multiset, PaId, PendingAsync, Program, StateUniverse, StoreId, Trace, Transition,
     Value,
 };
 use inseq_mover::{MoverChecker, MoverViolation};
-use inseq_obs::{EngineSnapshot, HitMissSnapshot, PhaseStat};
+use inseq_obs::{HitMissSnapshot, PhaseStat};
 use inseq_refine::{check_action_refinement, RefinementViolation};
 
 use crate::incr::Executor;
@@ -155,13 +154,13 @@ impl IsViolation {
     /// A stable label naming the violated premise, independent of the
     /// witness payload.
     ///
-    /// Differential harnesses compare violations found by the sequential
-    /// and engine-scheduled check paths; the paths agree on *which* premise
-    /// fails but legitimately differ in witness detail (both retain parent
-    /// forests, but the parallel explorer's visit order — and hence the
-    /// reconstructed firing sequence — is scheduling-dependent), so
-    /// equality is asserted on this label rather than on [`fmt::Display`]
-    /// output.
+    /// Differential harnesses compare violations found over a sequential
+    /// and a parallel exploration ([`IsApplication::check_on`]); the two
+    /// agree on *which* premise fails but legitimately differ in witness
+    /// detail (both retain parent forests, but the parallel explorer's
+    /// visit order — and hence the reconstructed firing sequence — is
+    /// scheduling-dependent), so equality is asserted on this label rather
+    /// than on [`fmt::Display`] output.
     #[must_use]
     pub fn premise(&self) -> &'static str {
         match self {
@@ -298,16 +297,11 @@ fn write_witness(f: &mut fmt::Formatter<'_>, witness: &Option<Trace>) -> fmt::Re
 /// regardless of cache traffic or wall clock (see `inseq-obs`).
 #[derive(Debug, Clone, Default)]
 pub struct IsStats {
-    /// Configuration-interner traffic during instance exploration (merged
-    /// across shards under [`IsApplication::check_with`]).
+    /// Configuration-interner traffic during instance exploration.
     pub intern: HitMissSnapshot,
     /// Successor-cache traffic during instance exploration: hits skipped
-    /// an evaluation (summed across shards under
-    /// [`IsApplication::check_with`]).
+    /// an evaluation.
     pub succ_cache: HitMissSnapshot,
-    /// Parallel-exploration shape: worker count, per-shard occupancy, and
-    /// steal traffic. Default (zero workers) on sequential checks.
-    pub engine: EngineSnapshot,
     /// The mover checker's evaluation-cache traffic during (LM).
     pub mover_cache: HitMissSnapshot,
     /// `(mover, partner, store)` triples examined during (LM).
@@ -378,9 +372,6 @@ impl fmt::Display for IsReport {
         }
         if self.stats.succ_cache.lookups() > 0 {
             write!(f, "; successor cache {}", self.stats.succ_cache)?;
-        }
-        if self.stats.engine.ran() {
-            write!(f, "; engine {}", self.stats.engine)?;
         }
         if self.stats.pairwise_checks > 0 {
             write!(
@@ -645,14 +636,18 @@ impl IsApplication {
 
     /// Like [`check`](IsApplication::check), but quantifies over an
     /// exploration the caller made instead of exploring the instances.
-    /// `exploration` must be an unreduced sequential exploration of this
-    /// application's program from exactly its instances, such as
-    /// [`explore`](Self::explore) returns or any other unreduced
-    /// [`Explorer`] run from the same seeds: then the report, statistics
-    /// included, is `check`'s, except that the `"explore"` premise phase
-    /// times only the universe built over it. The universe interns the
-    /// invariant's pseudo-configurations (stores and bags only) into the
-    /// exploration's interner.
+    /// `exploration` must be an unreduced exploration of this application's
+    /// program from exactly its instances: [`explore`](Self::explore)'s, any
+    /// other unreduced [`Explorer`] run from the same seeds, or a
+    /// `ParallelExploration` (it dereferences to an [`Exploration`]). Then
+    /// the verdict, the violated premise and the report's counts are
+    /// `check`'s; the `"explore"` premise phase times only the universe
+    /// built over it. Over a sequential exploration the statistics and
+    /// witness traces are `check`'s too; a parallel exploration's traces
+    /// are not necessarily shortest, so its witnesses may be longer
+    /// (DESIGN.md §4f). The universe interns the invariant's
+    /// pseudo-configurations (stores and bags only) into the exploration's
+    /// interner.
     ///
     /// # Errors
     ///
@@ -661,32 +656,6 @@ impl IsApplication {
         let given = Explore::Given(exploration);
         let run = self.drive(given, Executor::InThread, None, &|_| {})?;
         Ok(run.verdict()?.incremental.report)
-    }
-
-    /// Like [`check`](IsApplication::check), but discharges the premises
-    /// concurrently on an [`Engine`].
-    ///
-    /// The instance exploration runs on a [`ParallelExplorer`] with one
-    /// shard per engine thread; the obligations — `A ≼ α(A)` per eliminated
-    /// action, (I1), (I2), (I3), and the per-action (LM) and (CO)
-    /// conditions — then run as one engine job each. The returned
-    /// [`EngineReport`] carries per-obligation wall clock.
-    ///
-    /// The verdict is identical to `check`'s, and so is the violated
-    /// premise when several fail: every obligation runs, and the first
-    /// failure in canonical premise order is returned. Its witness trace
-    /// may differ from `check`'s, because parallel traces are not
-    /// necessarily shortest (DESIGN.md §4f).
-    ///
-    /// # Errors
-    ///
-    /// Returns the first violated premise with a concrete witness.
-    pub fn check_with(&self, engine: &Engine) -> Result<(IsReport, EngineReport), IsViolation> {
-        let explore = Explore::Parallel(engine.threads());
-        let run = self.drive(explore, Executor::Engine(engine), None, &|_| {})?;
-        let run = run.verdict()?;
-        let engine_report = run.engine.expect("the engine executor reports its jobs");
-        Ok((run.incremental.report, engine_report))
     }
 
     /// Resolves `I`, `M'` and `f` and checks that the named actions exist
@@ -743,10 +712,11 @@ impl IsApplication {
         })
     }
 
-    /// Explores the instances on the chosen explorer and evaluates the
-    /// invariant at every target input: the shared prefix of all Fig. 3
-    /// obligations. Both explorers keep a parent forest, so every premise
-    /// can attach a concrete firing sequence to its counterexample.
+    /// Explores the instances (or takes the caller's exploration) and
+    /// evaluates the invariant at every target input: the shared prefix of
+    /// all Fig. 3 obligations. Every explorer keeps a parent forest, so
+    /// every premise can attach a concrete firing sequence to its
+    /// counterexample.
     ///
     /// The universe indexes the exploration's own interner. The invariant's
     /// transitions are the partial sequentializations: their
@@ -765,22 +735,11 @@ impl IsApplication {
             eliminated_actions: self.eliminated.len(),
             ..IsReport::default()
         };
-        // Either explorer's result reads as one `Exploration`; only the
-        // engine's own counters are parallel-only.
-        let (sequential, parallel);
+        let sequential;
         let exploration: &Exploration = match explore {
             Explore::Sequential => {
                 sequential = self.explore_sequential()?;
                 &sequential
-            }
-            Explore::Parallel(workers) => {
-                parallel = ParallelExplorer::new(&self.program)
-                    .with_workers(workers)
-                    .with_budget(self.budget)
-                    .explore(self.instances.iter().cloned())
-                    .map_err(exploration_error)?;
-                report.stats.engine = parallel.stats().engine_snapshot();
-                &parallel
             }
             Explore::Given(exploration) => exploration,
         };
@@ -1086,8 +1045,6 @@ pub(crate) struct Artifacts<'a> {
 pub(crate) enum Explore<'e> {
     /// The sequential kernel [`Explorer`].
     Sequential,
-    /// The sharded [`ParallelExplorer`] with this many workers.
-    Parallel(usize),
     /// None: an unreduced exploration of the instances the caller made.
     Given(&'e Exploration),
 }

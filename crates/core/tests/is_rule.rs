@@ -2,10 +2,13 @@
 //! paper's §4 cooperation counterexample.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
-use inseq_core::{ArtifactKeys, IsApplication, IsViolation, Measure, ObligationCache};
-use inseq_engine::Engine;
+use inseq_core::{
+    ArtifactKeys, IncrementalReport, IsApplication, IsReport, IsViolation, Measure,
+    ObligationCache, ObligationOutcome,
+};
+use inseq_engine::{Engine, ParallelExplorer};
 use inseq_kernel::demo::cooperation_counterexample;
 use inseq_kernel::{ActionOutcome, ActionSemantics, NativeAction, PendingAsync, Value};
 use inseq_lang::build::*;
@@ -70,6 +73,55 @@ fn adders() -> Adders {
         invariant,
         replacement,
     }
+}
+
+/// `check_on` over a `workers`-worker parallel exploration of the
+/// application's instances.
+#[allow(clippy::result_large_err)] // mirrors IsApplication::check's signature
+fn check_on_parallel(app: &IsApplication, workers: usize) -> Result<IsReport, IsViolation> {
+    let exploration = ParallelExplorer::new(app.program())
+        .with_workers(workers)
+        .with_budget(app.budget_limit())
+        .explore(app.instances().iter().cloned())
+        .expect("the instances explore within budget");
+    app.check_on(&exploration)
+}
+
+/// `check_incremental` on `engine` with a fresh cache and no artifact keys,
+/// so every obligation runs as an engine job; `on_outcome` sees each
+/// outcome.
+#[allow(clippy::result_large_err)] // mirrors IsApplication::check's signature
+fn check_on_engine(
+    app: &IsApplication,
+    engine: &Engine,
+    on_outcome: &(dyn Fn(&ObligationOutcome) + Sync),
+) -> Result<IncrementalReport, IsViolation> {
+    let keys = ArtifactKeys {
+        program: 0,
+        actions: BTreeMap::new(),
+        invariant: 0,
+        replacement: 0,
+        choice: 0,
+    };
+    app.check_incremental(engine, &ObligationCache::new(), &keys, on_outcome)
+}
+
+/// Asserts that `check_incremental` on a `threads`-thread engine names
+/// `sequential` — premise and rendered message — as its first failure.
+fn assert_engine_names(app: &IsApplication, threads: usize, sequential: &IsViolation) {
+    let incremental = check_on_engine(app, &Engine::new().with_threads(threads), &|_| {})
+        .expect("the shared prefix succeeds");
+    let failure = incremental.failure.expect("a premise fails");
+    assert_eq!(
+        failure.premise.as_deref(),
+        Some(sequential.premise()),
+        "{threads} threads"
+    );
+    assert_eq!(
+        failure.message,
+        Some(sequential.to_string()),
+        "{threads} threads"
+    );
 }
 
 fn adders_application(a: &Adders) -> IsApplication {
@@ -228,11 +280,12 @@ fn cooperation_counterexample_is_rejected_exactly_by_co() {
     );
 }
 
-/// Engine-scheduled checking reconstructs witness traces from the shared
-/// arena's parent forest: a (CO) counterexample found under `check_with`
-/// names a concrete firing sequence, exactly like the sequential path.
-/// (Regression: the sharded explorer used to keep no parent information,
-/// so every parallel-path witness was `None`.)
+/// Checking over a parallel exploration reconstructs witness traces from
+/// the shared arena's parent forest: a (CO) counterexample found by
+/// `check_on` names a concrete firing sequence, exactly like the sequential
+/// path, and the engine-scheduled `check_incremental` renders `check()`'s
+/// very violation. (Regression: the sharded explorer used to keep no parent
+/// information, so every parallel-path witness was `None`.)
 #[test]
 fn engine_scheduled_violations_carry_witness_traces() {
     let p = cooperation_counterexample();
@@ -259,9 +312,7 @@ fn engine_scheduled_violations_carry_witness_traces() {
 
     let sequential = app.check().unwrap_err();
     for threads in [1, 2, 4, 8] {
-        let parallel = app
-            .check_with(&Engine::new().with_threads(threads))
-            .unwrap_err();
+        let parallel = check_on_parallel(&app, threads).unwrap_err();
         assert_eq!(sequential.premise(), parallel.premise());
         let (
             IsViolation::CooperationViolated { witness: seq_w, .. },
@@ -276,6 +327,7 @@ fn engine_scheduled_violations_carry_witness_traces() {
             "both check paths reconstruct a witness whenever the store is \
              reachable ({threads} threads)"
         );
+        assert_engine_names(&app, threads, &sequential);
     }
 }
 
@@ -316,43 +368,65 @@ fn several_failing_premises_name_the_same_first_failure_on_every_path() {
         "got: {sequential}"
     );
     for threads in [1, 2, 4, 8] {
-        let parallel = app
-            .check_with(&Engine::new().with_threads(threads))
-            .unwrap_err();
+        let parallel = check_on_parallel(&app, threads).unwrap_err();
         assert_eq!(
             std::mem::discriminant(&parallel),
             std::mem::discriminant(&sequential),
-            "check_with({threads} threads) reported {parallel}, check() {sequential}"
+            "check_on({threads} workers) reported {parallel}, check() {sequential}"
         );
         assert_eq!(parallel.premise(), sequential.premise());
+        assert_engine_names(&app, threads, &sequential);
     }
-    let keys = ArtifactKeys {
-        program: 0,
-        actions: BTreeMap::new(),
-        invariant: 0,
-        replacement: 0,
-        choice: 0,
-    };
-    let incremental = app
-        .check_incremental(
-            &Engine::new().with_threads(2),
-            &ObligationCache::new(),
-            &keys,
-            &|_| {},
-        )
-        .expect("the shared prefix succeeds");
-    let failure = incremental.failure.expect("two premises fail");
-    assert_eq!(failure.premise.as_deref(), Some(sequential.premise()));
-    assert_eq!(failure.message, Some(sequential.to_string()));
 }
 
 /// An engine that has shut down runs no obligation, so there is no verdict
-/// to report: the check fails instead of passing or panicking.
+/// to report: the check fails, naming the first obligation and why it did
+/// not run, instead of passing or panicking.
 #[test]
 fn a_shut_down_engine_yields_no_verdict() {
     let a = adders();
     let engine = Engine::new().with_threads(2);
     engine.shutdown();
-    let err = adders_application(&a).check_with(&engine).unwrap_err();
+    let err = check_on_engine(&adders_application(&a), &engine, &|_| {}).unwrap_err();
     assert!(matches!(err, IsViolation::Exploration { .. }), "got: {err}");
+    let text = err.to_string();
+    assert!(
+        text.contains("Add ≼ α") && text.contains("shut down"),
+        "got: {text}"
+    );
+}
+
+/// An obligation whose check panics has no verdict either, but the engine
+/// keeps running the others, and the error names the obligation and
+/// carries the panic message.
+#[test]
+fn a_panicking_obligation_names_itself_and_its_panic() {
+    let a = adders();
+    let exploding: Arc<dyn ActionSemantics> = Arc::new(NativeAction::new(
+        "AddAbs",
+        1,
+        |_: &inseq_kernel::GlobalStore, _: &[Value]| -> ActionOutcome {
+            panic!("the abstraction exploded")
+        },
+    ));
+    let app = adders_application(&a).abstraction("Add", exploding);
+    let reported = Mutex::new(Vec::new());
+    let err = check_on_engine(&app, &Engine::new().with_threads(2), &|o| {
+        reported.lock().unwrap().push(o.kind.label());
+    })
+    .unwrap_err();
+    assert!(matches!(err, IsViolation::Exploration { .. }), "got: {err}");
+    let text = err.to_string();
+    assert!(
+        text.contains("Add ≼ α") && text.contains("the abstraction exploded"),
+        "got: {text}"
+    );
+    // (I1) and (I2) do not evaluate the abstraction: they ran to the end.
+    let reported = reported.into_inner().unwrap();
+    for label in ["(I1) M ≼ I", "(I2) I∖PA_E ≼ M'"] {
+        assert!(
+            reported.iter().any(|l| l == label),
+            "`{label}` not reported: {reported:?}"
+        );
+    }
 }

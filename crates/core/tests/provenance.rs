@@ -4,10 +4,11 @@
 //! the program also reaches names a reachable configuration, even when an
 //! invariant transition produced the same store with another bag.
 
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use inseq_core::{IsApplication, IsViolation, Measure};
-use inseq_engine::Engine;
+use inseq_core::{ArtifactKeys, IsApplication, IsViolation, Measure, ObligationCache};
+use inseq_engine::{Engine, ParallelExplorer};
 use inseq_kernel::demo::counter_program;
 use inseq_kernel::{
     ActionOutcome, ActionSemantics, Config, Explorer, GlobalStore, Multiset, NativeAction,
@@ -81,12 +82,38 @@ fn application(alpha: Arc<dyn ActionSemantics>) -> IsApplication {
         .instance(init)
 }
 
-/// Both check paths report the same (I3) gate violation; returns its store
-/// and witness.
+/// Every check path reports the same (I3) gate violation — `check()`,
+/// `check_on` over a 2-worker parallel exploration (the counter program has
+/// one run, so even its witness is the same) and the engine-scheduled
+/// `check_incremental`; returns its store and witness.
 fn gate_violation(app: &IsApplication) -> (GlobalStore, Option<inseq_kernel::Trace>) {
     let sequential = app.check().unwrap_err();
-    let parallel = app.check_with(&Engine::new().with_threads(2)).unwrap_err();
+    let exploration = ParallelExplorer::new(app.program())
+        .with_workers(2)
+        .with_budget(app.budget_limit())
+        .explore(app.instances().iter().cloned())
+        .unwrap();
+    let parallel = app.check_on(&exploration).unwrap_err();
     assert_eq!(sequential.to_string(), parallel.to_string());
+    let keys = ArtifactKeys {
+        program: 0,
+        actions: BTreeMap::new(),
+        invariant: 0,
+        replacement: 0,
+        choice: 0,
+    };
+    let failure = app
+        .check_incremental(
+            &Engine::new().with_threads(2),
+            &ObligationCache::new(),
+            &keys,
+            &|_| {},
+        )
+        .unwrap()
+        .failure
+        .expect("the gate violation is reported");
+    assert_eq!(failure.premise.as_deref(), Some(sequential.premise()));
+    assert_eq!(failure.message, Some(sequential.to_string()));
     match sequential {
         IsViolation::AbstractionGateNotDischarged { store, witness, .. } => (store, witness),
         other => panic!("expected an (I3) gate violation, got: {other}"),

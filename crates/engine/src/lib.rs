@@ -13,11 +13,10 @@
 //!   at the back); idle workers steal batches from the front. The reachable
 //!   set, verdict, terminal stores, and edge count are identical to the
 //!   sequential explorer's.
-//! * **Layer 2 — [`Engine`]**: a job-DAG scheduler running independent
-//!   obligations — the Fig. 3 conditions of an IS application, whole
-//!   Table 1 rows — concurrently on a fixed thread
-//!   pool, collecting per-job wall clock and configuration counts into an
-//!   [`EngineReport`].
+//! * **Layer 2 — [`Engine`]**: a flat pool running independent
+//!   obligations — the Fig. 3 conditions of an IS application — concurrently
+//!   on a fixed number of threads, isolating panics and reporting per job
+//!   whether it completed.
 //!
 //! The crate deliberately depends only on `inseq-kernel` and the
 //! `inseq-obs` counters (and the standard library): higher layers
@@ -48,5 +47,5 @@ mod stats;
 
 pub use explore::{ParallelExploration, ParallelExplorer};
 pub use reduce::Reducer;
-pub use schedule::{Engine, EngineReport, Job, JobResult, JobStats, JobStatus};
+pub use schedule::{Engine, Job};
 pub use stats::{ExploreStats, ShardStats};

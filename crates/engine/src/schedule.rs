@@ -1,27 +1,22 @@
-//! Layer 2: a job-DAG scheduler for independent proof obligations.
+//! Layer 2: a flat pool for independent proof obligations.
 //!
 //! Checking one inductive-sequentialization application decomposes into
-//! many independent obligations: the Fig. 3 conditions (I1)(I2)(I3), the
-//! per-action mover queries behind (LM), the co-enabledness scans behind
-//! (CO), and — across a whole benchmark table — entirely separate protocol
-//! cases. The [`Engine`] runs such obligations as a dependency-ordered job
-//! DAG on a fixed pool of threads and collects per-job wall-clock and
-//! configuration-count statistics into an [`EngineReport`].
+//! independent obligations: the Fig. 3 premises `A ≼ α(A)`, (I1)(I2)(I3),
+//! and the per-action (LM) and (CO) conditions. No premise reads another's
+//! result, so the [`Engine`] runs them as a flat list on a fixed pool of
+//! threads and reports, per job, whether it completed.
 //!
 //! Jobs are closures borrowing from the caller (`thread::scope` underneath),
 //! so obligation code can capture the program, universe, and checker state
 //! by reference without any `Arc` ceremony.
 
-use std::collections::VecDeque;
-use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
 
-/// A fixed-size thread pool executing job DAGs.
+/// A fixed-size thread pool executing flat lists of jobs.
 ///
 /// Clones share the engine's shutdown state: once any clone calls
-/// [`Engine::shutdown`], every clone rejects new DAGs. This is what a
+/// [`Engine::shutdown`], every clone rejects new jobs. This is what a
 /// persistent server wants — one logical engine handed to many request
 /// handlers, drained exactly once on exit.
 #[derive(Debug, Clone)]
@@ -43,7 +38,7 @@ struct LifecycleState {
     in_flight: usize,
 }
 
-/// Decrements `in_flight` even if the DAG panics mid-run, so a shutdown
+/// Decrements `in_flight` even if a run panics midway, so a shutdown
 /// waiting on the drain condvar can never hang on a lost count.
 struct InFlightGuard<'a>(&'a Lifecycle);
 
@@ -56,6 +51,9 @@ impl Drop for InFlightGuard<'_> {
         }
     }
 }
+
+/// One schedulable obligation: a closure that may borrow from the caller.
+pub type Job<'a> = Box<dyn FnOnce() + Send + 'a>;
 
 impl Default for Engine {
     fn default() -> Self {
@@ -87,15 +85,14 @@ impl Engine {
     }
 
     /// Marks the engine as shutting down and blocks until every in-flight
-    /// DAG has finished.
+    /// [`run`](Engine::run) has finished.
     ///
-    /// After this returns, [`Engine::run`] (on this engine or any clone)
-    /// rejects new DAGs without executing any job: every job is reported as
-    /// [`JobStatus::Skipped`] with an "engine shut down" detail. Jobs already
-    /// running are *not* interrupted — they finish normally, including the
-    /// panic-isolation path (a job that panics during the drain still counts
-    /// as finished, so shutdown cannot hang on it). Idempotent: concurrent
-    /// and repeated calls all block until the same drain completes.
+    /// After this returns, `run` (on this engine or any clone) rejects new
+    /// jobs without executing any. Jobs already running are *not*
+    /// interrupted — they finish normally, including the panic-isolation
+    /// path (a job that panics during the drain still counts as finished,
+    /// so shutdown cannot hang on it). Idempotent: concurrent and repeated
+    /// calls all block until the same drain completes.
     pub fn shutdown(&self) {
         let mut s = self
             .lifecycle
@@ -113,7 +110,7 @@ impl Engine {
     }
 
     /// `true` once [`Engine::shutdown`] has been called (on this engine or
-    /// any clone). New DAGs are rejected from that point on.
+    /// any clone). New jobs are rejected from that point on.
     #[must_use]
     pub fn is_shut_down(&self) -> bool {
         self.lifecycle
@@ -123,29 +120,15 @@ impl Engine {
             .draining
     }
 
-    /// Runs a job DAG to completion and reports per-job statistics.
-    ///
-    /// Dependencies must point at earlier indices in `jobs` (the natural
-    /// order in which a DAG is assembled), which makes cycles impossible by
-    /// construction. A job whose dependency fails — or is itself skipped —
-    /// is not run and is reported as [`JobStatus::Skipped`].
+    /// Runs every job on `min(threads, jobs)` pool threads, taking them in
+    /// submission order, and returns per job, in submission order, `Ok(())`
+    /// or why it did not complete.
     ///
     /// A job closure that panics does **not** take the pool down: the panic
-    /// is caught, the job is reported as [`JobStatus::Failed`] with the
-    /// panic payload in its detail, its dependents are skipped like those of
-    /// any other failure, and sibling jobs keep running.
-    ///
-    /// After [`Engine::shutdown`], the DAG is rejected without executing
-    /// anything: every job comes back [`JobStatus::Skipped`] with an
-    /// "engine shut down" detail.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a job lists a dependency index that is not smaller than its
-    /// own index.
-    pub fn run(&self, jobs: Vec<Job<'_>>) -> EngineReport {
-        let total = jobs.len();
-        let started = Instant::now();
+    /// is caught, the job's entry is `Err` with the panic payload, and the
+    /// other jobs keep running. After [`Engine::shutdown`], nothing runs and
+    /// every entry is `Err` saying the engine is shut down.
+    pub fn run(&self, jobs: Vec<Job<'_>>) -> Vec<Result<(), String>> {
         let _in_flight = {
             let mut s = self
                 .lifecycle
@@ -153,169 +136,46 @@ impl Engine {
                 .lock()
                 .expect("engine lifecycle poisoned");
             if s.draining {
-                // Reject without executing anything: report every job as
-                // skipped so `all_passed()` cannot claim success for work
-                // that never ran.
-                return EngineReport {
-                    jobs: jobs
-                        .into_iter()
-                        .map(|job| JobStats {
-                            name: job.name,
-                            status: JobStatus::Skipped,
-                            detail: "engine shut down; job rejected".to_owned(),
-                            configs_visited: 0,
-                            wall: Duration::ZERO,
-                        })
-                        .collect(),
-                    wall: started.elapsed(),
-                    threads: self.threads,
-                };
+                return vec![Err("engine shut down; job rejected".to_owned()); jobs.len()];
             }
             s.in_flight += 1;
             InFlightGuard(&self.lifecycle)
         };
-        if total == 0 {
-            return EngineReport {
-                jobs: Vec::new(),
-                wall: started.elapsed(),
-                threads: self.threads,
-            };
-        }
 
-        let mut tasks: Vec<Option<Box<RunFn<'_>>>> = Vec::with_capacity(total);
-        let mut names: Vec<String> = Vec::with_capacity(total);
-        let mut remaining: Vec<usize> = Vec::with_capacity(total);
-        let mut dependents: Vec<Vec<usize>> = vec![Vec::new(); total];
-        let mut ready: VecDeque<usize> = VecDeque::new();
-        for (id, job) in jobs.into_iter().enumerate() {
-            for &dep in &job.deps {
-                assert!(
-                    dep < id,
-                    "job `{}` depends on #{dep}, which is not an earlier job",
-                    job.name
-                );
-                dependents[dep].push(id);
-            }
-            if job.deps.is_empty() {
-                ready.push_back(id);
-            }
-            remaining.push(job.deps.len());
-            names.push(job.name);
-            tasks.push(Some(job.run));
-        }
-
-        let state = Mutex::new(SchedState {
-            tasks,
-            remaining,
-            ready,
-            stats: (0..total).map(|_| None).collect(),
-            poisoned: vec![false; total],
-            unfinished: total,
-        });
-        let wake = Condvar::new();
-        let workers = self.threads.min(total);
+        let mut results = vec![Ok(()); jobs.len()];
+        let workers = self.threads.min(jobs.len());
+        let queue = Mutex::new(jobs.into_iter().enumerate());
         std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| run_worker(&state, &wake, &dependents, &names));
+            let handles: Vec<_> = (0..workers)
+                .map(|_| scope.spawn(|| run_worker(&queue)))
+                .collect();
+            for handle in handles {
+                for (i, result) in handle.join().expect("engine worker panicked") {
+                    results[i] = result;
+                }
             }
         });
-
-        let stats = state
-            .into_inner()
-            .expect("scheduler state poisoned")
-            .stats
-            .into_iter()
-            .map(|s| s.expect("scheduler finished with an unexecuted job"))
-            .collect();
-        EngineReport {
-            jobs: stats,
-            wall: started.elapsed(),
-            threads: self.threads,
-        }
+        results
     }
 }
 
-type RunFn<'a> = dyn FnOnce() -> JobResult + Send + 'a;
-
-struct SchedState<'a> {
-    tasks: Vec<Option<Box<RunFn<'a>>>>,
-    remaining: Vec<usize>,
-    ready: VecDeque<usize>,
-    stats: Vec<Option<JobStats>>,
-    /// Whether a (transitive) dependency failed or was skipped.
-    poisoned: Vec<bool>,
-    unfinished: usize,
-}
-
-fn run_worker(
-    state: &Mutex<SchedState<'_>>,
-    wake: &Condvar,
-    dependents: &[Vec<usize>],
-    names: &[String],
-) {
+/// Takes jobs off the shared queue until it is empty; returns each job's
+/// index and result.
+fn run_worker<'a>(
+    queue: &Mutex<impl Iterator<Item = (usize, Job<'a>)>>,
+) -> Vec<(usize, Result<(), String>)> {
+    let mut done = Vec::new();
     loop {
-        let mut guard = state.lock().expect("scheduler state poisoned");
-        let id = loop {
-            if guard.unfinished == 0 {
-                return;
-            }
-            if let Some(id) = guard.ready.pop_front() {
-                break id;
-            }
-            guard = wake.wait(guard).expect("scheduler state poisoned");
+        let next = queue.lock().expect("engine queue poisoned").next();
+        let Some((i, job)) = next else {
+            return done;
         };
-        let task = guard.tasks[id].take().expect("job executed twice");
-        let skipped = guard.poisoned[id];
-        drop(guard);
-
-        let job_start = Instant::now();
-        let (status, detail, configs_visited) = if skipped {
-            (JobStatus::Skipped, "dependency failed".to_owned(), 0)
-        } else {
-            // A panicking obligation must not kill the pool: the unwinding
-            // worker would never decrement `unfinished`, leaving its
-            // siblings blocked on the condvar and burying the real panic
-            // under a scope-join cascade. Catch it and report the job as
-            // failed; the ordinary poison path then skips its dependents.
-            match catch_unwind(AssertUnwindSafe(task)) {
-                Ok(result) => {
-                    let status = if result.passed {
-                        JobStatus::Passed
-                    } else {
-                        JobStatus::Failed
-                    };
-                    (status, result.detail, result.configs_visited)
-                }
-                Err(payload) => (
-                    JobStatus::Failed,
-                    format!("panicked: {}", panic_message(payload.as_ref())),
-                    0,
-                ),
-            }
-        };
-        let wall = job_start.elapsed();
-
-        let mut guard = state.lock().expect("scheduler state poisoned");
-        let poison = status != JobStatus::Passed;
-        guard.stats[id] = Some(JobStats {
-            name: names[id].clone(),
-            status,
-            detail,
-            configs_visited,
-            wall,
-        });
-        for &next in &dependents[id] {
-            if poison {
-                guard.poisoned[next] = true;
-            }
-            guard.remaining[next] -= 1;
-            if guard.remaining[next] == 0 {
-                guard.ready.push_back(next);
-            }
-        }
-        guard.unfinished -= 1;
-        drop(guard);
-        wake.notify_all();
+        // A panicking obligation must not take the run down: an unwinding
+        // worker would make the scope re-panic on join and lose every other
+        // job's result. Catch it and report it as this job's.
+        let result = catch_unwind(AssertUnwindSafe(job))
+            .map_err(|payload| format!("panicked: {}", panic_message(payload.as_ref())));
+        done.push((i, result));
     }
 }
 
@@ -329,349 +189,65 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
         .unwrap_or("opaque panic payload")
 }
 
-/// One schedulable obligation: a name, the indices of jobs it must run
-/// after, and the closure doing the work.
-pub struct Job<'a> {
-    name: String,
-    deps: Vec<usize>,
-    run: Box<RunFn<'a>>,
-}
-
-impl fmt::Debug for Job<'_> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Job")
-            .field("name", &self.name)
-            .field("deps", &self.deps)
-            .finish_non_exhaustive()
-    }
-}
-
-impl<'a> Job<'a> {
-    /// Creates an independent job.
-    #[must_use]
-    pub fn new(name: impl Into<String>, run: impl FnOnce() -> JobResult + Send + 'a) -> Self {
-        Job {
-            name: name.into(),
-            deps: Vec::new(),
-            run: Box::new(run),
-        }
-    }
-
-    /// Declares that this job runs only after the job at `dep` (an index
-    /// into the same `jobs` vector, which must be smaller than this job's
-    /// own index) has passed.
-    #[must_use]
-    pub fn after(mut self, dep: usize) -> Self {
-        self.deps.push(dep);
-        self
-    }
-}
-
-/// What a job closure reports back.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct JobResult {
-    /// Whether the obligation holds.
-    pub passed: bool,
-    /// A short human-readable outcome ("ok", or why it failed).
-    pub detail: String,
-    /// Configurations visited while discharging the obligation (zero when
-    /// not applicable).
-    pub configs_visited: usize,
-}
-
-impl JobResult {
-    /// A passing result with no detail.
-    #[must_use]
-    pub fn pass() -> Self {
-        JobResult {
-            passed: true,
-            detail: String::new(),
-            configs_visited: 0,
-        }
-    }
-
-    /// A failing result carrying the reason.
-    #[must_use]
-    pub fn fail(detail: impl Into<String>) -> Self {
-        JobResult {
-            passed: false,
-            detail: detail.into(),
-            configs_visited: 0,
-        }
-    }
-
-    /// Converts a `Result`-shaped obligation outcome.
-    #[must_use]
-    pub fn from_check(outcome: Result<(), String>) -> Self {
-        match outcome {
-            Ok(()) => JobResult::pass(),
-            Err(e) => JobResult::fail(e),
-        }
-    }
-
-    /// Attaches a visited-configuration count.
-    #[must_use]
-    pub fn with_visited(mut self, configs: usize) -> Self {
-        self.configs_visited = configs;
-        self
-    }
-
-    /// Attaches or replaces the detail string.
-    #[must_use]
-    pub fn with_detail(mut self, detail: impl Into<String>) -> Self {
-        self.detail = detail.into();
-        self
-    }
-}
-
-/// How one job ended.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum JobStatus {
-    /// The obligation holds.
-    Passed,
-    /// The obligation was checked and does not hold (or errored).
-    Failed,
-    /// Not run because a dependency did not pass.
-    Skipped,
-}
-
-impl fmt::Display for JobStatus {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            JobStatus::Passed => write!(f, "pass"),
-            JobStatus::Failed => write!(f, "FAIL"),
-            JobStatus::Skipped => write!(f, "skip"),
-        }
-    }
-}
-
-/// Statistics for one executed (or skipped) job.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct JobStats {
-    /// The job's name.
-    pub name: String,
-    /// How it ended.
-    pub status: JobStatus,
-    /// Outcome detail (empty for quiet passes).
-    pub detail: String,
-    /// Configurations visited by the job.
-    pub configs_visited: usize,
-    /// Wall-clock time the job took.
-    pub wall: Duration,
-}
-
-/// The structured result of running a job DAG: per-job statistics plus
-/// end-to-end wall clock and pool size.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct EngineReport {
-    /// Per-job statistics, in submission order.
-    pub jobs: Vec<JobStats>,
-    /// End-to-end wall clock for the whole DAG.
-    pub wall: Duration,
-    /// Number of pool threads the engine was configured with.
-    pub threads: usize,
-}
-
-impl EngineReport {
-    /// `true` iff every job passed.
-    #[must_use]
-    pub fn all_passed(&self) -> bool {
-        self.jobs.iter().all(|j| j.status == JobStatus::Passed)
-    }
-
-    /// The jobs that failed.
-    pub fn failures(&self) -> impl Iterator<Item = &JobStats> {
-        self.jobs.iter().filter(|j| j.status == JobStatus::Failed)
-    }
-
-    /// Total configurations visited across all jobs.
-    #[must_use]
-    pub fn configs_visited(&self) -> usize {
-        self.jobs.iter().map(|j| j.configs_visited).sum()
-    }
-}
-
-impl fmt::Display for EngineReport {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(
-            f,
-            "engine report: {} job(s) on {} thread(s), {:.1} ms total",
-            self.jobs.len(),
-            self.threads,
-            self.wall.as_secs_f64() * 1e3
-        )?;
-        for job in &self.jobs {
-            write!(
-                f,
-                "  [{}] {:<28} {:>9.2} ms",
-                job.status,
-                job.name,
-                job.wall.as_secs_f64() * 1e3
-            )?;
-            if job.configs_visited > 0 {
-                write!(f, "  {:>8} configs", job.configs_visited)?;
-            }
-            if !job.detail.is_empty() {
-                write!(f, "  — {}", job.detail)?;
-            }
-            writeln!(f)?;
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::time::Duration;
+
+    /// Boxes a closure as a [`Job`].
+    fn job<'a>(f: impl FnOnce() + Send + 'a) -> Job<'a> {
+        Box::new(f)
+    }
 
     #[test]
     fn runs_all_independent_jobs() {
         let counter = AtomicUsize::new(0);
         let jobs: Vec<Job<'_>> = (0..8)
-            .map(|i| {
-                Job::new(format!("job-{i}"), || {
+            .map(|_| {
+                job(|| {
                     counter.fetch_add(1, Ordering::Relaxed);
-                    JobResult::pass().with_visited(10)
                 })
             })
             .collect();
-        let report = Engine::new().with_threads(4).run(jobs);
+        let results = Engine::new().with_threads(4).run(jobs);
         assert_eq!(counter.load(Ordering::Relaxed), 8);
-        assert!(report.all_passed());
-        assert_eq!(report.configs_visited(), 80);
-        assert_eq!(report.jobs.len(), 8);
-    }
-
-    #[test]
-    fn dependencies_order_execution() {
-        let order = Mutex::new(Vec::new());
-        let jobs = vec![
-            Job::new("first", || {
-                order.lock().unwrap().push("first");
-                JobResult::pass()
-            }),
-            Job::new("second", || {
-                order.lock().unwrap().push("second");
-                JobResult::pass()
-            })
-            .after(0),
-        ];
-        Engine::new().with_threads(4).run(jobs);
-        assert_eq!(*order.lock().unwrap(), vec!["first", "second"]);
-    }
-
-    #[test]
-    fn failed_dependency_skips_dependents() {
-        let ran = AtomicUsize::new(0);
-        let jobs = vec![
-            Job::new("explodes", || JobResult::fail("boom")),
-            Job::new("downstream", || {
-                ran.fetch_add(1, Ordering::Relaxed);
-                JobResult::pass()
-            })
-            .after(0),
-            Job::new("independent", || {
-                ran.fetch_add(1, Ordering::Relaxed);
-                JobResult::pass()
-            }),
-        ];
-        let report = Engine::new().with_threads(2).run(jobs);
-        assert_eq!(
-            ran.load(Ordering::Relaxed),
-            1,
-            "only the independent job runs"
-        );
-        assert!(!report.all_passed());
-        assert_eq!(report.jobs[0].status, JobStatus::Failed);
-        assert_eq!(report.jobs[1].status, JobStatus::Skipped);
-        assert_eq!(report.jobs[2].status, JobStatus::Passed);
-        assert_eq!(report.failures().count(), 1);
-    }
-
-    #[test]
-    fn skip_cascades_through_chains() {
-        let jobs = vec![
-            Job::new("a", || JobResult::fail("no")),
-            Job::new("b", JobResult::pass).after(0),
-            Job::new("c", JobResult::pass).after(1),
-        ];
-        let report = Engine::new().with_threads(1).run(jobs);
-        assert_eq!(report.jobs[1].status, JobStatus::Skipped);
-        assert_eq!(report.jobs[2].status, JobStatus::Skipped);
+        assert_eq!(results, vec![Ok(()); 8]);
     }
 
     #[test]
     fn panicking_job_fails_without_killing_the_pool() {
         let ran = AtomicUsize::new(0);
+        let sibling = || {
+            ran.fetch_add(1, Ordering::Relaxed);
+        };
         let jobs = vec![
-            Job::new("panics", || panic!("witness the payload")),
-            Job::new("downstream", || {
-                ran.fetch_add(1, Ordering::Relaxed);
-                JobResult::pass()
-            })
-            .after(0),
-            Job::new("sibling-1", || {
-                ran.fetch_add(1, Ordering::Relaxed);
-                JobResult::pass()
-            }),
-            Job::new("sibling-2", || {
-                ran.fetch_add(1, Ordering::Relaxed);
-                JobResult::pass()
-            }),
+            job(|| panic!("witness the payload")),
+            job(sibling),
+            job(sibling),
+            job(sibling),
         ];
-        let report = Engine::new().with_threads(2).run(jobs);
-        assert_eq!(
-            ran.load(Ordering::Relaxed),
-            2,
-            "both siblings run, the dependent does not"
-        );
-        assert_eq!(report.jobs[0].status, JobStatus::Failed);
+        let results = Engine::new().with_threads(2).run(jobs);
+        assert_eq!(ran.load(Ordering::Relaxed), 3, "every sibling runs");
+        let reason = results[0].as_ref().unwrap_err();
         assert!(
-            report.jobs[0].detail.contains("panicked")
-                && report.jobs[0].detail.contains("witness the payload"),
-            "panic payload surfaces in the detail: {}",
-            report.jobs[0].detail
+            reason.contains("panicked") && reason.contains("witness the payload"),
+            "panic payload surfaces in the reason: {reason}"
         );
-        assert_eq!(report.jobs[1].status, JobStatus::Skipped);
-        assert_eq!(report.jobs[2].status, JobStatus::Passed);
-        assert_eq!(report.jobs[3].status, JobStatus::Passed);
+        assert_eq!(results[1..], [Ok(()), Ok(()), Ok(())]);
     }
 
     #[test]
     fn formatted_panic_payloads_are_reported() {
-        let jobs = vec![Job::new("fmt-panic", || panic!("bad index {}", 7))];
-        let report = Engine::new().with_threads(1).run(jobs);
-        assert_eq!(report.jobs[0].status, JobStatus::Failed);
-        assert!(report.jobs[0].detail.contains("bad index 7"));
+        let results = Engine::new()
+            .with_threads(1)
+            .run(vec![job(|| panic!("bad index {}", 7))]);
+        assert!(results[0].as_ref().unwrap_err().contains("bad index 7"));
     }
 
     #[test]
     fn empty_dag_is_fine() {
-        let report = Engine::new().run(Vec::new());
-        assert!(report.all_passed());
-        assert!(report.jobs.is_empty());
-    }
-
-    #[test]
-    fn report_displays_every_job() {
-        let jobs = vec![
-            Job::new("alpha", || JobResult::pass().with_visited(42)),
-            Job::new("beta", || JobResult::fail("broken invariant")),
-        ];
-        let report = Engine::new().with_threads(2).run(jobs);
-        let text = report.to_string();
-        assert!(text.contains("alpha"));
-        assert!(text.contains("42 configs"));
-        assert!(text.contains("broken invariant"));
-        assert!(text.contains("FAIL"));
-    }
-
-    #[test]
-    #[should_panic(expected = "not an earlier job")]
-    fn forward_dependency_panics() {
-        let jobs = vec![Job::new("a", JobResult::pass).after(3)];
-        Engine::new().run(jobs);
+        assert!(Engine::new().run(Vec::new()).is_empty());
     }
 
     #[test]
@@ -681,25 +257,15 @@ mod tests {
         engine.shutdown();
         assert!(engine.is_shut_down());
         let ran = AtomicUsize::new(0);
-        let report = engine.run(vec![
-            Job::new("late-a", || {
-                ran.fetch_add(1, Ordering::Relaxed);
-                JobResult::pass()
-            }),
-            Job::new("late-b", || {
-                ran.fetch_add(1, Ordering::Relaxed);
-                JobResult::pass()
-            })
-            .after(0),
-        ]);
+        let late = || {
+            ran.fetch_add(1, Ordering::Relaxed);
+        };
+        let results = engine.run(vec![job(late), job(late)]);
         assert_eq!(ran.load(Ordering::Relaxed), 0, "no rejected job runs");
-        assert!(
-            !report.all_passed(),
-            "a rejected DAG must not claim success"
-        );
-        for job in &report.jobs {
-            assert_eq!(job.status, JobStatus::Skipped);
-            assert!(job.detail.contains("shut down"), "{}", job.detail);
+        assert_eq!(results.len(), 2);
+        for result in &results {
+            let reason = result.as_ref().expect_err("a rejected job must not pass");
+            assert!(reason.contains("shut down"), "{reason}");
         }
         // Clones share the shutdown state.
         assert!(engine.clone().is_shut_down());
@@ -716,14 +282,13 @@ mod tests {
         std::thread::scope(|scope| {
             let handle = scope.spawn(|| {
                 let jobs = vec![
-                    Job::new("panics-mid-drain", || {
+                    job(|| {
                         started.store(true, Ordering::SeqCst);
                         panic!("boom during drain")
                     }),
-                    Job::new("slow-sibling", || {
+                    job(|| {
                         std::thread::sleep(Duration::from_millis(40));
                         sibling_done.store(true, Ordering::SeqCst);
-                        JobResult::pass()
                     }),
                 ];
                 engine.clone().run(jobs)
@@ -731,20 +296,22 @@ mod tests {
             while !started.load(Ordering::SeqCst) {
                 std::thread::yield_now();
             }
-            // The DAG is in flight (and one job is unwinding): shutdown must
-            // wait for the whole DAG, not hang on the panicked worker.
+            // The run is in flight (and one job is unwinding): shutdown must
+            // wait for every job, not hang on the panicked worker.
             engine.shutdown();
             assert!(
                 sibling_done.load(Ordering::SeqCst),
-                "shutdown returned before the in-flight DAG drained"
+                "shutdown returned before the in-flight run drained"
             );
-            let report = handle.join().expect("runner thread");
-            assert_eq!(report.jobs[0].status, JobStatus::Failed);
-            assert!(report.jobs[0].detail.contains("boom during drain"));
-            assert_eq!(report.jobs[1].status, JobStatus::Passed);
+            let results = handle.join().expect("runner thread");
+            assert!(results[0]
+                .as_ref()
+                .unwrap_err()
+                .contains("boom during drain"));
+            assert_eq!(results[1], Ok(()));
         });
         // Post-drain, new work is rejected.
-        let report = engine.run(vec![Job::new("late", JobResult::pass)]);
-        assert_eq!(report.jobs[0].status, JobStatus::Skipped);
+        let results = engine.run(vec![job(|| {})]);
+        assert!(results[0].is_err());
     }
 }

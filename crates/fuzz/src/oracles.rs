@@ -6,7 +6,7 @@
 //! | Oracle | Reference path | Fast path |
 //! |---|---|---|
 //! | `vm-interp` | tree-walk interpreter | register-bytecode VM |
-//! | `check-paths` | sequential [`IsApplication::check`] | engine-scheduled `check_with` (1/2/4 threads) |
+//! | `check-paths` | sequential [`IsApplication::check`] | [`IsApplication::check_on`] a 2-worker parallel exploration; engine-scheduled [`IsApplication::check_incremental`] (1/2/4 threads) |
 //! | `intern` | structural config equality (`HashSet<&Config>`, no interner) | hash-consed [`ConcurrentInterner`] identity, in the explorer and re-interned fresh |
 //! | `mover` | brute-force mover conditions on plain eval | memoized, interned [`MoverChecker`] |
 //! | `bags` | element-order-oblivious multiset axioms | [`Multiset`]'s canonical representation |
@@ -17,10 +17,10 @@
 //! construction. Programs whose state space exceeds the exploration budget
 //! are skipped (reported as [`OracleOutcome::Skipped`]), not failed.
 
-use std::collections::{BTreeSet, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::fmt;
 
-use inseq_core::IsApplication;
+use inseq_core::{ArtifactKeys, IsApplication, IsReport, IsViolation, ObligationCache};
 use inseq_engine::{Engine, ParallelExplorer, Reducer};
 use inseq_kernel::ReduceMode;
 use inseq_kernel::{
@@ -40,7 +40,8 @@ pub const DEFAULT_BUDGET: usize = 4_000;
 pub enum Oracle {
     /// VM vs tree-walk interpreter, per `(reachable store, pending async)`.
     VmInterp,
-    /// `check()` vs `check_with()` under 1/2/4 engine threads.
+    /// `check()` vs `check_on` a parallel exploration and vs
+    /// `check_incremental` under 1/2/4 engine threads.
     CheckPaths,
     /// Interned config identity vs structural config equality.
     Intern,
@@ -244,7 +245,7 @@ fn vm_interp(built: &BuiltSpec, exploration: &Exploration) -> Result<OracleOutco
 }
 
 // ---------------------------------------------------------------------------
-// Oracle 2: check() vs check_with()
+// Oracle 2: check() vs check_on(parallel) and check_incremental()
 // ---------------------------------------------------------------------------
 
 /// A mechanical IS application over a generated program: eliminate every
@@ -252,9 +253,17 @@ fn vm_interp(built: &BuiltSpec, exploration: &Exploration) -> Result<OracleOutco
 /// invariant `I` and the replacement `M'`, identity abstractions (the
 /// default), and a choice function picking the least eliminated pending
 /// async. The premises frequently *fail* on random programs — that is the
-/// point: both check paths must fail identically.
+/// point: every check path must fail identically.
 fn mechanical_application(built: &BuiltSpec, budget: usize) -> IsApplication {
     inseq_core::mechanical_application(&built.program, built.init.clone(), budget)
+}
+
+/// A check's verdict as the paths compare it: the report, or the violated
+/// premise with its rendering.
+type Verdict = Result<IsReport, (String, String)>;
+
+fn verdict_of(result: Result<IsReport, IsViolation>) -> Verdict {
+    result.map_err(|v| (v.premise().to_owned(), v.to_string()))
 }
 
 fn check_paths(built: &BuiltSpec, budget: usize) -> Result<OracleOutcome, Disagreement> {
@@ -264,79 +273,75 @@ fn check_paths(built: &BuiltSpec, budget: usize) -> Result<OracleOutcome, Disagr
         ));
     }
     let app = mechanical_application(built, budget);
-    let sequential = app.check();
+    let sequential = verdict_of(app.check());
+    let disagree = |detail: String| {
+        Err(Disagreement {
+            oracle: Oracle::CheckPaths,
+            detail,
+        })
+    };
 
-    let mut parallel_runs = Vec::new();
+    // Over a parallel exploration the verdict, premise and counts are
+    // `check()`'s; the witness, and so the rendering, may differ.
+    let parallel = match ParallelExplorer::new(&built.program)
+        .with_workers(2)
+        .with_budget(budget)
+        .explore([built.init.clone()])
+    {
+        Ok(exploration) => verdict_of(app.check_on(&exploration)),
+        Err(e) => verdict_of(Err(IsViolation::Exploration {
+            message: e.to_string(),
+        })),
+    };
+    if premise_only(&sequential) != premise_only(&parallel) {
+        return disagree(format!(
+            "check() {} but check_on(2-worker parallel exploration) {}",
+            describe(&sequential),
+            describe(&parallel)
+        ));
+    }
+
+    // The engine path explores sequentially, so its first failure renders
+    // exactly like `check()`'s. No artifact keys: every obligation runs.
+    let keys = ArtifactKeys {
+        program: 0,
+        actions: BTreeMap::new(),
+        invariant: 0,
+        replacement: 0,
+        choice: 0,
+    };
     for threads in [1usize, 2, 4] {
         let engine = Engine::new().with_threads(threads);
-        parallel_runs.push((threads, app.check_with(&engine)));
-    }
-
-    for (threads, run) in &parallel_runs {
-        if sequential.is_ok() != run.is_ok() {
-            return Err(Disagreement {
-                oracle: Oracle::CheckPaths,
-                detail: format!(
-                    "check() {} but check_with({threads} threads) {}",
-                    describe(&sequential.as_ref().map(|_| ()).map_err(|e| e.premise())),
-                    describe(&run.as_ref().map(|_| ()).map_err(|e| e.premise())),
-                ),
-            });
-        }
-    }
-
-    match &sequential {
-        Ok(seq_report) => {
-            for (threads, run) in &parallel_runs {
-                let (par_report, engine_report) =
-                    run.as_ref().expect("ok-ness agreement checked above");
-                if !engine_report.all_passed() {
-                    return Err(Disagreement {
-                        oracle: Oracle::CheckPaths,
-                        detail: format!(
-                            "check_with({threads} threads) returned Ok but a scheduled job failed"
-                        ),
-                    });
-                }
-                if seq_report != par_report {
-                    return Err(Disagreement {
-                        oracle: Oracle::CheckPaths,
-                        detail: format!(
-                            "IS reports differ between check() and check_with({threads} threads): \
-                             {seq_report:?} vs {par_report:?}"
-                        ),
-                    });
-                }
-            }
-        }
-        Err(seq_violation) => {
-            // Both paths discharge the same canonical obligation list and
-            // report its first failure, so every width names `check()`'s
-            // premise.
-            for (threads, run) in &parallel_runs {
-                let premise = match run {
-                    Err(v) => v.premise(),
-                    Ok(_) => unreachable!("ok-ness agreement checked above"),
-                };
-                if premise != seq_violation.premise() {
-                    return Err(Disagreement {
-                        oracle: Oracle::CheckPaths,
-                        detail: format!(
-                            "check() fails {} but check_with({threads} threads) fails {premise}",
-                            seq_violation.premise()
-                        ),
-                    });
-                }
-            }
+        let incremental =
+            match app.check_incremental(&engine, &ObligationCache::new(), &keys, &|_| {}) {
+                Ok(run) => match run.failure {
+                    None => Ok(run.report),
+                    Some(o) => Err((o.premise.unwrap_or_default(), o.message.unwrap_or_default())),
+                },
+                Err(v) => verdict_of(Err(v)),
+            };
+        if incremental != sequential {
+            return disagree(format!(
+                "check() {} but check_incremental({threads} threads) {}: {:?} vs {:?}",
+                describe(&sequential),
+                describe(&incremental),
+                sequential,
+                incremental
+            ));
         }
     }
     Ok(OracleOutcome::Checked)
 }
 
-fn describe(r: &Result<(), &'static str>) -> String {
-    match r {
-        Ok(()) => "passed".to_owned(),
-        Err(premise) => format!("violated premise {premise}"),
+/// A verdict without its rendering: the report, or the violated premise.
+fn premise_only(v: &Verdict) -> Result<&IsReport, &str> {
+    v.as_ref().map_err(|(premise, _)| premise.as_str())
+}
+
+fn describe(v: &Verdict) -> String {
+    match v {
+        Ok(_) => "passed".to_owned(),
+        Err((premise, _)) => format!("violated premise {premise}"),
     }
 }
 

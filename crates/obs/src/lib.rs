@@ -213,7 +213,7 @@ impl ContentionSnapshot {
 ///
 /// Like every snapshot in this crate it is observability data only —
 /// consumers exclude it from report equality. A default value (zero
-/// workers) means "no parallel engine ran", e.g. a sequential check.
+/// workers) means "no parallel engine ran", e.g. a sequential exploration.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct EngineSnapshot {
     /// Worker threads the exploration ran with; zero when no parallel
@@ -284,48 +284,6 @@ impl EngineSnapshot {
     #[must_use]
     pub fn ran(&self) -> bool {
         self.workers > 0
-    }
-
-    /// Merges two snapshots of the same benchmark row: traffic counters
-    /// add, per-shard occupancy adds component-wise (shorter profiles are
-    /// zero-padded), and the worker count is the larger of the two.
-    #[must_use]
-    pub fn merged(mut self, other: &EngineSnapshot) -> EngineSnapshot {
-        self.workers = self.workers.max(other.workers);
-        if self.expanded.len() < other.expanded.len() {
-            self.expanded.resize(other.expanded.len(), 0);
-        }
-        for (slot, more) in self.expanded.iter_mut().zip(&other.expanded) {
-            *slot += more;
-        }
-        self.steals += other.steals;
-        self.stolen += other.stolen;
-        self.pruned += other.pruned;
-        self.orbit_collapses += other.orbit_collapses;
-        self.lock_waits += other.lock_waits;
-        self.lock_wait_nanos += other.lock_wait_nanos;
-        self.intern_batches += other.intern_batches;
-        if self.intern_batch_hist.len() < other.intern_batch_hist.len() {
-            self.intern_batch_hist
-                .resize(other.intern_batch_hist.len(), 0);
-        }
-        for (slot, more) in self
-            .intern_batch_hist
-            .iter_mut()
-            .zip(&other.intern_batch_hist)
-        {
-            *slot += more;
-        }
-        if self.shard_inserts.len() < other.shard_inserts.len() {
-            self.shard_inserts.resize(other.shard_inserts.len(), 0);
-        }
-        for (slot, more) in self.shard_inserts.iter_mut().zip(&other.shard_inserts) {
-            *slot += more;
-        }
-        self.succ_cache = self.succ_cache.merged(other.succ_cache);
-        self.succ_bypass |= other.succ_bypass;
-        self.memo = self.memo.merged(other.memo);
-        self
     }
 }
 
@@ -521,20 +479,13 @@ mod tests {
     }
 
     #[test]
-    fn engine_snapshot_merges_and_shows_the_footprint_memo() {
-        let a = EngineSnapshot {
+    fn engine_snapshot_shows_the_footprint_memo() {
+        let snap = EngineSnapshot {
             workers: 2,
-            memo: HitMissSnapshot::new(3, 1),
+            memo: HitMissSnapshot::new(4, 4),
             ..EngineSnapshot::default()
         };
-        let b = EngineSnapshot {
-            workers: 2,
-            memo: HitMissSnapshot::new(1, 3),
-            ..EngineSnapshot::default()
-        };
-        let m = a.merged(&b);
-        assert_eq!(m.memo, HitMissSnapshot::new(4, 4));
-        let text = m.to_string();
+        let text = snap.to_string();
         assert!(
             text.contains("footprint memo 4 hit / 4 miss (50%)"),
             "{text}"

@@ -7,7 +7,7 @@
 //! | Module | Crate | Contents |
 //! |---|---|---|
 //! | [`kernel`] | `inseq-kernel` | values, stores, pending asyncs, configurations, programs, exhaustive exploration |
-//! | [`engine`] | `inseq-engine` | sharded parallel exploration and the check-scheduling job DAG |
+//! | [`engine`] | `inseq-engine` | sharded parallel exploration and the flat obligation pool |
 //! | [`lang`] | `inseq-lang` | the typed action DSL and its nondeterministic interpreter |
 //! | [`mover`] | `inseq-mover` | mover types, commutativity checking, Lipton reduction |
 //! | [`refine`] | `inseq-refine` | action and program refinement (Defs. 3.1/3.2) |

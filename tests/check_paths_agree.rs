@@ -1,12 +1,16 @@
-//! The two premise-discharge paths of the IS rule — the sequential
-//! `IsApplication::check()` and the engine-scheduled `check_with()` — must
-//! return identical reports on every Table-1 protocol. `check()` delegates
-//! to the same shared (I1)/(I2)/(I3) helpers as the job DAG and counts
-//! `induction_steps` in the shared preparation step; this test pins both
-//! paths to the same numbers so the helpers cannot drift apart again.
+//! The three premise-discharge paths of the IS rule must return identical
+//! reports on every Table-1 protocol: the sequential
+//! `IsApplication::check()`, `check_on` over a 2-worker parallel
+//! exploration of the same instances, and the daemon's engine-scheduled
+//! `check_incremental` on a 2-thread engine. All three discharge the same
+//! obligation list through one driver and count `induction_steps` in the
+//! shared preparation step; this test pins them to the same numbers so
+//! they cannot drift apart.
 
-use inductive_sequentialization::core::{IsApplication, IsReport};
-use inductive_sequentialization::engine::Engine;
+use std::collections::BTreeMap;
+
+use inductive_sequentialization::core::{ArtifactKeys, IsApplication, IsReport, ObligationCache};
+use inductive_sequentialization::engine::{Engine, ParallelExplorer};
 use inductive_sequentialization::protocols::{
     broadcast, chang_roberts, n_buyer, paxos, ping_pong, producer_consumer, two_phase_commit,
 };
@@ -15,14 +19,14 @@ fn assert_paths_agree(label: &str, application: &IsApplication) -> IsReport {
     let sequential = application
         .check()
         .unwrap_or_else(|e| panic!("{label}: check() failed: {e}"));
-    let engine = Engine::new().with_threads(2);
-    let (parallel, engine_report) = application
-        .check_with(&engine)
-        .unwrap_or_else(|e| panic!("{label}: check_with() failed: {e}"));
-    assert!(
-        engine_report.all_passed(),
-        "{label}: a scheduled job failed"
-    );
+    let exploration = ParallelExplorer::new(application.program())
+        .with_workers(2)
+        .with_budget(application.budget_limit())
+        .explore(application.instances().iter().cloned())
+        .unwrap_or_else(|e| panic!("{label}: parallel exploration failed: {e}"));
+    let parallel = application
+        .check_on(&exploration)
+        .unwrap_or_else(|e| panic!("{label}: check_on(parallel) failed: {e}"));
     // Report equality covers every deterministic count, `induction_steps`
     // included; spell it out anyway so a drift names the field.
     assert_eq!(
@@ -31,20 +35,49 @@ fn assert_paths_agree(label: &str, application: &IsApplication) -> IsReport {
     );
     assert_eq!(sequential, parallel, "{label}: reports differ");
 
-    // Observability rides along on both paths without entering identity:
-    // both explored, so both saw interner traffic and timed their premises.
+    // No artifact keys: nothing is cacheable, so every obligation runs as
+    // an engine job.
+    let keys = ArtifactKeys {
+        program: 0,
+        actions: BTreeMap::new(),
+        invariant: 0,
+        replacement: 0,
+        choice: 0,
+    };
+    let incremental = application
+        .check_incremental(
+            &Engine::new().with_threads(2),
+            &ObligationCache::new(),
+            &keys,
+            &|_| {},
+        )
+        .unwrap_or_else(|e| panic!("{label}: check_incremental() failed: {e}"));
     assert!(
-        sequential.stats.intern.lookups() > 0,
-        "{label}: sequential path reports no interner traffic"
+        incremental.failure.is_none(),
+        "{label}: an engine-scheduled obligation failed: {:?}",
+        incremental.failure
     );
-    assert!(
-        parallel.stats.intern.lookups() > 0,
-        "{label}: parallel path reports no interner traffic"
+    assert_eq!(
+        incremental.report, sequential,
+        "{label}: check_incremental report differs"
     );
-    assert!(
-        !sequential.stats.premises.is_empty() && !parallel.stats.premises.is_empty(),
-        "{label}: premise timings missing"
-    );
+
+    // Observability rides along on every path without entering identity:
+    // each saw interner traffic and timed its premises.
+    for (path, report) in [
+        ("sequential", &sequential),
+        ("parallel", &parallel),
+        ("incremental", &incremental.report),
+    ] {
+        assert!(
+            report.stats.intern.lookups() > 0,
+            "{label}: {path} path reports no interner traffic"
+        );
+        assert!(
+            !report.stats.premises.is_empty(),
+            "{label}: {path} premise timings missing"
+        );
+    }
     sequential
 }
 

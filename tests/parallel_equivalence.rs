@@ -3,8 +3,9 @@
 //! the sequential kernel explorer, for every protocol of Table 1 and for
 //! randomly generated programs.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
+use inductive_sequentialization::core::{ArtifactKeys, ObligationCache};
 use inductive_sequentialization::engine::{Engine, ParallelExplorer};
 use inductive_sequentialization::kernel::{
     ActionOutcome, Config, Explorer, GlobalSchema, GlobalStore, Multiset, NativeAction,
@@ -88,16 +89,38 @@ fn check_with_agrees_with_sequential_check() {
     let artifacts = broadcast::build();
     let application = broadcast::oneshot_application(&artifacts, &instance);
     let sequential = application.check().expect("broadcast IS premises hold");
+    // No artifact keys: nothing is cacheable, so every obligation runs.
+    let keys = ArtifactKeys {
+        program: 0,
+        actions: BTreeMap::new(),
+        invariant: 0,
+        replacement: 0,
+        choice: 0,
+    };
     for threads in [1, 4] {
-        let engine = Engine::new().with_threads(threads);
-        let (report, engine_report) = application
-            .check_with(&engine)
-            .expect("broadcast IS premises hold in parallel");
+        let exploration = ParallelExplorer::new(application.program())
+            .with_workers(threads)
+            .with_budget(application.budget_limit())
+            .explore(application.instances().iter().cloned())
+            .expect("broadcast instance explores within budget");
+        let report = application
+            .check_on(&exploration)
+            .expect("broadcast IS premises hold over a parallel exploration");
         assert_eq!(report, sequential, "threads = {threads}");
-        assert!(engine_report.all_passed());
+
+        let incremental = application
+            .check_incremental(
+                &Engine::new().with_threads(threads),
+                &ObligationCache::new(),
+                &keys,
+                &|_| {},
+            )
+            .expect("broadcast IS premises hold on the engine");
+        assert!(incremental.all_passed(), "threads = {threads}");
+        assert_eq!(incremental.report, sequential, "threads = {threads}");
         // (I1)(I2)(I3) + 3 obligations per eliminated action.
         assert_eq!(
-            engine_report.jobs.len(),
+            incremental.outcomes.len(),
             3 + 3 * report.eliminated_actions,
             "threads = {threads}"
         );

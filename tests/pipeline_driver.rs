@@ -93,7 +93,6 @@ fn assert_same_stats(what: &str, driver: &IsStats, reference: &IsStats) {
         driver.succ_cache, reference.succ_cache,
         "{what}: successor cache"
     );
-    assert_eq!(driver.engine, reference.engine, "{what}: engine");
     assert_eq!(
         driver.mover_cache, reference.mover_cache,
         "{what}: mover cache"

@@ -4,8 +4,8 @@
 //! pending async that occurs there must evaluate identically on the
 //! register-bytecode VM and on the tree-walk reference interpreter — same
 //! transition sets, same failure reasons. Together with the protocol
-//! pipelines themselves (which run over the compiled default path and are
-//! compared against `check_with` in `check_paths_agree.rs`), this pins the
+//! pipelines themselves (which run over the compiled default path and whose
+//! check paths are compared in `check_paths_agree.rs`), this pins the
 //! VM to the interpreter's semantics on real workloads, not just on the
 //! random programs of the lang-level proptest suite.
 
